@@ -128,6 +128,15 @@ def max_window_cap() -> int:
     return cap
 
 
+def _first_window(window: int | None, needed: int, cap: int) -> int:
+    """First rung of the window ladder: the given window, else the extent
+    of the support, lowered to the cap.  The ladder doubles, so it never
+    grows from a window below 1, which is rejected."""
+    if window is not None and window < 1:
+        raise ValueError("window must be positive")
+    return min(window if window is not None else max(needed, 1), cap)
+
+
 class UndecidedError(RuntimeError):
     """The question does not fit inside the allowed window."""
 
@@ -194,12 +203,11 @@ def corner_to_laurent(
     """
     if not x.supported_on(WEIGHT_20, WEIGHT_20):
         raise ValueError("element does not lie in the corner algebra")
+    cap = max_window if max_window is not None else max_window_cap()
+    needed = max((abs(j) for j in _column_support(x)), default=0)
+    w = _first_window(window, needed, cap)
     if x.is_zero():
         return LaurentPoly2.zero()
-    cap = max_window if max_window is not None else max_window_cap()
-    support = _column_support(x)
-    needed = max(abs(j) for j in support)
-    w = window if window is not None else max(needed, 1)
     while True:
         if needed <= w:
             result = _corner_solve(x, w)
@@ -604,15 +612,20 @@ def ideal_to_tensor(
     final window (the element is not an ideal member there) and
     :class:`UndecidedError` when the question never fit the window.
     """
+    return _ideal_tensor(x, window, max_window)[0]
+
+
+def _ideal_tensor(
+    x: AlgebraElement, window: int | None, max_window: int | None
+) -> tuple[CellTensor, int]:
+    """:func:`ideal_to_tensor` plus the window at which the tensor was found."""
     if x.n != N or x.r != R:
         raise ValueError("ideal elements live at n = r = 2")
-    if x.is_zero():
-        return CellTensor.zero()
     cap = max_window if max_window is not None else max_window_cap()
-    support = _column_support(x)
-    needed = max(abs(j) for j in support)
-    w = window if window is not None else max(needed, 1)
-    w = min(w, cap)
+    needed = max((abs(j) for j in _column_support(x)), default=0)
+    w = _first_window(window, needed, cap)
+    if x.is_zero():
+        return CellTensor.zero(), w
     saw_inconsistent_at_cap = False
     while True:
         if needed <= w:
@@ -623,7 +636,7 @@ def ideal_to_tensor(
                     raise ArithmeticError(
                         "solved tensor fails to reproduce its element"
                     )
-                return tensor
+                return tensor, w
             if w >= cap:
                 saw_inconsistent_at_cap = True
         if w >= cap:
@@ -697,16 +710,17 @@ def ideal_membership(
     """Windowed membership test for the two-sided ideal.
 
     A member verdict carries the certificate tensor, already re-verified
-    by contracting it back to the element.
+    by contracting it back to the element, and the window that decided
+    it; the other verdicts carry the cap, the last window tried.
     """
     cap = max_window if max_window is not None else max_window_cap()
     try:
-        tensor = ideal_to_tensor(x, window=window, max_window=cap)
+        tensor, decided = _ideal_tensor(x, window, cap)
     except NotInWindowError:
         return MembershipResult(MembershipResult.NOT_MEMBER, None, cap)
     except UndecidedError:
         return MembershipResult(MembershipResult.UNDECIDED, None, cap)
-    return MembershipResult(MembershipResult.MEMBER, tensor, cap)
+    return MembershipResult(MembershipResult.MEMBER, tensor, decided)
 
 
 def batch_ideal_membership(

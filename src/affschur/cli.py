@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--window",
                 type=int,
                 default=None,
-                help="starting column-support window",
+                help="starting column-support window (at least 1)",
             )
         cmd.set_defaults(handler=handler)
         return cmd

@@ -113,7 +113,8 @@ class PeriodicMatrix:
     """Canonical representative of an n-periodic nonnegative matrix.
 
     ``entries`` is a sorted tuple of (row, column, value) triples with row
-    in 1..n, column in Z and value >= 1.
+    in 1..n, column in Z and value >= 1; ``r`` is the weight, the total of
+    the stored entries.
     """
 
     n: int
@@ -121,6 +122,7 @@ class PeriodicMatrix:
     _lookup: dict[tuple[int, int], int] = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
+    r: int = field(init=False, repr=False, compare=False, hash=False, default=0)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -135,6 +137,7 @@ class PeriodicMatrix:
                 raise ValueError("duplicate entry position")
             lookup[(i, j)] = a
         object.__setattr__(self, "_lookup", lookup)
+        object.__setattr__(self, "r", sum(lookup.values()))
 
     @classmethod
     def from_entries(
@@ -158,10 +161,6 @@ class PeriodicMatrix:
             acc[key] = acc.get(key, 0) + a
         canon = tuple(sorted((i, j, a) for (i, j), a in acc.items()))
         return cls(n, canon)
-
-    @property
-    def r(self) -> int:
-        return sum(a for _, _, a in self.entries)
 
     def entry(self, i: int, j: int) -> int:
         """The matrix entry a_{i,j} for arbitrary integers i, j."""
@@ -305,7 +304,7 @@ class AlgebraElement:
         self.r = r
         clean: dict[PeriodicMatrix, Fraction] = {}
         for matrix, coeff in (terms or {}).items():
-            value = Fraction(coeff)
+            value = coeff if type(coeff) is Fraction else Fraction(coeff)
             if value == 0:
                 continue
             if matrix.n != n or matrix.r != r:

@@ -5,8 +5,13 @@ Systems are kept sparse as dict-of-dict rows over arbitrary hashable row
 and column labels.  Elimination is division-free: rows are combined by
 integer cross-multiplication (after clearing denominators) and kept small
 by dividing out the row content.  Pivots are chosen by a Markowitz-style
-sparsity count.  Everything is exact; verdicts distinguish a unique
-solution from inconsistent and underdetermined systems.
+sparsity count.  Back-substitution is sparse, in the style of a
+Gilbert–Peierls triangular solve: one pass over the factorization serves
+every right-hand side, each of which visits only the pivots its nonzero
+entries reach, in decreasing pivot order, so a rational number is made
+only for a nonzero solution value.  Everything is exact; verdicts
+distinguish a unique solution from inconsistent and underdetermined
+systems.
 """
 
 from __future__ import annotations
@@ -42,41 +47,49 @@ class SolveResult:
     UNDERDETERMINED = "underdetermined"
 
 
+def _lcm_denominator(values) -> int:
+    denom = 1
+    for value in values:
+        denom = denom * value.denominator // gcd(denom, value.denominator)
+    return denom
+
+
 def _scaled_integer_rows(
     cols: Sequence[Hashable],
     rows: Sequence[Hashable],
     entries: dict[tuple[Hashable, Hashable], Fraction],
     rhs_list: Sequence[dict[Hashable, Fraction]],
-) -> tuple[list[dict[int, int]], list[Fraction]]:
+) -> tuple[list[dict[int, int]], list[int]]:
     """Clear denominators row-wise; rhs columns get indices -1, -2, ...
 
     Returns the integer rows plus one overall scale per rhs column (the
     rhs columns are pre-multiplied by these, so solutions must be divided
-    by them afterwards).
+    by them afterwards).  Denominators are cleared in integers.
     """
     col_index = {label: idx for idx, label in enumerate(cols)}
     # Common denominator per rhs column keeps the row scaling uniform.
-    rhs_scales = []
-    for k, rhs in enumerate(rhs_list):
-        denom = 1
-        for value in rhs.values():
-            denom = denom * value.denominator // gcd(denom, value.denominator)
-        rhs_scales.append(Fraction(denom))
+    rhs_scales = [_lcm_denominator(rhs.values()) for rhs in rhs_list]
     sparse: dict[Hashable, dict[int, Fraction]] = {label: {} for label in rows}
     for (row_label, col_label), value in entries.items():
         if value:
             sparse[row_label][col_index[col_label]] = value
+    rhs_rows: dict[Hashable, list[tuple[int, int]]] = {}
+    for k, (rhs, scale) in enumerate(zip(rhs_list, rhs_scales)):
+        for row_label, value in rhs.items():
+            if value and row_label in sparse:
+                rhs_rows.setdefault(row_label, []).append(
+                    (-1 - k, value.numerator * (scale // value.denominator))
+                )
     int_rows: list[dict[int, int]] = []
     for row_label in rows:
         raw = sparse[row_label]
-        for k, rhs in enumerate(rhs_list):
-            value = rhs.get(row_label)
-            if value:
-                raw[-1 - k] = value * rhs_scales[k]
-        denom = 1
-        for value in raw.values():
-            denom = denom * value.denominator // gcd(denom, value.denominator)
-        int_rows.append({c: int(v * denom) for c, v in raw.items()})
+        denom = _lcm_denominator(raw.values())
+        row = {
+            c: v.numerator * (denom // v.denominator) for c, v in raw.items()
+        }
+        for key, value in rhs_rows.get(row_label, ()):
+            row[key] = value * denom
+        int_rows.append(row)
     return int_rows, rhs_scales
 
 
@@ -165,16 +178,50 @@ def _eliminate(
 
 
 def _back_substitute(
-    pivots: list[tuple[int, dict[int, int]]], rhs_key: int
-) -> dict[int, Fraction]:
-    solution: dict[int, Fraction] = {}
-    for col, row in reversed(pivots):
-        total = Fraction(row.get(rhs_key, 0))
+    pivots: list[tuple[int, dict[int, int]]], rhs_keys: Sequence[int]
+) -> list[dict[int, Fraction]]:
+    """Sparse solutions {column index: nonzero value}, one per rhs column.
+
+    Pivot row p holds its own column and otherwise only columns of later
+    pivots, so the solution value at pivot p depends only on values at
+    pivots q > p.  Each rhs starts from the pivots whose rows meet it and
+    pushes every nonzero value it finds into the rows of earlier pivots
+    that meet its column; a heap hands out the reached pivots in
+    decreasing order, so each is settled after everything it depends on.
+    """
+    col_users: dict[int, list[tuple[int, int]]] = {}
+    rhs_users: dict[int, list[tuple[int, int]]] = {}
+    for p, (col, row) in enumerate(pivots):
         for c, value in row.items():
-            if c >= 0 and c != col:
-                total -= value * solution.get(c, Fraction(0))
-        solution[col] = total / row[col]
-    return solution
+            if c < 0:
+                rhs_users.setdefault(c, []).append((p, value))
+            elif c != col:
+                col_users.setdefault(c, []).append((p, value))
+    solutions = []
+    for rhs_key in rhs_keys:
+        residual: dict[int, int | Fraction] = {}
+        heap: list[int] = []
+        for p, value in rhs_users.get(rhs_key, ()):
+            residual[p] = value
+            heap.append(-p)
+        heapq.heapify(heap)
+        solution: dict[int, Fraction] = {}
+        while heap:
+            p = -heapq.heappop(heap)
+            total = residual[p]
+            if not total:
+                continue
+            col, row = pivots[p]
+            value = Fraction(total, row[col])
+            solution[col] = value
+            for q, coef in col_users.get(col, ()):
+                if q in residual:
+                    residual[q] -= coef * value
+                else:
+                    residual[q] = -coef * value
+                    heapq.heappush(heap, -q)
+        solutions.append(solution)
+    return solutions
 
 
 def solve_many(
@@ -185,27 +232,31 @@ def solve_many(
 ) -> list[SolveResult]:
     """Solve one coefficient matrix against many right-hand sides.
 
-    The elimination is shared; each rhs gets its own verdict.
+    The elimination and the back-substitution pass are shared; each rhs
+    gets its own verdict.  A unique solution lists every column, zeros
+    included.
     """
     int_rows, rhs_scales = _scaled_integer_rows(cols, rows, entries, rhs_list)
     pivots, leftovers = _eliminate(int_rows)
-    underdetermined = len(pivots) < len(cols)
-    results = []
-    for k in range(len(rhs_list)):
-        rhs_key = -1 - k
-        if any(row.get(rhs_key) for row in leftovers):
-            results.append(SolveResult(SolveResult.INCONSISTENT))
-            continue
-        if underdetermined:
-            results.append(SolveResult(SolveResult.UNDERDETERMINED))
-            continue
-        indexed = _back_substitute(pivots, rhs_key)
-        scale = rhs_scales[k]
-        solution = {
-            cols[idx]: indexed.get(idx, Fraction(0)) / scale
-            for idx in range(len(cols))
-        }
-        results.append(SolveResult(SolveResult.UNIQUE, solution))
+    # leftover rows carry rhs entries only: each one is a failed equation
+    inconsistent = {c for row in leftovers for c in row}
+    if len(pivots) < len(cols):
+        return [
+            SolveResult(
+                SolveResult.INCONSISTENT
+                if -1 - k in inconsistent
+                else SolveResult.UNDERDETERMINED
+            )
+            for k in range(len(rhs_list))
+        ]
+    consistent = [k for k in range(len(rhs_list)) if -1 - k not in inconsistent]
+    indexed = _back_substitute(pivots, [-1 - k for k in consistent])
+    results = [SolveResult(SolveResult.INCONSISTENT) for _ in rhs_list]
+    for k, sparse in zip(consistent, indexed):
+        solution = dict.fromkeys(cols, Fraction(0))
+        for idx, value in sparse.items():
+            solution[cols[idx]] = value / rhs_scales[k]
+        results[k] = SolveResult(SolveResult.UNIQUE, solution)
     return results
 
 

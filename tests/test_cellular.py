@@ -93,6 +93,11 @@ class TestCornerRing:
         with pytest.raises(UndecidedError):
             corner_to_laurent(x, window=2, max_window=2)
 
+    def test_starting_window_clamped_to_cap(self):
+        x = basis(2, (1, 7, 2))  # needs window 7
+        with pytest.raises(UndecidedError):
+            corner_to_laurent(x, window=10, max_window=2)
+
 
 class TestCornerInvolution:
     def test_on_generators(self):
@@ -420,6 +425,17 @@ class TestMembership:
     def test_starved_window_undecided(self, e_mu):
         result = ideal_membership(e_mu, window=1, max_window=1)
         assert result.status == MembershipResult.UNDECIDED
+
+    def test_member_reports_deciding_window(self, e_lam, e_mu, e_nu):
+        result = ideal_membership(e_lam, window=2, max_window=24)
+        assert result.is_member
+        assert result.window == 2
+        # a member found only after the ladder doubled reports that window
+        grown = ideal_membership(e_mu, window=1, max_window=24)
+        assert grown.is_member
+        assert grown.window == 2
+        # a non-member has tried every window up to the cap
+        assert ideal_membership(e_nu, window=2, max_window=8).window == 8
 
     def test_batch_matches_single(self, rng, e_lam, e_nu, e_mu):
         elements = [e_mu, e_nu, e_lam + e_nu.scaled(2)]

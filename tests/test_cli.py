@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import affschur
 from affschur.cli import run
 
 
@@ -19,6 +24,7 @@ def invoke(capsys, args, stdin=None, monkeypatch=None, tmp_path=None):
 ELT_2E21 = {"n": 2, "r": 2, "terms": [{"coeff": "1", "entries": [[2, 1, 2]]}]}
 ELT_2E12 = {"n": 2, "r": 2, "terms": [{"coeff": "1", "entries": [[1, 2, 2]]}]}
 ELT_EMU = {"n": 2, "r": 2, "terms": [{"coeff": "1", "entries": [[2, 2, 2]]}]}
+ELT_LAM = {"n": 2, "r": 2, "terms": [{"coeff": "1", "entries": [[1, 1, 2]]}]}
 ELT_ENU = {
     "n": 2,
     "r": 2,
@@ -199,6 +205,28 @@ class TestMember:
         )
         assert code == 3
         assert json.loads(out)["verdict"] == "undecided"
+
+
+@pytest.mark.parametrize(
+    "command, window",
+    [("member", "0"), ("member", "-3"), ("psi", "0"), ("psi", "-2")],
+)
+def test_window_below_one_is_invalid_input(tmp_path, command, window):
+    """The window ladder cannot grow from below 1: exit 2, in bounded time.
+
+    Run in a child process so that a hang fails the test at the timeout.
+    """
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(ELT_2E21 if command == "member" else ELT_LAM))
+    src = str(Path(affschur.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, AFFSCHUR_MAX_WINDOW="24")
+    proc = subprocess.run(
+        [sys.executable, "-m", "affschur", command, "--window", window,
+         "--file", str(path)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "window must be positive" in proc.stderr
 
 
 class TestVerifyCell:

@@ -106,6 +106,65 @@ class TestSolveMany:
         assert good.solution == {"x": 2, "y": 3}
         assert bad.status == SolveResult.INCONSISTENT
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_separate_solves(self, data):
+        def fraction():
+            return Fraction(
+                data.draw(st.integers(min_value=-3, max_value=3)),
+                data.draw(st.integers(min_value=1, max_value=3)),
+            )
+
+        ncols = data.draw(st.integers(min_value=1, max_value=6))
+        nrows = ncols + data.draw(st.integers(min_value=0, max_value=3))
+        matrix = [[fraction() for _ in range(ncols)] for _ in range(nrows)]
+        rhs_dense = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+            if data.draw(st.booleans()):
+                x = [fraction() for _ in range(ncols)]
+                rhs_dense.append([sum(a * b for a, b in zip(row, x)) for row in matrix])
+            else:
+                rhs_dense.append([fraction() for _ in range(nrows)])
+        systems = [system(matrix, rhs) for rhs in rhs_dense]
+        first = systems[0]
+        many = solve_many(
+            first.cols, first.rows, first.entries, [s.rhs for s in systems]
+        )
+        assert len(many) == len(systems)
+        for got, sys_, rhs in zip(many, systems, rhs_dense):
+            single = solve_unique(sys_)
+            assert got.status == single.status
+            assert got.solution == single.solution
+            if got.status == SolveResult.UNIQUE:
+                assert list(got.solution) == first.cols
+                values = [got.solution[c] for c in first.cols]
+                for row, value in zip(matrix, rhs):
+                    assert sum(a * v for a, v in zip(row, values)) == value
+
+    def test_long_pivot_chain_reaches_every_column(self):
+        # rows x_i + x_{i+1} (i < n-1) and x_{n-1} + 2 x_0: every row has two
+        # entries, so the pivots form a chain and a rhs on the last row alone
+        # makes every column nonzero: x_i = (-1)^(n-i) for even n
+        n = 40
+        dense = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            dense[i][i] = dense[i][i + 1] = 1
+        dense[n - 1][n - 1] = 1
+        dense[n - 1][0] = 2
+        chain = system(dense)
+        far = {f"r{n - 1}": Fraction(1)}
+        near = {"r0": Fraction(1, 3), f"r{n - 1}": Fraction(2, 3)}
+        zero = {}
+        solved = solve_many(chain.cols, chain.rows, chain.entries, [far, near, zero])
+        assert [r.status for r in solved] == [SolveResult.UNIQUE] * 3
+        assert solved[0].solution == {
+            f"c{i}": Fraction((-1) ** (n - i)) for i in range(n)
+        }
+        assert solved[1].solution == dict(
+            {f"c{i}": Fraction(0) for i in range(n)}, c0=Fraction(1, 3)
+        )
+        assert solved[2].solution == {f"c{i}": Fraction(0) for i in range(n)}
+
 
 class TestRank:
     def test_zero_matrix(self):
