@@ -14,15 +14,19 @@ Fixed data (all at n = r = 2):
   by 4 x 4 tensors of Laurent polynomials.
 
 Decompositions over the free bases follow the explicit recurrences for
-the x1 action, so they are exact and terminate without linear algebra;
-the linear solver is used where no recurrence exists (writing a corner
-element as a polynomial, and finding tensor coordinates of ideal
-members) and as an independent cross-check.
+the x1 action, filled bottom-up, so they are exact and terminate without
+linear algebra; the linear solver is used where no recurrence exists
+(writing a corner element as a polynomial, and finding tensor
+coordinates of ideal members) and as an independent cross-check.
 
 All membership and inversion problems are truncated by a *window*: a
 bound W restricting the column support of every matrix involved to
-[-W, W].  Windows grow geometrically up to a cap; a question that does
-not fit the cap is answered "undecided" rather than guessed.
+[-W, W].  Every windowed question is "is x in the span of these labelled
+elements": :func:`span_system` turns the labelled elements into one
+sparse system, and :func:`_window_ladder` lists the windows to try,
+growing geometrically up to a cap.  Membership is that ladder over
+:func:`batch_ideal_membership`; a question that does not fit the cap is
+answered "undecided" rather than guessed.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .core import AlgebraElement, Composition, PeriodicMatrix, diag_matrix
 from .laurent import LaurentPoly2
-from .linalg import SolveResult, solve_many
+from .linalg import SolveResult, SparseSystem, solve_many
 from .multiplication import multiply
 
 __all__ = [
@@ -68,6 +72,8 @@ __all__ = [
     "omega_element",
     "omega_candidates",
     "max_window_cap",
+    "fits_window",
+    "span_system",
 ]
 
 N = 2
@@ -128,21 +134,78 @@ def max_window_cap() -> int:
     return cap
 
 
-def _first_window(window: int | None, needed: int, cap: int) -> int:
-    """First rung of the window ladder: the given window, else the extent
-    of the support, lowered to the cap.  The ladder doubles, so it never
-    grows from a window below 1, which is rejected."""
-    if window is not None and window < 1:
-        raise ValueError("window must be positive")
-    return min(window if window is not None else max(needed, 1), cap)
-
-
 class UndecidedError(RuntimeError):
     """The question does not fit inside the allowed window."""
 
 
 class NotInWindowError(RuntimeError):
     """No solution exists within the maximal window tried."""
+
+
+# ---------------------------------------------------------------------------
+# windowed systems
+
+
+def _column_support(x: AlgebraElement) -> list[int]:
+    return [j for matrix in x.terms for _, j, _ in matrix.entries]
+
+
+def fits_window(x: AlgebraElement, window: int) -> bool:
+    """Whether x is nonzero with its column support inside [-window, window]."""
+    support = _column_support(x)
+    return bool(support) and all(-window <= j <= window for j in support)
+
+
+def span_system(
+    candidates: Iterable[tuple[Hashable, AlgebraElement]]
+) -> SparseSystem:
+    """The system whose columns are the labelled candidates.
+
+    One column per label, one row per basis matrix some candidate meets
+    (sorted by ``PeriodicMatrix.sort_key``); a right-hand side may hold
+    other rows, which the solver treats as unsatisfiable equations.
+    """
+    cols: list[Hashable] = []
+    entries: dict[tuple, Fraction] = {}
+    rows: set[PeriodicMatrix] = set()
+    for label, element in candidates:
+        cols.append(label)
+        for matrix, coeff in element.terms.items():
+            entries[(matrix, label)] = coeff
+            rows.add(matrix)
+    return SparseSystem(cols, sorted(rows, key=PeriodicMatrix.sort_key), entries)
+
+
+def _window_ladder(x: AlgebraElement, window: int | None, cap: int) -> list[int]:
+    """The windows to try for x, in order: those its support fits.
+
+    The ladder starts at the given window, else at the extent of the
+    support, lowered to the cap, and doubles up to the cap; it is empty
+    when the support exceeds the cap.  It never grows from a window
+    below 1, which is rejected.
+    """
+    if window is not None and window < 1:
+        raise ValueError("window must be positive")
+    needed = max((abs(j) for j in _column_support(x)), default=0)
+    w = min(window if window is not None else max(needed, 1), cap)
+    rungs = []
+    while True:
+        if needed <= w:
+            rungs.append(w)
+        if w >= cap:
+            return rungs
+        w = min(2 * w, cap)
+
+
+def _combination(
+    terms: Iterable[tuple[Fraction, AlgebraElement]]
+) -> AlgebraElement:
+    """The sum of coeff * element, accumulated in one term dict."""
+    acc: dict[PeriodicMatrix, Fraction] = {}
+    for coeff, element in terms:
+        for matrix, c in element.terms.items():
+            acc[matrix] = acc.get(matrix, Fraction(0)) + coeff * c
+    return AlgebraElement(N, R, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +243,9 @@ def monomial_image(a: int, b: int) -> AlgebraElement:
 
 def laurent_to_corner(p: LaurentPoly2) -> AlgebraElement:
     """Ring map sending x1, x2, x2^-1 to their corner generators."""
-    acc = AlgebraElement.zero(N, R)
-    for (a, b), coeff in p.terms.items():
-        acc = acc + monomial_image(a, b).scaled(coeff)
-    return acc
-
-
-def _column_support(x: AlgebraElement) -> list[int]:
-    return [j for matrix in x.terms for _, j, _ in matrix.entries]
+    return _combination(
+        (coeff, monomial_image(a, b)) for (a, b), coeff in p.terms.items()
+    )
 
 
 def corner_to_laurent(
@@ -204,40 +262,24 @@ def corner_to_laurent(
     if not x.supported_on(WEIGHT_20, WEIGHT_20):
         raise ValueError("element does not lie in the corner algebra")
     cap = max_window if max_window is not None else max_window_cap()
-    needed = max((abs(j) for j in _column_support(x)), default=0)
-    w = _first_window(window, needed, cap)
+    rungs = _window_ladder(x, window, cap)
     if x.is_zero():
         return LaurentPoly2.zero()
-    while True:
-        if needed <= w:
-            result = _corner_solve(x, w)
-            if result is not None:
-                return result
-        if w >= cap:
-            raise UndecidedError(
-                f"no polynomial preimage within window {w}"
-            )
-        w = min(2 * w, cap)
+    for w in rungs:
+        result = _corner_solve(x, w)
+        if result is not None:
+            return result
+    raise UndecidedError(f"no polynomial preimage within window {cap}")
 
 
 def _corner_solve(x: AlgebraElement, w: int) -> LaurentPoly2 | None:
-    cols: list[tuple[int, int]] = []
-    entries: dict[tuple, Fraction] = {}
-    row_labels: set[PeriodicMatrix] = set(x.terms)
-    b_min = -((w - 1) // 2) - 1
-    for b in range(b_min, (w - 1) // 2 + 1):
-        if 2 * b + 1 < -w:
-            continue
-        a = 0
-        while 2 * a + 2 * b + 1 <= w:
-            image = monomial_image(a, b)
-            cols.append((a, b))
-            for matrix, coeff in image.terms.items():
-                entries[(matrix, (a, b))] = coeff
-                row_labels.add(matrix)
-            a += 1
-    rhs = dict(x.terms)
-    result = solve_many(cols, sorted(row_labels, key=lambda m: m.sort_key()), entries, [rhs])[0]
+    system = span_system(
+        ((a, b), monomial_image(a, b))
+        for b in range(-((w - 1) // 2) - 1, (w - 1) // 2 + 1)
+        if 2 * b + 1 >= -w
+        for a in range((w - 2 * b - 1) // 2 + 1)
+    )
+    result = solve_many(system.cols, system.rows, system.entries, [x.terms])[0]
     if result.status == SolveResult.UNIQUE:
         return LaurentPoly2(
             {key: value for key, value in result.solution.items() if value}
@@ -279,26 +321,22 @@ class CellVector:
             raise ValueError("need exactly four coordinates")
 
     def to_element(self) -> AlgebraElement:
-        acc = AlgebraElement.zero(N, R)
+        products = []
         for idx, poly in enumerate(self.coords):
             if poly.is_zero():
                 continue
             b = laurent_to_corner(poly)
             if self.side == "left":
-                acc = acc + multiply(b, AlgebraElement.basis(LEFT_BASIS[idx]))
+                products.append(multiply(b, AlgebraElement.basis(LEFT_BASIS[idx])))
             else:
-                acc = acc + multiply(AlgebraElement.basis(RIGHT_BASIS[idx]), b)
-        return acc
+                products.append(multiply(AlgebraElement.basis(RIGHT_BASIS[idx]), b))
+        return _combination((Fraction(1), product) for product in products)
 
     def to_json(self) -> dict:
         return {
             "side": self.side,
             "coords": [p.to_json() for p in self.coords],
         }
-
-
-_X_COORDS: dict[int, tuple[LaurentPoly2, ...]] = {}
-_Y_COORDS: dict[int, tuple[LaurentPoly2, ...]] = {}
 
 
 def _coord_unit(index: int, poly: LaurentPoly2) -> tuple[LaurentPoly2, ...]:
@@ -320,61 +358,50 @@ def _combine(
     )
 
 
+_ONE = LaurentPoly2.one()
+_X1 = LaurentPoly2.x1()
+_X2 = LaurentPoly2.x2()
+
+# Left-basis coordinates of the pairs {1, l} (x) and {2, l} (y), keyed by
+# l >= 1: the initial values of the x1-action recurrence below.
+_X_COORDS: dict[int, tuple[LaurentPoly2, ...]] = {
+    1: _coord_unit(2, _ONE),
+    2: _coord_unit(0, _ONE),
+    3: _coord_unit(2, _X1),
+    # the l-2 recurrence lands on the pair {0, 1}, which renormalizes to
+    # x2^-1 times the second basis element
+    4: _combine(
+        _coord_unit(0, _ONE), _coord_unit(1, LaurentPoly2.x2(-1)), _X1, _X2
+    ),
+    5: _coord_unit(2, _X1 * _X1 - 2 * _X2),
+}
+_Y_COORDS: dict[int, tuple[LaurentPoly2, ...]] = {
+    1: _coord_unit(0, _ONE),
+    2: _coord_unit(3, _ONE),
+    3: _coord_unit(1, _ONE),
+    4: _coord_unit(3, _X1),
+}
+_Y_COORDS[6] = _combine(_Y_COORDS[4], _Y_COORDS[2], _X1, 2 * _X2)
+
+
+def _recurrence(cache: dict, l: int) -> tuple[LaurentPoly2, ...]:
+    """cache[l] by c_l = x1 c_{l-2} - x2 c_{l-4}, filled bottom-up so that
+    a wide pair costs no recursion depth."""
+    if l not in cache:
+        for k in range(2 - l % 2, l + 1, 2):
+            if k not in cache:
+                cache[k] = _combine(cache[k - 2], cache[k - 4], _X1, _X2)
+    return cache[l]
+
+
 def _x_coords(l: int) -> tuple[LaurentPoly2, ...]:
     """Coordinates of the pair {1, l} over the left basis, l >= 1."""
-    cached = _X_COORDS.get(l)
-    if cached is not None:
-        return cached
-    one = LaurentPoly2.one()
-    x1 = LaurentPoly2.x1()
-    x2 = LaurentPoly2.x2()
-    if l == 1:
-        coords = _coord_unit(2, one)
-    elif l == 2:
-        coords = _coord_unit(0, one)
-    elif l == 3:
-        coords = _coord_unit(2, x1)
-    elif l == 4:
-        # the l-2 recurrence lands on the pair {0, 1}, which renormalizes
-        # to x2^-1 times the second basis element
-        coords = _combine(
-            _x_coords(2),
-            _coord_unit(1, LaurentPoly2.x2(-1)),
-            x1,
-            x2,
-        )
-    elif l == 5:
-        coords = _coord_unit(2, x1 * x1 - 2 * x2)
-    else:
-        coords = _combine(_x_coords(l - 2), _x_coords(l - 4), x1, x2)
-    _X_COORDS[l] = coords
-    return coords
+    return _recurrence(_X_COORDS, l)
 
 
 def _y_coords(l: int) -> tuple[LaurentPoly2, ...]:
     """Coordinates of the pair {2, l} over the left basis, l >= 1."""
-    cached = _Y_COORDS.get(l)
-    if cached is not None:
-        return cached
-    one = LaurentPoly2.one()
-    x1 = LaurentPoly2.x1()
-    x2 = LaurentPoly2.x2()
-    if l == 1:
-        coords = _coord_unit(0, one)
-    elif l == 2:
-        coords = _coord_unit(3, one)
-    elif l == 3:
-        coords = _coord_unit(1, one)
-    elif l == 4:
-        coords = _coord_unit(3, x1)
-    elif l == 5:
-        coords = _combine(_y_coords(3), _y_coords(1), x1, x2)
-    elif l == 6:
-        coords = _combine(_y_coords(4), _y_coords(2), x1, 2 * x2)
-    else:
-        coords = _combine(_y_coords(l - 2), _y_coords(l - 4), x1, x2)
-    _Y_COORDS[l] = coords
-    return coords
+    return _recurrence(_Y_COORDS, l)
 
 
 def _pair_coords(i: int, j: int) -> tuple[LaurentPoly2, ...]:
@@ -525,13 +552,12 @@ def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
 
 def tensor_to_ideal(t: CellTensor) -> AlgebraElement:
     """Contract a coordinate tensor to the ideal element it represents."""
-    acc: dict[PeriodicMatrix, Fraction] = {}
-    for l in range(4):
-        for m in range(4):
-            for (a, b), coeff in t.cell(l, m).terms.items():
-                for matrix, c in omega_element(l, m, a, b).terms.items():
-                    acc[matrix] = acc.get(matrix, Fraction(0)) + coeff * c
-    return AlgebraElement(N, R, acc)
+    return _combination(
+        (coeff, omega_element(l, m, a, b))
+        for l in range(4)
+        for m in range(4)
+        for (a, b), coeff in t.cell(l, m).terms.items()
+    )
 
 
 def tensor_involution(t: CellTensor) -> CellTensor:
@@ -580,8 +606,7 @@ def omega_candidates(
                 a = 0
                 while 2 * a + 2 * b + 1 <= window + 2:
                     element = omega_element(l, m, a, b)
-                    support = _column_support(element)
-                    if support and all(-window <= j <= window for j in support):
+                    if fits_window(element, window):
                         out.append(((l, m, a, b), element))
                     a += 1
             b += 1
@@ -596,93 +621,6 @@ def _split_by_signature(
         key = (matrix.row_vector(), matrix.col_vector())
         parts.setdefault(key, {})[matrix] = coeff
     return parts
-
-
-def ideal_to_tensor(
-    x: AlgebraElement,
-    window: int | None = None,
-    max_window: int | None = None,
-) -> CellTensor:
-    """Tensor coordinates of an ideal element, by exact linear solve.
-
-    The system splits into independent blocks indexed by the row/column
-    weights of the basis matrices involved; each block is solved within
-    the window, growing it up to the cap.  Raises
-    :class:`NotInWindowError` when some block is inconsistent at the
-    final window (the element is not an ideal member there) and
-    :class:`UndecidedError` when the question never fit the window.
-    """
-    return _ideal_tensor(x, window, max_window)[0]
-
-
-def _ideal_tensor(
-    x: AlgebraElement, window: int | None, max_window: int | None
-) -> tuple[CellTensor, int]:
-    """:func:`ideal_to_tensor` plus the window at which the tensor was found."""
-    if x.n != N or x.r != R:
-        raise ValueError("ideal elements live at n = r = 2")
-    cap = max_window if max_window is not None else max_window_cap()
-    needed = max((abs(j) for j in _column_support(x)), default=0)
-    w = _first_window(window, needed, cap)
-    if x.is_zero():
-        return CellTensor.zero(), w
-    saw_inconsistent_at_cap = False
-    while True:
-        if needed <= w:
-            tensor = _tensor_solve(x, w)
-            if tensor is not None:
-                verified = tensor_to_ideal(tensor)
-                if verified != x:
-                    raise ArithmeticError(
-                        "solved tensor fails to reproduce its element"
-                    )
-                return tensor, w
-            if w >= cap:
-                saw_inconsistent_at_cap = True
-        if w >= cap:
-            if saw_inconsistent_at_cap:
-                raise NotInWindowError(
-                    f"not an ideal member within window {w}"
-                )
-            raise UndecidedError(
-                f"element support exceeds the window cap {cap}"
-            )
-        w = min(2 * w, cap)
-
-
-def _tensor_solve(x: AlgebraElement, window: int) -> CellTensor | None:
-    parts = _split_by_signature(x)
-    tensor = CellTensor.zero()
-    for signature, rhs in parts.items():
-        pairs = SIGNATURE_BLOCKS.get(signature)
-        if pairs is None:
-            return None
-        candidates = omega_candidates(window, pairs)
-        cols = [label for label, _ in candidates]
-        entries: dict[tuple, Fraction] = {}
-        row_labels: set[PeriodicMatrix] = set(rhs)
-        for label, element in candidates:
-            for matrix, coeff in element.terms.items():
-                entries[(matrix, label)] = coeff
-                row_labels.add(matrix)
-        result = solve_many(
-            cols,
-            sorted(row_labels, key=lambda mx: mx.sort_key()),
-            entries,
-            [rhs],
-        )[0]
-        if result.status == SolveResult.INCONSISTENT:
-            return None
-        if result.status == SolveResult.UNDERDETERMINED:
-            raise ArithmeticError(
-                "window tensor system is underdetermined; independence broken"
-            )
-        for (l, m, a, b), value in result.solution.items():
-            if value:
-                tensor = tensor + CellTensor.unit(
-                    l, m, LaurentPoly2.monomial(a, b, value)
-                )
-    return tensor
 
 
 @dataclass(frozen=True)
@@ -702,39 +640,20 @@ class MembershipResult:
         return self.status == self.MEMBER
 
 
-def ideal_membership(
-    x: AlgebraElement,
-    window: int | None = None,
-    max_window: int | None = None,
-) -> MembershipResult:
-    """Windowed membership test for the two-sided ideal.
-
-    A member verdict carries the certificate tensor, already re-verified
-    by contracting it back to the element, and the window that decided
-    it; the other verdicts carry the cap, the last window tried.
-    """
-    cap = max_window if max_window is not None else max_window_cap()
-    try:
-        tensor, decided = _ideal_tensor(x, window, cap)
-    except NotInWindowError:
-        return MembershipResult(MembershipResult.NOT_MEMBER, None, cap)
-    except UndecidedError:
-        return MembershipResult(MembershipResult.UNDECIDED, None, cap)
-    return MembershipResult(MembershipResult.MEMBER, tensor, decided)
-
-
 def batch_ideal_membership(
     elements: Sequence[AlgebraElement], window: int
 ) -> list[MembershipResult]:
     """Membership tests for many elements at one fixed window.
 
     The elimination of each signature block is shared across all inputs,
-    which is much cheaper than testing the elements one at a time.
+    which is much cheaper than testing the elements one at a time.  The
+    blocks are solved in order of first use; an element refuted by one
+    block takes no part in later ones, and a block left with no element
+    is not solved.
     """
     results: list[MembershipResult | None] = []
-    # signature -> (rhs dicts, owning element indices)
-    block_rhs: dict = {}
-    splits: list[dict | None] = []
+    # signature -> {element index: its part in that block}
+    blocks: dict[tuple, dict[int, dict]] = {}
     for idx, x in enumerate(elements):
         if x.n != N or x.r != R:
             raise ValueError("ideal elements live at n = r = 2")
@@ -742,70 +661,94 @@ def batch_ideal_membership(
             results.append(
                 MembershipResult(MembershipResult.MEMBER, CellTensor.zero(), window)
             )
-            splits.append(None)
-            continue
-        support = _column_support(x)
-        if max(abs(j) for j in support) > window:
+        elif max(abs(j) for j in _column_support(x)) > window:
             results.append(
                 MembershipResult(MembershipResult.UNDECIDED, None, window)
             )
-            splits.append(None)
-            continue
-        results.append(None)
-        parts = _split_by_signature(x)
-        splits.append(parts)
-        for signature, rhs in parts.items():
-            block_rhs.setdefault(signature, ([], []))
-            block_rhs[signature][0].append(rhs)
-            block_rhs[signature][1].append(idx)
+        else:
+            results.append(None)
+            for signature, rhs in _split_by_signature(x).items():
+                blocks.setdefault(signature, {})[idx] = rhs
 
-    # one shared solve per signature block
-    solutions: dict[tuple, dict[int, SolveResult]] = {}
-    for signature, (rhs_list, owners) in block_rhs.items():
-        pairs = SIGNATURE_BLOCKS[signature]
-        candidates = omega_candidates(window, pairs)
-        cols = [label for label, _ in candidates]
-        entries: dict[tuple, Fraction] = {}
-        row_labels: set[PeriodicMatrix] = set()
-        for label, element in candidates:
-            for matrix, coeff in element.terms.items():
-                entries[(matrix, label)] = coeff
-                row_labels.add(matrix)
-        for rhs in rhs_list:
-            row_labels.update(rhs)
+    # element index -> its tensor cells, as {(a, b): value} per (l, m)
+    cells: dict[int, list[list[dict]]] = {
+        idx: [[{} for _ in range(4)] for _ in range(4)]
+        for idx, result in enumerate(results)
+        if result is None
+    }
+    refuted: set[int] = set()
+    for signature, parts in blocks.items():
+        owners = [idx for idx in parts if idx not in refuted]
+        if not owners:
+            continue
+        system = span_system(omega_candidates(window, SIGNATURE_BLOCKS[signature]))
         block_results = solve_many(
-            cols,
-            sorted(row_labels, key=lambda mx: mx.sort_key()),
-            entries,
-            rhs_list,
+            system.cols, system.rows, system.entries, [parts[idx] for idx in owners]
         )
-        solutions[signature] = dict(zip(owners, block_results))
-
-    for idx, x in enumerate(elements):
-        if results[idx] is not None:
-            continue
-        tensor = CellTensor.zero()
-        verdict = MembershipResult.MEMBER
-        for signature in splits[idx]:
-            result = solutions[signature][idx]
-            if result.status == SolveResult.INCONSISTENT:
-                verdict = MembershipResult.NOT_MEMBER
-                break
+        for idx, result in zip(owners, block_results):
             if result.status == SolveResult.UNDERDETERMINED:
                 raise ArithmeticError(
                     "window tensor system is underdetermined; independence broken"
                 )
+            if result.status == SolveResult.INCONSISTENT:
+                refuted.add(idx)
+                continue
             for (l, m, a, b), value in result.solution.items():
                 if value:
-                    tensor = tensor + CellTensor.unit(
-                        l, m, LaurentPoly2.monomial(a, b, value)
-                    )
-        if verdict == MembershipResult.MEMBER:
-            if tensor_to_ideal(tensor) != x:
-                raise ArithmeticError(
-                    "solved tensor fails to reproduce its element"
-                )
-            results[idx] = MembershipResult(verdict, tensor, window)
-        else:
-            results[idx] = MembershipResult(verdict, None, window)
+                    cells[idx][l][m][(a, b)] = value
+
+    for idx, grid in cells.items():
+        if idx in refuted:
+            results[idx] = MembershipResult(MembershipResult.NOT_MEMBER, None, window)
+            continue
+        tensor = CellTensor(
+            tuple(tuple(LaurentPoly2(cell) for cell in row) for row in grid)
+        )
+        if tensor_to_ideal(tensor) != elements[idx]:
+            raise ArithmeticError("solved tensor fails to reproduce its element")
+        results[idx] = MembershipResult(MembershipResult.MEMBER, tensor, window)
     return results  # type: ignore[return-value]
+
+
+def ideal_membership(
+    x: AlgebraElement,
+    window: int | None = None,
+    max_window: int | None = None,
+) -> MembershipResult:
+    """Windowed membership test for the two-sided ideal: the window
+    ladder over :func:`batch_ideal_membership`.
+
+    A member verdict carries the certificate tensor, already re-verified
+    by contracting it back to the element, and the window that decided
+    it; the other verdicts carry the cap, the last window tried.
+    """
+    if x.n != N or x.r != R:
+        raise ValueError("ideal elements live at n = r = 2")
+    cap = max_window if max_window is not None else max_window_cap()
+    rungs = _window_ladder(x, window, cap)
+    for w in rungs:
+        result = batch_ideal_membership([x], w)[0]
+        if result.is_member:
+            return result
+    status = MembershipResult.NOT_MEMBER if rungs else MembershipResult.UNDECIDED
+    return MembershipResult(status, None, cap)
+
+
+def ideal_to_tensor(
+    x: AlgebraElement,
+    window: int | None = None,
+    max_window: int | None = None,
+) -> CellTensor:
+    """Tensor coordinates of an ideal element: the certificate of
+    :func:`ideal_membership`.
+
+    Raises :class:`NotInWindowError` when the element is not an ideal
+    member at the final window and :class:`UndecidedError` when the
+    question never fit the window.
+    """
+    result = ideal_membership(x, window, max_window)
+    if result.status == MembershipResult.NOT_MEMBER:
+        raise NotInWindowError(f"not an ideal member within window {result.window}")
+    if result.status == MembershipResult.UNDECIDED:
+        raise UndecidedError(f"element support exceeds the window cap {result.window}")
+    return result.tensor

@@ -2,8 +2,9 @@
 Batch command-line interface.
 
 Subcommands operate on the JSON exchange formats documented in the
-README; input comes from stdin or ``--file``.  All randomness is driven
-by ``--seed``, so identical inputs and seeds give byte-identical output.
+README; input comes from stdin or ``--file``.  Only ``verify-cell``
+draws random samples, from its ``--seed``; the other subcommands are
+deterministic functions of their input and flags.
 
 Exit codes: 0 success, 1 verification failure / non-membership,
 2 invalid input, 3 undecided (window exhausted).
@@ -177,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--pretty", action="store_true", help="human-readable output"
         )
-        cmd.add_argument("--seed", type=int, default=0, help="random seed")
         if window:
             cmd.add_argument(
                 "--window",

@@ -64,7 +64,9 @@ def _scaled_integer_rows(
 
     Returns the integer rows plus one overall scale per rhs column (the
     rhs columns are pre-multiplied by these, so solutions must be divided
-    by them afterwards).  Denominators are cleared in integers.
+    by them afterwards).  Denominators are cleared in integers.  An rhs
+    entry on a row not in ``rows`` becomes an equation 0 = value of its
+    own, placed after the listed rows so that their pivot order stays put.
     """
     col_index = {label: idx for idx, label in enumerate(cols)}
     # Common denominator per rhs column keeps the row scaling uniform.
@@ -73,15 +75,19 @@ def _scaled_integer_rows(
     for (row_label, col_label), value in entries.items():
         if value:
             sparse[row_label][col_index[col_label]] = value
+    row_order = list(rows)
     rhs_rows: dict[Hashable, list[tuple[int, int]]] = {}
     for k, (rhs, scale) in enumerate(zip(rhs_list, rhs_scales)):
         for row_label, value in rhs.items():
-            if value and row_label in sparse:
+            if value:
+                if row_label not in sparse:
+                    sparse[row_label] = {}
+                    row_order.append(row_label)
                 rhs_rows.setdefault(row_label, []).append(
                     (-1 - k, value.numerator * (scale // value.denominator))
                 )
     int_rows: list[dict[int, int]] = []
-    for row_label in rows:
+    for row_label in row_order:
         raw = sparse[row_label]
         denom = _lcm_denominator(raw.values())
         row = {

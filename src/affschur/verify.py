@@ -35,7 +35,7 @@ from .hecke import (
     quotient_image,
 )
 from .laurent import LaurentPoly2
-from .linalg import SolveResult, SparseSystem, rank, solve_many
+from .linalg import SolveResult, rank, solve_many
 from .multiplication import multiply
 from .cellular import (
     CellTensor,
@@ -46,13 +46,14 @@ from .cellular import (
     corner_involution,
     decompose_left,
     decompose_right,
-    ideal_membership,
+    fits_window,
     idempotent_02,
     idempotent_11,
     idempotent_20,
     monomial_image,
     omega_candidates,
     omega_element,
+    span_system,
     tensor_to_ideal,
 )
 from .sampling import (
@@ -240,8 +241,8 @@ def verify_cell_chain(
             ("second reflection plus unit", t2 + e_nu),
             ("row idempotent", e_lam),
         ]
-        for label, element in members:
-            result = ideal_membership(element, window=window, max_window=window)
+        batch = batch_ideal_membership([element for _, element in members], window)
+        for (label, _), result in zip(members, batch):
             if result.status == MembershipResult.NOT_MEMBER:
                 failures.append(_membership_detail(label, result))
             elif result.status == MembershipResult.UNDECIDED:
@@ -265,11 +266,7 @@ def verify_cell_chain(
         inside = [
             (label, element)
             for label, element in candidates
-            if all(
-                -window <= j <= window
-                for matrix in tau(element).terms
-                for _, j, _ in matrix.entries
-            )
+            if fits_window(tau(element), window)
         ]
         rng_local = random.Random(seed + 1)
         subsample = rng_local.sample(inside, min(8, len(inside)))
@@ -291,7 +288,6 @@ def verify_cell_chain(
 
     def check_freeness() -> tuple[str, str]:
         failures: list[str] = []
-        undecided: list[str] = []
         count = 0
         for i in range(-window, window + 1):
             for j in range(i, window + 1):
@@ -309,34 +305,21 @@ def verify_cell_chain(
         # independent solver route plus uniqueness, within a margin that
         # keeps every needed coordinate monomial inside the window
         margin = 3
-        cols: list[tuple[int, int, int]] = []
-        entries = {}
-        rows: set[PeriodicMatrix] = set()
-        for m in range(4):
-            b = -(window + 1) // 2 - 1
-            while 2 * b + 1 <= window:
-                a = 0
-                while 2 * a + 2 * b + 1 <= window:
-                    element = multiply(
-                        monomial_image(a, b),
-                        AlgebraElement.basis(LEFT_BASIS[m]),
-                    )
-                    support = [
-                        j
-                        for matrix in element.terms
-                        for _, j, _ in matrix.entries
-                    ]
-                    if support and all(-window <= j <= window for j in support):
-                        label = (m, a, b)
-                        cols.append(label)
-                        for matrix, coeff in element.terms.items():
-                            entries[(matrix, label)] = coeff
-                            rows.add(matrix)
-                    a += 1
-                b += 1
-        system = SparseSystem(
-            cols, sorted(rows, key=lambda mx: mx.sort_key()), entries, {}
+        module_span = (
+            (
+                (m, a, b),
+                multiply(monomial_image(a, b), AlgebraElement.basis(LEFT_BASIS[m])),
+            )
+            for m in range(4)
+            for b in range(-(window + 1) // 2 - 1, (window - 1) // 2 + 1)
+            for a in range((window - 2 * b - 1) // 2 + 1)
         )
+        system = span_system(
+            (label, element)
+            for label, element in module_span
+            if fits_window(element, window)
+        )
+        cols = system.cols
         system_rank = rank(system)
         if system_rank != len(cols):
             failures.append(
@@ -351,9 +334,7 @@ def verify_cell_chain(
                 x = basis((1, i, 2)) if i == j else basis((1, i, 1), (1, j, 1))
                 rhs_list.append(dict(x.terms))
                 expected_vectors.append(decompose_left(x))
-        results = solve_many(
-            system.cols, system.rows, entries, rhs_list
-        )
+        results = solve_many(system.cols, system.rows, system.entries, rhs_list)
         for result, expected in zip(results, expected_vectors):
             if result.status != SolveResult.UNIQUE:
                 failures.append(f"solver cross-check status {result.status}")
@@ -365,7 +346,7 @@ def verify_cell_chain(
             if tuple(solved) != expected.coords:
                 failures.append("solver and recurrence coordinates disagree")
             solver_checked += 1
-        status, detail = _status_merge(failures, undecided)
+        status, detail = _status_merge(failures, [])
         if status == PASS:
             detail = (
                 f"{count} round trips, {solver_checked} solver cross-checks, "
@@ -383,22 +364,12 @@ def verify_cell_chain(
             candidates = omega_candidates(window, pairs)
             if not candidates:
                 continue
-            cols = [label for label, _ in candidates]
-            entries = {}
-            rows: set[PeriodicMatrix] = set()
-            for label, element in candidates:
-                for matrix, coeff in element.terms.items():
-                    entries[(matrix, label)] = coeff
-                    rows.add(matrix)
-            system = SparseSystem(
-                cols, sorted(rows, key=lambda mx: mx.sort_key()), entries, {}
-            )
-            block_rank = rank(system)
-            block_dims.append(f"{len(cols)}")
-            if block_rank != len(cols):
+            block_rank = rank(span_system(candidates))
+            block_dims.append(f"{len(candidates)}")
+            if block_rank != len(candidates):
                 failures.append(
                     f"block {signature[0].parts}/{signature[1].parts}: "
-                    f"rank {block_rank} < {len(cols)}"
+                    f"rank {block_rank} < {len(candidates)}"
                 )
         status, detail = _status_merge(failures, [])
         if status == PASS:

@@ -29,10 +29,18 @@ from affschur import (
     laurent_to_corner,
     monomial_image,
     multiply,
+    solve_many,
     tensor_involution,
     tensor_to_ideal,
 )
-from affschur.cellular import _pair_coords, _x_coords, _y_coords
+from affschur import cellular
+from affschur.cellular import (
+    _pair_coords,
+    _x_coords,
+    _y_coords,
+    omega_candidates,
+    span_system,
+)
 from affschur.hecke import HeckeElement, T1, T2
 from affschur.sampling import random_element, random_poly2, random_tensor_cells
 
@@ -407,6 +415,19 @@ class TestIdealToTensor:
             ideal_to_tensor(e_mu, window=1, max_window=1)
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The argument tuples of every solve_many call made by cellular."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_many(*args)
+
+    monkeypatch.setattr(cellular, "solve_many", counting)
+    return calls
+
+
 class TestMembership:
     def test_column_idempotent_member(self, e_mu):
         result = ideal_membership(e_mu, window=6, max_window=6)
@@ -448,6 +469,41 @@ class TestMembership:
             assert got.status == single.status
             if got.is_member:
                 assert tensor_to_ideal(got.tensor) == x
+
+
+    def test_refuted_block_stops_the_ladder_rung(self, solve_calls, e_lam, e_nu):
+        # e_nu (block (1,1)/(1,1)) refutes the element before its e_lam
+        # block is reached, so each rung of the ladder 2, 4, 8 costs one solve
+        result = ideal_membership(e_nu + e_lam, window=2, max_window=8)
+        assert result.status == MembershipResult.NOT_MEMBER
+        assert result.window == 8
+        assert len(solve_calls) == 3
+
+    def test_batch_with_refuted_element_sharing_blocks(self, solve_calls, e_lam, e_nu):
+        t1 = hecke_embed(HeckeElement.group(T1))
+        elements = [e_nu + e_lam, t1 + e_nu + e_lam.scaled(2), e_lam]
+        refuted, member, corner = batch_ideal_membership(elements, 8)
+        # one solve per block; the refuted element leaves the (2,0) block
+        assert [len(rhs_list) for *_, rhs_list in solve_calls] == [2, 2]
+        assert refuted.status == MembershipResult.NOT_MEMBER
+        assert refuted.tensor is None
+        for x, result in ((elements[1], member), (elements[2], corner)):
+            assert result.is_member and result.window == 8
+            assert tensor_to_ideal(result.tensor) == x
+            assert ideal_membership(x, window=8, max_window=8) == result
+
+    def test_span_system_rows_sorted_and_cover_support(self):
+        candidates = omega_candidates(6, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        system = span_system(candidates)
+        assert system.cols == [label for label, _ in candidates]
+        assert system.rows == sorted(system.rows, key=lambda m: m.sort_key())
+        assert len(set(system.rows)) == len(system.rows)
+        met = {matrix for _, element in candidates for matrix in element.terms}
+        assert set(system.rows) == met
+        for label, element in candidates:
+            for matrix, coeff in element.terms.items():
+                assert system.entries[(matrix, label)] == coeff
+        assert len(system.entries) == sum(len(e.terms) for _, e in candidates)
 
 
 def tensor_left_action(s: AlgebraElement, t: CellTensor) -> CellTensor:

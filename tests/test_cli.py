@@ -145,6 +145,33 @@ class TestDecompose:
         assert code == 2
 
 
+def test_decompose_wide_pair_needs_no_recursion(tmp_path):
+    """The module recurrences run bottom-up: a pair 400 columns wide
+    decomposes under a recursion limit of 120, in bounded time."""
+    elt = {
+        "n": 2,
+        "r": 2,
+        "terms": [{"coeff": "1", "entries": [[1, 1, 1], [1, 401, 1]]}],
+    }
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(elt))
+    src = str(Path(affschur.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "from affschur.cli import run\n"
+        "sys.setrecursionlimit(120)\n"
+        f"sys.exit(run(['decompose', '--side', 'left', '--file', {str(path)!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-300:]
+    expected = affschur.decompose_left(affschur.element_from_json(elt))
+    assert json.loads(proc.stdout)["coords"] == expected.to_json()["coords"]
+
+
 class TestPsiAndQuotient:
     def test_psi(self, capsys, tmp_path):
         elt = {"n": 2, "r": 2, "terms": [{"coeff": "1", "entries": [[3, 1, 2]]}]}

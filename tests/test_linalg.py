@@ -106,6 +106,18 @@ class TestSolveMany:
         assert good.solution == {"x": 2, "y": 3}
         assert bad.status == SolveResult.INCONSISTENT
 
+    def test_rhs_on_unlisted_row_is_inconsistent(self):
+        # a row outside ``rows`` is an equation 0 = value of its own
+        stray, fitting = solve_many(
+            ["a"],
+            ["r1"],
+            {("r1", "a"): Fraction(1)},
+            [{"r1": Fraction(1), "r2": Fraction(5)}, {"r1": Fraction(3)}],
+        )
+        assert stray.status == SolveResult.INCONSISTENT
+        assert fitting.status == SolveResult.UNIQUE
+        assert fitting.solution == {"a": 3}
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_equals_separate_solves(self, data):
