@@ -197,6 +197,9 @@ def _window_ladder(x: AlgebraElement, window: int | None, cap: int) -> list[int]
         w = min(2 * w, cap)
 
 
+_ZERO = AlgebraElement.zero(N, R)
+
+
 def _combination(
     terms: Iterable[tuple[Fraction, AlgebraElement]]
 ) -> AlgebraElement:
@@ -205,7 +208,7 @@ def _combination(
     for coeff, element in terms:
         for matrix, c in element.terms.items():
             acc[matrix] = acc.get(matrix, Fraction(0)) + coeff * c
-    return AlgebraElement(N, R, acc)
+    return _ZERO._like(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -216,29 +219,25 @@ _MONO_CACHE: dict[tuple[int, int], AlgebraElement] = {}
 
 
 def monomial_image(a: int, b: int) -> AlgebraElement:
-    """The corner element representing x1^a x2^b."""
+    """The corner element representing x1^a x2^b.
+
+    The cache is filled bottom-up, one generator at a time: from 1 along
+    x2^(+-1) to x2^b, then along x1 to x1^a x2^b, so no exponent costs
+    recursion depth.
+    """
     if a < 0:
         raise ValueError("x1-exponent must be nonnegative")
-    key = (a, b)
-    cached = _MONO_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if a == 0 and b == 0:
-        value = idempotent_20()
-    elif a > 0:
-        value = multiply(
-            monomial_image(a - 1, b), AlgebraElement.basis(GEN_X1)
-        )
-    elif b > 0:
-        value = multiply(
-            monomial_image(0, b - 1), AlgebraElement.basis(GEN_X2)
-        )
-    else:
-        value = multiply(
-            monomial_image(0, b + 1), AlgebraElement.basis(GEN_X2_INV)
-        )
-    _MONO_CACHE[key] = value
-    return value
+    if (a, b) not in _MONO_CACHE:
+        step = 1 if b > 0 else -1
+        x2_step = AlgebraElement.basis(GEN_X2 if b > 0 else GEN_X2_INV)
+        x1 = AlgebraElement.basis(GEN_X1)
+        path = [((0, k), (0, k - step), x2_step) for k in range(step, b + step, step)]
+        path += [((k, b), (k - 1, b), x1) for k in range(1, a + 1)]
+        _MONO_CACHE.setdefault((0, 0), idempotent_20())
+        for key, previous, generator in path:
+            if key not in _MONO_CACHE:
+                _MONO_CACHE[key] = multiply(_MONO_CACHE[previous], generator)
+    return _MONO_CACHE[(a, b)]
 
 
 def laurent_to_corner(p: LaurentPoly2) -> AlgebraElement:
@@ -297,9 +296,7 @@ def corner_involution(p: LaurentPoly2) -> LaurentPoly2:
     On generators x1 -> x1 x2^-1 and x2 -> x2^-1, hence monomial
     exponents map (a, b) -> (a, -a-b).
     """
-    return LaurentPoly2(
-        {(a, -a - b): c for (a, b), c in p.terms.items()}
-    )
+    return p._like({(a, -a - b): c for (a, b), c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------

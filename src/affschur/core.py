@@ -16,6 +16,12 @@ Conventions used throughout the package:
 * Algebra elements are finite linear combinations of basis matrices with
   exact rational coefficients.  All arithmetic in this package is exact;
   no floating point is used anywhere.
+
+* ``LinearCombination`` is the one representation of a rational linear
+  combination (a dict from key to nonzero ``Fraction``) and owns its
+  arithmetic; ``AlgebraElement`` here, ``HeckeElement`` and the Laurent
+  rings build on it.  Public constructors check every term; internal
+  arithmetic on checked elements builds through the trusted ``_like``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 __all__ = [
     "Composition",
@@ -281,14 +287,111 @@ def grade(matrix: PeriodicMatrix) -> int:
     raise ValueError("grade is defined only for triangular matrices")
 
 
-class AlgebraElement:
-    """Finite rational linear combination of basis matrices.
+class LinearCombination:
+    """Finite rational linear combination of hashable keys.
 
-    Instances are treated as immutable: every arithmetic operation
-    returns a fresh element, and zero coefficients are never stored.
+    ``terms`` maps each key to its coefficient, always a nonzero
+    ``Fraction``.  Instances are treated as immutable: every operation
+    returns a fresh element.  A subclass lists the parameters that fix its
+    module in ``_params`` (elements with different parameters never mix),
+    checks each key in ``_checked_key`` (or in its own ``__init__``) and
+    multiplies two keys in ``_key_product``.
     """
 
-    __slots__ = ("n", "r", "terms")
+    __slots__ = ("terms",)
+    _params: tuple[str, ...] = ()
+
+    def __init__(self, terms: Mapping[Hashable, Scalar] | None = None) -> None:
+        clean: dict[Hashable, Fraction] = {}
+        for key, coeff in (terms or {}).items():
+            key = self._checked_key(key)
+            value = Fraction(coeff)
+            if value:
+                clean[key] = value
+        self.terms = clean
+
+    def _like(self, terms: Mapping[Hashable, Fraction]):
+        """An element with this one's parameters and the given terms.
+
+        The trusted constructor of internal arithmetic: keys must come from
+        validated elements of the same module and values must be
+        ``Fraction``s, so nothing is checked; zero values are dropped.
+        """
+        new = object.__new__(type(self))
+        for name in self._params:
+            setattr(new, name, getattr(self, name))
+        new.terms = {key: value for key, value in terms.items() if value}
+        return new
+
+    def _parameters(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._params)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._parameters() != other._parameters():
+            raise ValueError("elements live in different algebras")
+        acc = dict(self.terms)
+        for key, coeff in other.terms.items():
+            acc[key] = acc.get(key, 0) + coeff
+        return self._like(acc)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def scaled(self, coeff: Scalar):
+        value = Fraction(coeff)
+        return self._like({key: c * value for key, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            return self._product(other)
+        if isinstance(other, (int, Fraction)):
+            return self.scaled(other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scaled(other)
+        return NotImplemented
+
+    def _product(self, other):
+        """The bilinear extension of ``_key_product``."""
+        acc: dict[Hashable, Fraction] = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = self._key_product(k1, k2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return self._like(acc)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.terms == other.terms
+            and self._parameters() == other._parameters()
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class AlgebraElement(LinearCombination):
+    """Finite rational linear combination of basis matrices of one S(n, r).
+
+    Products are the bilinear extension of the basis product of
+    :func:`affschur.multiplication.multiply`.
+    """
+
+    __slots__ = ("n", "r")
+    _params = ("n", "r")
 
     def __init__(
         self,
@@ -322,73 +425,19 @@ class AlgebraElement:
     ) -> "AlgebraElement":
         return cls(matrix.n, matrix.r, {matrix: Fraction(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, matrix: PeriodicMatrix) -> Fraction:
         return self.terms.get(matrix, Fraction(0))
 
     def sorted_terms(self) -> list[tuple[PeriodicMatrix, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def _check_compatible(self, other: "AlgebraElement") -> None:
-        if self.n != other.n or self.r != other.r:
-            raise ValueError("elements live in different algebras")
+    def _product(self, other: "AlgebraElement") -> "AlgebraElement":
+        from .multiplication import multiply
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check_compatible(other)
-        acc = dict(self.terms)
-        for matrix, coeff in other.terms.items():
-            acc[matrix] = acc.get(matrix, Fraction(0)) + coeff
-        return AlgebraElement(self.n, self.r, acc)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return self.scaled(-1)
-
-    def scaled(self, coeff: Scalar) -> "AlgebraElement":
-        value = Fraction(coeff)
-        return AlgebraElement(
-            self.n, self.r, {m: c * value for m, c in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            from .multiplication import multiply
-
-            return multiply(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.r == other.r
-            and self.terms == other.terms
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+        return multiply(self, other)
 
     def transpose(self) -> "AlgebraElement":
-        return AlgebraElement(
-            self.n,
-            self.r,
-            {m.transpose(): c for m, c in self.terms.items()},
-        )
+        return self._like({m.transpose(): c for m, c in self.terms.items()})
 
     def supported_on(self, row: Composition | None, col: Composition | None) -> bool:
         """True when every term matches the given row/column weights."""

@@ -21,11 +21,11 @@ orbit-counting product.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
 
 from .core import (
     AlgebraElement,
     Composition,
+    LinearCombination,
     Scalar,
     diag_matrix,
     format_fraction,
@@ -62,22 +62,16 @@ TRHO_INV = TRHO.inverse()
 IDEMPOTENT_11 = diag_matrix(Composition(2, (1, 1)))
 
 
-class HeckeElement:
+class HeckeElement(LinearCombination):
     """Rational linear combination of group elements of rank two."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(
-        self, terms: Mapping[WeylElement, Scalar] | None = None
-    ) -> None:
-        clean: dict[WeylElement, Fraction] = {}
-        for w, coeff in (terms or {}).items():
-            if w.r != R:
-                raise ValueError("group elements must have rank two")
-            value = Fraction(coeff)
-            if value:
-                clean[w] = value
-        self.terms = clean
+    @staticmethod
+    def _checked_key(w: WeylElement) -> WeylElement:
+        if w.r != R:
+            raise ValueError("group elements must have rank two")
+        return w
 
     @classmethod
     def zero(cls) -> "HeckeElement":
@@ -91,43 +85,10 @@ class HeckeElement:
     def group(cls, w: WeylElement, coeff: Scalar = 1) -> "HeckeElement":
         return cls({w: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        acc = dict(self.terms)
-        for w, coeff in other.terms.items():
-            acc[w] = acc.get(w, Fraction(0)) + coeff
-        return HeckeElement(acc)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def __neg__(self) -> "HeckeElement":
-        return self.scaled(-1)
-
-    def scaled(self, coeff: Scalar) -> "HeckeElement":
-        value = Fraction(coeff)
-        return HeckeElement({w: c * value for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, HeckeElement):
-            return hecke_multiply(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
+    @staticmethod
+    def _key_product(wa: WeylElement, wb: WeylElement) -> WeylElement:
+        # words compose in reverse; see hecke_multiply
+        return wb * wa
 
     def sorted_terms(self) -> list[tuple[WeylElement, Fraction]]:
         return sorted(
@@ -166,17 +127,12 @@ class HeckeElement:
 
 
 def hecke_multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Convolution product of the group algebra.
+    """Convolution product of the group algebra, ``a * b``.
 
     Basis words compose in reverse of the Weyl composition so that the
     embedding into the Schur algebra is multiplicative.
     """
-    acc: dict[WeylElement, Fraction] = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            w = wb * wa
-            acc[w] = acc.get(w, Fraction(0)) + ca * cb
-    return HeckeElement(acc)
+    return a * b
 
 
 def _group_to_matrix(w: WeylElement):

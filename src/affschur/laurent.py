@@ -4,31 +4,23 @@ Exact-rational Laurent polynomial rings.
 ``LaurentPoly1`` is the one-variable ring Q[x, x^-1] used for the
 quotient algebra; ``LaurentPoly2`` is Q[x1, x2, x2^-1] (the first
 exponent nonnegative, the second any integer) used for the corner
-algebra.  Both are thin wrappers around exponent -> Fraction maps.
+algebra.  Both are :class:`~affschur.core.LinearCombination`s keyed by
+exponents (an int, resp. a pair of ints), so they share its arithmetic
+and add only their key check, the exponent product, JSON and repr.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping
-
-from .core import Scalar, format_fraction, parse_fraction
+from .core import LinearCombination, Scalar, format_fraction, parse_fraction
 
 __all__ = ["LaurentPoly1", "LaurentPoly2"]
 
 
-class LaurentPoly1:
+class LaurentPoly1(LinearCombination):
     """A finitely supported map Z -> Q, written sum c_a x^a."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, Scalar] | None = None) -> None:
-        clean: dict[int, Fraction] = {}
-        for exp, coeff in (terms or {}).items():
-            value = Fraction(coeff)
-            if value:
-                clean[int(exp)] = value
-        self.terms = clean
+    __slots__ = ()
+    _checked_key = staticmethod(int)
 
     @classmethod
     def zero(cls) -> "LaurentPoly1":
@@ -42,48 +34,13 @@ class LaurentPoly1:
     def x(cls, power: int = 1, coeff: Scalar = 1) -> "LaurentPoly1":
         return cls({power: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        acc = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc[exp] = acc.get(exp, Fraction(0)) + coeff
-        return LaurentPoly1(acc)
-
-    def __sub__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentPoly1":
-        return self.scaled(-1)
-
-    def scaled(self, coeff: Scalar) -> "LaurentPoly1":
-        value = Fraction(coeff)
-        return LaurentPoly1({e: c * value for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly1):
-            acc: dict[int, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    acc[e1 + e2] = acc.get(e1 + e2, Fraction(0)) + c1 * c2
-            return LaurentPoly1(acc)
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    @staticmethod
+    def _key_product(e1: int, e2: int) -> int:
+        return e1 + e2
 
     def invert_variable(self) -> "LaurentPoly1":
         """The substitution x -> x^-1."""
-        return LaurentPoly1({-e: c for e, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly1):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
+        return self._like({-e: c for e, c in self.terms.items()})
 
     def to_json(self) -> dict:
         return {
@@ -109,22 +66,17 @@ class LaurentPoly1:
         )
 
 
-class LaurentPoly2:
+class LaurentPoly2(LinearCombination):
     """The ring Q[x1, x2, x2^-1]; keys are (x1-exponent, x2-exponent)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(
-        self, terms: Mapping[tuple[int, int], Scalar] | None = None
-    ) -> None:
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (a, b), coeff in (terms or {}).items():
-            if a < 0:
-                raise ValueError("x1-exponent must be nonnegative")
-            value = Fraction(coeff)
-            if value:
-                clean[(int(a), int(b))] = value
-        self.terms = clean
+    @staticmethod
+    def _checked_key(key: tuple[int, int]) -> tuple[int, int]:
+        a, b = key
+        if a < 0:
+            raise ValueError("x1-exponent must be nonnegative")
+        return (int(a), int(b))
 
     @classmethod
     def zero(cls) -> "LaurentPoly2":
@@ -146,45 +98,11 @@ class LaurentPoly2:
     def x2(cls, power: int = 1) -> "LaurentPoly2":
         return cls.monomial(0, power)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        acc = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        return LaurentPoly2(acc)
-
-    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentPoly2":
-        return self.scaled(-1)
-
-    def scaled(self, coeff: Scalar) -> "LaurentPoly2":
-        value = Fraction(coeff)
-        return LaurentPoly2({k: c * value for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly2):
-            acc: dict[tuple[int, int], Fraction] = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    key = (a1 + a2, b1 + b2)
-                    acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-            return LaurentPoly2(acc)
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
+    @staticmethod
+    def _key_product(
+        k1: tuple[int, int], k2: tuple[int, int]
+    ) -> tuple[int, int]:
+        return (k1[0] + k2[0], k1[1] + k2[1])
 
     def to_json(self) -> dict:
         return {

@@ -6,11 +6,12 @@ Two independent routes are implemented:
 * ``multiply_oracle`` counts middle tuples in the orbit model directly.
   It is the source of truth; everything else is validated against it.
 
-* closed-form routes: ``chevalley_left``/``chevalley_right`` (row/column
-  shift generators), ``loop_left`` (loop generators) and
-  ``doublecoset_product`` (stabilizer double cosets with index
-  multiplicities).  These are fast paths whose outputs must agree with
-  the oracle exactly.
+* closed-form routes: ``chevalley_left`` (row-shift generators),
+  ``chevalley_right`` (column-shift generators, the transpose of
+  ``chevalley_left`` with the sign flipped), ``loop_left`` (loop
+  generators) and ``doublecoset_product`` (stabilizer double cosets with
+  index multiplicities).  These are fast paths whose outputs must agree
+  with the oracle exactly.
 
 Basis products are memoized in a fill-once structure table keyed by
 canonical matrix pairs; concurrent duplicate fills are harmless because
@@ -192,7 +193,7 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             scale = ca * cb
             for matrix, coeff in product.terms.items():
                 acc[matrix] = acc.get(matrix, Fraction(0)) + scale * coeff
-    return AlgebraElement(x.n, x.r, acc)
+    return x._like(acc)
 
 
 def identity_element(n: int, r: int) -> AlgebraElement:
@@ -227,29 +228,17 @@ def chevalley_left(
         raise ValueError("transfer amount must be nonnegative")
     if sign not in ("up", "down"):
         raise ValueError("sign must be 'up' or 'down'")
+    source, dest = (h + 1, h) if sign == "up" else (h, h + 1)
     terms: dict[PeriodicMatrix, Fraction] = {}
-    if sign == "up":
-        source = a.row_entries(h + 1)
-        for t in InfiniteComposition.bounded(source, m):
-            coeff = 1
-            deltas = []
-            for u, tu in t.support:
-                coeff *= _binom(a.entry(h, u) + tu, tu)
-                deltas.append((h, u, tu))
-                deltas.append((h + 1, u, -tu))
-            matrix = a.shifted_by(deltas)
-            terms[matrix] = terms.get(matrix, Fraction(0)) + coeff
-    else:
-        source = a.row_entries(h)
-        for t in InfiniteComposition.bounded(source, m):
-            coeff = 1
-            deltas = []
-            for u, tu in t.support:
-                coeff *= _binom(a.entry(h + 1, u) + tu, tu)
-                deltas.append((h, u, -tu))
-                deltas.append((h + 1, u, tu))
-            matrix = a.shifted_by(deltas)
-            terms[matrix] = terms.get(matrix, Fraction(0)) + coeff
+    for t in InfiniteComposition.bounded(a.row_entries(source), m):
+        coeff = 1
+        deltas = []
+        for u, tu in t.support:
+            coeff *= _binom(a.entry(dest, u) + tu, tu)
+            deltas.append((dest, u, tu))
+            deltas.append((source, u, -tu))
+        matrix = a.shifted_by(deltas)
+        terms[matrix] = terms.get(matrix, Fraction(0)) + coeff
     return AlgebraElement(n, a.r, terms)
 
 
@@ -259,39 +248,12 @@ def chevalley_right(
     """Right multiplication by the m-fold column-shift generator at slot h.
 
     ``sign="up"`` moves m units from column h to column h+1;
-    ``sign="down"`` moves them from column h+1 back to column h.
+    ``sign="down"`` moves them from column h+1 back to column h.  The
+    transpose anti-involution turns this into :func:`chevalley_left` on
+    the transposed matrix with the opposite sign.
     """
-    n = a.n
-    if not 1 <= h <= n:
-        raise ValueError("slot must lie in 1..n")
-    if m < 0:
-        raise ValueError("transfer amount must be nonnegative")
-    if sign not in ("up", "down"):
-        raise ValueError("sign must be 'up' or 'down'")
-    terms: dict[PeriodicMatrix, Fraction] = {}
-    if sign == "up":
-        source = a.col_entries(h)
-        for t in InfiniteComposition.bounded(source, m):
-            coeff = 1
-            deltas = []
-            for u, tu in t.support:
-                coeff *= _binom(a.entry(u, h + 1) + tu, tu)
-                deltas.append((u, h + 1, tu))
-                deltas.append((u, h, -tu))
-            matrix = a.shifted_by(deltas)
-            terms[matrix] = terms.get(matrix, Fraction(0)) + coeff
-    else:
-        source = a.col_entries(h + 1)
-        for t in InfiniteComposition.bounded(source, m):
-            coeff = 1
-            deltas = []
-            for u, tu in t.support:
-                coeff *= _binom(a.entry(u, h) + tu, tu)
-                deltas.append((u, h + 1, -tu))
-                deltas.append((u, h, tu))
-            matrix = a.shifted_by(deltas)
-            terms[matrix] = terms.get(matrix, Fraction(0)) + coeff
-    return AlgebraElement(n, a.r, terms)
+    flipped = {"up": "down", "down": "up"}.get(sign, sign)
+    return chevalley_left(h, m, flipped, a.transpose()).transpose()
 
 
 def loop_left(h: int, m: int, a: PeriodicMatrix) -> AlgebraElement:

@@ -28,6 +28,14 @@ def basis(n, *entries):
     return AlgebraElement.basis(mat(n, *entries))
 
 
+def assert_nonzero_fractions(*elements):
+    """Every stored coefficient is a nonzero Fraction (the invariant that
+    the trusted constructor of internal arithmetic must keep)."""
+    for element in elements:
+        for coeff in element.terms.values():
+            assert type(coeff) is Fraction and coeff != 0, element.terms
+
+
 @pytest.fixture
 def e_lam():
     return AlgebraElement.basis(diag_matrix(Composition(2, (2, 0))))

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import affschur
 from affschur import (
     AlgebraElement,
     CellTensor,
@@ -105,6 +110,28 @@ class TestCornerRing:
         x = basis(2, (1, 7, 2))  # needs window 7
         with pytest.raises(UndecidedError):
             corner_to_laurent(x, window=10, max_window=2)
+
+
+    def test_monomial_images_need_no_recursion(self):
+        """monomial_image fills its cache bottom-up: exponents far above a
+        recursion limit of 120 are built, and agree with products of
+        smaller powers."""
+        src = str(Path(affschur.__file__).resolve().parent.parent)
+        script = (
+            "import sys\n"
+            "from affschur import idempotent_20, monomial_image, multiply\n"
+            "sys.setrecursionlimit(120)\n"
+            "assert multiply(monomial_image(0, 200), monomial_image(0, -200))"
+            " == idempotent_20()\n"
+            "assert monomial_image(130, 0)"
+            " == multiply(monomial_image(65, 0), monomial_image(65, 0))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-300:]
 
 
 class TestCornerInvolution:

@@ -20,9 +20,16 @@ from affschur import (
     row_vector,
     unit_matrix,
 )
+from affschur.cellular import _combination
 from affschur.core import parse_fraction
 
-from conftest import algebra_elements, basis, basis_matrices, mat
+from conftest import (
+    algebra_elements,
+    assert_nonzero_fractions,
+    basis,
+    basis_matrices,
+    mat,
+)
 
 
 class TestComposition:
@@ -245,6 +252,14 @@ class TestElementArithmetic:
         x = basis(2, (1, 1, 2))
         assert (3 * x).coefficient(mat(2, (1, 1, 2))) == 3
         assert (x * Fraction(1, 2)).coefficient(mat(2, (1, 1, 2))) == Fraction(1, 2)
+
+    @given(algebra_elements(), algebra_elements(), st.integers(-2, 2))
+    @settings(max_examples=40)
+    def test_results_store_only_nonzero_fractions(self, x, y, k):
+        assert_nonzero_fractions(
+            x + y, x - y, x - x, -x, x.scaled(k), k * x, x * y, x.transpose(),
+            _combination([(Fraction(k), x), (Fraction(1), y), (Fraction(-1), y)]),
+        )
 
 
 class TestJson:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affschur import (
     AlgebraElement,
@@ -20,13 +22,24 @@ from affschur import (
 )
 from affschur.sampling import random_element, random_hecke, random_poly1
 
-from conftest import basis
+from conftest import assert_nonzero_fractions, basis, weyl_elements
 
 ONE = HeckeElement.one()
 H_T1 = HeckeElement.group(T1)
 H_T2 = HeckeElement.group(T2)
 H_TRHO = HeckeElement.group(TRHO)
 H_TRHO_INV = HeckeElement.group(TRHO_INV)
+
+
+@st.composite
+def hecke_elements(draw):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        terms[draw(weyl_elements(r=2))] = Fraction(
+            draw(st.integers(min_value=-3, max_value=3)),
+            draw(st.integers(min_value=1, max_value=3)),
+        )
+    return HeckeElement(terms)
 
 
 class TestRelations:
@@ -51,6 +64,15 @@ class TestRelations:
             a = random_hecke(rng)
             assert hecke_multiply(ONE, a) == a
             assert hecke_multiply(a, ONE) == a
+
+    @given(hecke_elements(), hecke_elements(), st.integers(-2, 2))
+    @settings(max_examples=50)
+    def test_results_store_only_nonzero_fractions(self, a, b, k):
+        assert_nonzero_fractions(a + b, a - b, a - a, -a, a.scaled(k), k * a, a * b)
+
+    def test_rejects_rank_three_group_elements(self):
+        with pytest.raises(ValueError):
+            HeckeElement({WeylElement((1, 2, 3), (0, 0, 0)): 1})
 
 
 class TestEmbedding:

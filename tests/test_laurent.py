@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affschur import LaurentPoly1, LaurentPoly2
+from affschur import LaurentPoly1, LaurentPoly2, corner_involution
+
+from conftest import assert_nonzero_fractions
 
 
 @st.composite
@@ -61,6 +63,20 @@ class TestPoly1:
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
 
+    @given(poly1(), poly1(), st.integers(-2, 2))
+    @settings(max_examples=50)
+    def test_results_store_only_nonzero_fractions(self, a, b, k):
+        assert_nonzero_fractions(
+            a + b, a - b, a - a, -a, a.scaled(k), k * a, a * b, a.invert_variable()
+        )
+
+    def test_does_not_mix_with_poly2(self):
+        with pytest.raises(TypeError):
+            LaurentPoly1.one() + LaurentPoly2.one()
+        with pytest.raises(TypeError):
+            LaurentPoly2.one() + LaurentPoly1.one()
+        assert LaurentPoly1.one() != LaurentPoly2.one()
+
 
 class TestPoly2:
     def test_generators(self):
@@ -82,3 +98,10 @@ class TestPoly2:
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
+
+    @given(poly2(), poly2(), st.integers(-2, 2))
+    @settings(max_examples=50)
+    def test_results_store_only_nonzero_fractions(self, a, b, k):
+        assert_nonzero_fractions(
+            a + b, a - b, a - a, -a, a.scaled(k), k * a, a * b, corner_involution(a)
+        )

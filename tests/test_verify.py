@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
 from affschur import verify_cell_chain
+
+GOLDEN_REPORT = Path(__file__).with_name("golden_verify_cell_w12_s0_n100.json")
 
 CHECK_NAMES = [
     "ideal-generator-certificates",
@@ -69,6 +72,16 @@ class TestReportSchema:
         assert data["params"]["seed"] == 0
         assert data["params"]["samples"] == 5
         json.dumps(data)  # serializable
+
+    def test_report_matches_golden(self):
+        """The window-12 report, timing fields aside, is byte-for-byte the
+        one recorded in the golden file."""
+        data = verify_cell_chain(window=12, seed=0, samples=100).to_json()
+        for check in data["checks"]:
+            del check["millis"]
+        del data["params"]["total_millis"]
+        expected = GOLDEN_REPORT.read_text(encoding="utf-8")
+        assert json.dumps(data, indent=2, sort_keys=True) + "\n" == expected
 
     def test_render_text_mentions_every_check(self):
         report = verify_cell_chain(window=4, seed=0, samples=5)
