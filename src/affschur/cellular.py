@@ -19,14 +19,23 @@ linear algebra; the linear solver is used where no recurrence exists
 (writing a corner element as a polynomial, and finding tensor
 coordinates of ideal members) and as an independent cross-check.
 
+x2 is the shift by one period, which is central, so every spanning
+element with an x2^b factor (corner monomials, module elements, the
+ideal's omega elements) is its b = 0 member with every column moved by
+2b: only the b = 0 members are multiplied out, and the moved matrices
+are interned so that equal ones are one object.
+
 All membership and inversion problems are truncated by a *window*: a
 bound W restricting the column support of every matrix involved to
 [-W, W].  Every windowed question is "is x in the span of these labelled
 elements": :func:`span_system` turns the labelled elements into one
 sparse system, and :func:`_window_ladder` lists the windows to try,
-growing geometrically up to a cap.  Membership is that ladder over
-:func:`batch_ideal_membership`; a question that does not fit the cap is
-answered "undecided" rather than guessed.
+growing geometrically up to a cap.  The ideal's spanning set at one
+window splits into signature blocks; :class:`WindowBlocks` builds and
+factors each block once, on first use, for every question asked of it.
+Membership is the window ladder over :func:`batch_ideal_membership`, a
+fresh :class:`WindowBlocks` per rung; a question that does not fit the
+cap is answered "undecided" rather than guessed.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from typing import Hashable, Iterable, Sequence
 
 from .core import AlgebraElement, Composition, PeriodicMatrix, diag_matrix
 from .laurent import LaurentPoly2
-from .linalg import SolveResult, SparseSystem, solve_many
+from .linalg import Factorization, SolveResult, SparseSystem, solve_many
 from .multiplication import multiply
 
 __all__ = [
@@ -69,6 +78,8 @@ __all__ = [
     "ideal_to_tensor",
     "ideal_membership",
     "batch_ideal_membership",
+    "WindowBlocks",
+    "module_element",
     "omega_element",
     "omega_candidates",
     "max_window_cap",
@@ -199,6 +210,23 @@ def _window_ladder(x: AlgebraElement, window: int | None, cap: int) -> list[int]
 
 _ZERO = AlgebraElement.zero(N, R)
 
+# The canonical object of every matrix made by _translated.
+_MATRICES: dict[PeriodicMatrix, PeriodicMatrix] = {}
+
+
+def _translated(x: AlgebraElement, b: int) -> AlgebraElement:
+    """x times the central x2^b: every column moved by 2b (one period
+    per step), through interned matrices."""
+    if not b:
+        return x
+    terms = {}
+    for matrix, coeff in x.terms.items():
+        moved = PeriodicMatrix(
+            N, tuple((i, j + 2 * b, a) for i, j, a in matrix.entries)
+        )
+        terms[_MATRICES.setdefault(moved, moved)] = coeff
+    return x._like(terms)
+
 
 def _combination(
     terms: Iterable[tuple[Fraction, AlgebraElement]]
@@ -221,22 +249,20 @@ _MONO_CACHE: dict[tuple[int, int], AlgebraElement] = {}
 def monomial_image(a: int, b: int) -> AlgebraElement:
     """The corner element representing x1^a x2^b.
 
-    The cache is filled bottom-up, one generator at a time: from 1 along
-    x2^(+-1) to x2^b, then along x1 to x1^a x2^b, so no exponent costs
-    recursion depth.
+    x1^a is filled bottom-up along x1 from 1, so no exponent costs
+    recursion depth; x2^b translates it.
     """
     if a < 0:
         raise ValueError("x1-exponent must be nonnegative")
     if (a, b) not in _MONO_CACHE:
-        step = 1 if b > 0 else -1
-        x2_step = AlgebraElement.basis(GEN_X2 if b > 0 else GEN_X2_INV)
-        x1 = AlgebraElement.basis(GEN_X1)
-        path = [((0, k), (0, k - step), x2_step) for k in range(step, b + step, step)]
-        path += [((k, b), (k - 1, b), x1) for k in range(1, a + 1)]
-        _MONO_CACHE.setdefault((0, 0), idempotent_20())
-        for key, previous, generator in path:
-            if key not in _MONO_CACHE:
-                _MONO_CACHE[key] = multiply(_MONO_CACHE[previous], generator)
+        if b:
+            _MONO_CACHE[(a, b)] = _translated(monomial_image(a, 0), b)
+        else:
+            x1 = AlgebraElement.basis(GEN_X1)
+            _MONO_CACHE.setdefault((0, 0), idempotent_20())
+            for k in range(1, a + 1):
+                if (k, 0) not in _MONO_CACHE:
+                    _MONO_CACHE[(k, 0)] = multiply(_MONO_CACHE[(k - 1, 0)], x1)
     return _MONO_CACHE[(a, b)]
 
 
@@ -318,16 +344,11 @@ class CellVector:
             raise ValueError("need exactly four coordinates")
 
     def to_element(self) -> AlgebraElement:
-        products = []
-        for idx, poly in enumerate(self.coords):
-            if poly.is_zero():
-                continue
-            b = laurent_to_corner(poly)
-            if self.side == "left":
-                products.append(multiply(b, AlgebraElement.basis(LEFT_BASIS[idx])))
-            else:
-                products.append(multiply(AlgebraElement.basis(RIGHT_BASIS[idx]), b))
-        return _combination((Fraction(1), product) for product in products)
+        return _combination(
+            (coeff, module_element(self.side, idx, a, b))
+            for idx, poly in enumerate(self.coords)
+            for (a, b), coeff in poly.terms.items()
+        )
 
     def to_json(self) -> dict:
         return {
@@ -525,26 +546,52 @@ class CellTensor:
         return cls(tuple(rows))
 
 
+_MODULE_CACHE: dict[tuple[str, int, int, int], AlgebraElement] = {}
 _OMEGA_CACHE: dict[tuple[int, int, int, int], AlgebraElement] = {}
-_LEFT_PRODUCT_CACHE: dict[tuple[int, int, int], AlgebraElement] = {}
+
+
+def module_element(side: str, index: int, a: int, b: int) -> AlgebraElement:
+    """A spanning element of a free module: x1^a x2^b * (left basis index)
+    on side "left", (right basis index) * x1^a x2^b on side "right".
+
+    Only b = 0 is multiplied out; x2^b translates it.
+    """
+    key = (side, index, a, b)
+    cached = _MODULE_CACHE.get(key)
+    if cached is None:
+        if b:
+            cached = _translated(module_element(side, index, a, 0), b)
+        elif side == "left":
+            cached = multiply(
+                monomial_image(a, 0), AlgebraElement.basis(LEFT_BASIS[index])
+            )
+        elif side == "right":
+            cached = multiply(
+                AlgebraElement.basis(RIGHT_BASIS[index]), monomial_image(a, 0)
+            )
+        else:
+            raise ValueError("side must be 'left' or 'right'")
+        _MODULE_CACHE[key] = cached
+    return cached
 
 
 def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
-    """The ideal element (right basis l) * x1^a x2^b * (left basis m)."""
+    """The ideal element (right basis l) * x1^a x2^b * (left basis m).
+
+    Only b = 0 is multiplied out; x2^b translates it.
+    """
     key = (l, m, a, b)
     cached = _OMEGA_CACHE.get(key)
-    if cached is not None:
-        return cached
-    left_key = (l, a, b)
-    left = _LEFT_PRODUCT_CACHE.get(left_key)
-    if left is None:
-        left = multiply(
-            AlgebraElement.basis(RIGHT_BASIS[l]), monomial_image(a, b)
-        )
-        _LEFT_PRODUCT_CACHE[left_key] = left
-    value = multiply(left, AlgebraElement.basis(LEFT_BASIS[m]))
-    _OMEGA_CACHE[key] = value
-    return value
+    if cached is None:
+        if b:
+            cached = _translated(omega_element(l, m, a, 0), b)
+        else:
+            cached = multiply(
+                module_element("right", l, a, 0),
+                AlgebraElement.basis(LEFT_BASIS[m]),
+            )
+        _OMEGA_CACHE[key] = cached
+    return cached
 
 
 def tensor_to_ideal(t: CellTensor) -> AlgebraElement:
@@ -637,74 +684,115 @@ class MembershipResult:
         return self.status == self.MEMBER
 
 
+class WindowBlocks:
+    """The signature blocks of the ideal's spanning set at one window.
+
+    Each block's candidates (the omega elements of its cells that fit the
+    window, as from :func:`omega_candidates`) and the factorization of
+    its system are built on first use and kept as long as this object,
+    so every question asked of one object eliminates a block at most
+    once.
+    """
+
+    def __init__(self, window: int) -> None:
+        self.window = window
+        self._candidates: dict[tuple, list] = {}
+        self._factorizations: dict[tuple, Factorization] = {}
+
+    def candidates(
+        self, signature: tuple[Composition, Composition]
+    ) -> list[tuple[tuple[int, int, int, int], AlgebraElement]]:
+        found = self._candidates.get(signature)
+        if found is None:
+            found = omega_candidates(self.window, SIGNATURE_BLOCKS[signature])
+            self._candidates[signature] = found
+        return found
+
+    def factorization(
+        self, signature: tuple[Composition, Composition]
+    ) -> Factorization:
+        found = self._factorizations.get(signature)
+        if found is None:
+            system = span_system(self.candidates(signature))
+            found = Factorization(system.cols, system.rows, system.entries)
+            self._factorizations[signature] = found
+        return found
+
+    def membership(
+        self, elements: Sequence[AlgebraElement]
+    ) -> list[MembershipResult]:
+        """Membership tests for many elements at this window.
+
+        Each signature block is solved once for all inputs, in order of
+        first use; an element refuted by one block takes no part in
+        later ones, and a block left with no element is not solved.
+        """
+        window = self.window
+        results: list[MembershipResult | None] = []
+        # signature -> {element index: its part in that block}
+        blocks: dict[tuple, dict[int, dict]] = {}
+        for idx, x in enumerate(elements):
+            if x.n != N or x.r != R:
+                raise ValueError("ideal elements live at n = r = 2")
+            if x.is_zero():
+                results.append(
+                    MembershipResult(MembershipResult.MEMBER, CellTensor.zero(), window)
+                )
+            elif max(abs(j) for j in _column_support(x)) > window:
+                results.append(
+                    MembershipResult(MembershipResult.UNDECIDED, None, window)
+                )
+            else:
+                results.append(None)
+                for signature, rhs in _split_by_signature(x).items():
+                    blocks.setdefault(signature, {})[idx] = rhs
+
+        # element index -> its tensor cells, as {(a, b): value} per (l, m)
+        cells: dict[int, list[list[dict]]] = {
+            idx: [[{} for _ in range(4)] for _ in range(4)]
+            for idx, result in enumerate(results)
+            if result is None
+        }
+        refuted: set[int] = set()
+        for signature, parts in blocks.items():
+            owners = [idx for idx in parts if idx not in refuted]
+            if not owners:
+                continue
+            block_results = self.factorization(signature).solve(
+                [parts[idx] for idx in owners]
+            )
+            for idx, result in zip(owners, block_results):
+                if result.status == SolveResult.UNDERDETERMINED:
+                    raise ArithmeticError(
+                        "window tensor system is underdetermined; independence broken"
+                    )
+                if result.status == SolveResult.INCONSISTENT:
+                    refuted.add(idx)
+                    continue
+                for (l, m, a, b), value in result.solution.items():
+                    cells[idx][l][m][(a, b)] = value
+
+        for idx, grid in cells.items():
+            if idx in refuted:
+                results[idx] = MembershipResult(
+                    MembershipResult.NOT_MEMBER, None, window
+                )
+                continue
+            tensor = CellTensor(
+                tuple(tuple(LaurentPoly2(cell) for cell in row) for row in grid)
+            )
+            if tensor_to_ideal(tensor) != elements[idx]:
+                raise ArithmeticError("solved tensor fails to reproduce its element")
+            results[idx] = MembershipResult(MembershipResult.MEMBER, tensor, window)
+        return results  # type: ignore[return-value]
+
+
 def batch_ideal_membership(
     elements: Sequence[AlgebraElement], window: int
 ) -> list[MembershipResult]:
-    """Membership tests for many elements at one fixed window.
-
-    The elimination of each signature block is shared across all inputs,
-    which is much cheaper than testing the elements one at a time.  The
-    blocks are solved in order of first use; an element refuted by one
-    block takes no part in later ones, and a block left with no element
-    is not solved.
-    """
-    results: list[MembershipResult | None] = []
-    # signature -> {element index: its part in that block}
-    blocks: dict[tuple, dict[int, dict]] = {}
-    for idx, x in enumerate(elements):
-        if x.n != N or x.r != R:
-            raise ValueError("ideal elements live at n = r = 2")
-        if x.is_zero():
-            results.append(
-                MembershipResult(MembershipResult.MEMBER, CellTensor.zero(), window)
-            )
-        elif max(abs(j) for j in _column_support(x)) > window:
-            results.append(
-                MembershipResult(MembershipResult.UNDECIDED, None, window)
-            )
-        else:
-            results.append(None)
-            for signature, rhs in _split_by_signature(x).items():
-                blocks.setdefault(signature, {})[idx] = rhs
-
-    # element index -> its tensor cells, as {(a, b): value} per (l, m)
-    cells: dict[int, list[list[dict]]] = {
-        idx: [[{} for _ in range(4)] for _ in range(4)]
-        for idx, result in enumerate(results)
-        if result is None
-    }
-    refuted: set[int] = set()
-    for signature, parts in blocks.items():
-        owners = [idx for idx in parts if idx not in refuted]
-        if not owners:
-            continue
-        system = span_system(omega_candidates(window, SIGNATURE_BLOCKS[signature]))
-        block_results = solve_many(
-            system.cols, system.rows, system.entries, [parts[idx] for idx in owners]
-        )
-        for idx, result in zip(owners, block_results):
-            if result.status == SolveResult.UNDERDETERMINED:
-                raise ArithmeticError(
-                    "window tensor system is underdetermined; independence broken"
-                )
-            if result.status == SolveResult.INCONSISTENT:
-                refuted.add(idx)
-                continue
-            for (l, m, a, b), value in result.solution.items():
-                if value:
-                    cells[idx][l][m][(a, b)] = value
-
-    for idx, grid in cells.items():
-        if idx in refuted:
-            results[idx] = MembershipResult(MembershipResult.NOT_MEMBER, None, window)
-            continue
-        tensor = CellTensor(
-            tuple(tuple(LaurentPoly2(cell) for cell in row) for row in grid)
-        )
-        if tensor_to_ideal(tensor) != elements[idx]:
-            raise ArithmeticError("solved tensor fails to reproduce its element")
-        results[idx] = MembershipResult(MembershipResult.MEMBER, tensor, window)
-    return results  # type: ignore[return-value]
+    """Membership tests for many elements at one fixed window, sharing
+    the elimination of each signature block across all inputs."""
+    return WindowBlocks(window).membership(elements)
 
 
 def ideal_membership(

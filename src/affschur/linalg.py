@@ -2,27 +2,41 @@
 Exact sparse rational linear algebra.
 
 Systems are kept sparse as dict-of-dict rows over arbitrary hashable row
-and column labels.  Elimination is division-free: rows are combined by
-integer cross-multiplication (after clearing denominators) and kept small
-by dividing out the row content.  Pivots are chosen by a Markowitz-style
-sparsity count.  Back-substitution is sparse, in the style of a
-Gilbert–Peierls triangular solve: one pass over the factorization serves
-every right-hand side, each of which visits only the pivots its nonzero
-entries reach, in decreasing pivot order, so a rational number is made
-only for a nonzero solution value.  Everything is exact; verdicts
-distinguish a unique solution from inconsistent and underdetermined
-systems.
+and column labels.  A :class:`Factorization` eliminates one coefficient
+matrix once and is then asked about any number of right-hand sides, in
+any number of batches; ``solve_many``, ``solve_unique`` and ``rank`` are
+thin calls to it.
+
+Elimination is division-free: rows are combined by integer
+cross-multiplication (after clearing denominators) and kept small by
+dividing out the row content.  Pivots are chosen by a Markowitz-style
+sparsity count.  The right-hand sides stay out of the elimination: every
+row operation is logged and replayed on a batch of right-hand sides when
+it is solved.  Back-substitution is sparse, in the style of a
+Gilbert–Peierls triangular solve: each right-hand side visits only the
+pivots its nonzero entries reach, in decreasing pivot order, so a
+rational number is made only for a nonzero solution value.  Everything
+is exact; verdicts distinguish a unique solution from inconsistent and
+underdetermined systems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 import heapq
 from math import gcd
 from typing import Hashable, Sequence
 
-__all__ = ["SparseSystem", "SolveResult", "solve_unique", "solve_many", "rank"]
+__all__ = [
+    "SparseSystem",
+    "SolveResult",
+    "Factorization",
+    "solve_unique",
+    "solve_many",
+    "rank",
+]
 
 
 @dataclass
@@ -54,107 +68,69 @@ def _lcm_denominator(values) -> int:
     return denom
 
 
-def _scaled_integer_rows(
-    cols: Sequence[Hashable],
-    rows: Sequence[Hashable],
-    entries: dict[tuple[Hashable, Hashable], Fraction],
-    rhs_list: Sequence[dict[Hashable, Fraction]],
-) -> tuple[list[dict[int, int]], list[int]]:
-    """Clear denominators row-wise; rhs columns get indices -1, -2, ...
-
-    Returns the integer rows plus one overall scale per rhs column (the
-    rhs columns are pre-multiplied by these, so solutions must be divided
-    by them afterwards).  Denominators are cleared in integers.  An rhs
-    entry on a row not in ``rows`` becomes an equation 0 = value of its
-    own, placed after the listed rows so that their pivot order stays put.
-    """
-    col_index = {label: idx for idx, label in enumerate(cols)}
-    # Common denominator per rhs column keeps the row scaling uniform.
-    rhs_scales = [_lcm_denominator(rhs.values()) for rhs in rhs_list]
-    sparse: dict[Hashable, dict[int, Fraction]] = {label: {} for label in rows}
-    for (row_label, col_label), value in entries.items():
-        if value:
-            sparse[row_label][col_index[col_label]] = value
-    row_order = list(rows)
-    rhs_rows: dict[Hashable, list[tuple[int, int]]] = {}
-    for k, (rhs, scale) in enumerate(zip(rhs_list, rhs_scales)):
-        for row_label, value in rhs.items():
-            if value:
-                if row_label not in sparse:
-                    sparse[row_label] = {}
-                    row_order.append(row_label)
-                rhs_rows.setdefault(row_label, []).append(
-                    (-1 - k, value.numerator * (scale // value.denominator))
-                )
-    int_rows: list[dict[int, int]] = []
-    for row_label in row_order:
-        raw = sparse[row_label]
-        denom = _lcm_denominator(raw.values())
-        row = {
-            c: v.numerator * (denom // v.denominator) for c, v in raw.items()
-        }
-        for key, value in rhs_rows.get(row_label, ()):
-            row[key] = value * denom
-        int_rows.append(row)
-    return int_rows, rhs_scales
-
-
-def _reduce_content(row: dict[int, int]) -> None:
+def _reduce_content(row: dict[int, int]) -> int:
+    """Divide out the gcd of the row's values; returns that gcd (1 if
+    nothing was divided)."""
     content = 0
     for value in row.values():
         content = gcd(content, value)
         if content == 1:
-            return
+            return 1
     if content > 1:
         for key in row:
             row[key] //= content
+        return content
+    return 1
 
 
-def _coef_nnz(row: dict[int, int]) -> int:
-    return sum(1 for c in row if c >= 0)
+def _divided(value: int | Fraction, content: int) -> int | Fraction:
+    if content == 1:
+        return value
+    if type(value) is int and not value % content:
+        return value // content
+    return Fraction(value, content)
+
+
+# one elimination step: the pivot row, its pivot value and the rows it
+# cleared, each with its own factor and the content divided out after
+_Step = tuple[int, int, list[tuple[int, int, int]]]
 
 
 def _eliminate(
     int_rows: list[dict[int, int]],
-) -> tuple[list[tuple[int, dict[int, int]]], list[dict[int, int]]]:
-    """Forward elimination; returns (pivot column, pivot row) pairs and the
-    leftover rows (whose coefficient parts are all zero).
+) -> tuple[list[tuple[int, int, dict[int, int]]], list[_Step]]:
+    """Forward elimination of the integer rows (the input is consumed).
 
-    Pivots take the sparsest available row (lazy heap, stale entries
-    skipped) and its smallest coefficient; a column index limits each
-    step to the rows actually meeting the pivot column.
+    Returns the (row, pivot column, pivot row) triples in pivot order
+    and the log of every row operation.  Pivots take the sparsest
+    available row (lazy heap, stale entries skipped) and its smallest
+    coefficient; a column index limits each step to the rows actually
+    meeting the pivot column.  Rows that end up zero take no part any
+    more.
     """
     rows: dict[int, dict[int, int]] = {}
     colmap: dict[int, set[int]] = {}
-    nnz_of: dict[int, int] = {}
     heap: list[tuple[int, int]] = []
-    for rid, row in enumerate(r for r in int_rows if r):
-        row = dict(row)
-        rows[rid] = row
-        count = 0
-        for c in row:
-            if c >= 0:
+    for rid, row in enumerate(int_rows):
+        if row:
+            rows[rid] = row
+            for c in row:
                 colmap.setdefault(c, set()).add(rid)
-                count += 1
-        nnz_of[rid] = count
-        if count:
-            heap.append((count, rid))
+            heap.append((len(row), rid))
     heapq.heapify(heap)
-    pivots: list[tuple[int, dict[int, int]]] = []
+    pivots: list[tuple[int, int, dict[int, int]]] = []
+    steps: list[_Step] = []
     while heap:
         count, rid = heapq.heappop(heap)
-        if rid not in rows or nnz_of[rid] != count:
+        if len(rows.get(rid, ())) != count:
             continue
         pivot_row = rows.pop(rid)
         for c in pivot_row:
-            if c >= 0:
-                colmap[c].discard(rid)
-        col = min(
-            (c for c in pivot_row if c >= 0),
-            key=lambda c: (abs(pivot_row[c]), c),
-        )
+            colmap[c].discard(rid)
+        col = min(pivot_row, key=lambda c: (abs(pivot_row[c]), c))
         pivot_val = pivot_row[col]
-        pivots.append((col, pivot_row))
+        pivots.append((rid, col, pivot_row))
+        cleared: list[tuple[int, int, int]] = []
         for other in list(colmap.get(col, ())):
             row = rows[other]
             factor = row[col]
@@ -163,53 +139,154 @@ def _eliminate(
                 value = pivot_val * row.get(c, 0) - factor * pivot_row.get(c, 0)
                 if value:
                     merged[c] = value
-            _reduce_content(merged)
+            cleared.append((other, factor, _reduce_content(merged)))
             for c in row:
-                if c >= 0:
-                    colmap[c].discard(other)
+                colmap[c].discard(other)
             if merged:
                 rows[other] = merged
-                count = 0
                 for c in merged:
-                    if c >= 0:
-                        colmap.setdefault(c, set()).add(other)
-                        count += 1
-                nnz_of[other] = count
-                if count:
-                    heapq.heappush(heap, (count, other))
+                    colmap.setdefault(c, set()).add(other)
+                heapq.heappush(heap, (len(merged), other))
             else:
                 del rows[other]
-                nnz_of[other] = 0
-    return pivots, list(rows.values())
+        steps.append((rid, pivot_val, cleared))
+    return pivots, steps
 
 
-def _back_substitute(
-    pivots: list[tuple[int, dict[int, int]]], rhs_keys: Sequence[int]
-) -> list[dict[int, Fraction]]:
-    """Sparse solutions {column index: nonzero value}, one per rhs column.
+class Factorization:
+    """The elimination of one coefficient matrix, solvable many times.
 
-    Pivot row p holds its own column and otherwise only columns of later
-    pivots, so the solution value at pivot p depends only on values at
-    pivots q > p.  Each rhs starts from the pivots whose rows meet it and
-    pushes every nonzero value it finds into the rows of earlier pivots
-    that meet its column; a heap hands out the reached pivots in
-    decreasing order, so each is settled after everything it depends on.
+    ``rank`` is the pivot count.  :meth:`solve` takes a batch of
+    right-hand sides ({row label: value}), replays the logged row
+    operations on them and back-substitutes each one; a rhs entry on a
+    row not in ``rows`` is an equation 0 = value of its own.
     """
-    col_users: dict[int, list[tuple[int, int]]] = {}
-    rhs_users: dict[int, list[tuple[int, int]]] = {}
-    for p, (col, row) in enumerate(pivots):
-        for c, value in row.items():
-            if c < 0:
-                rhs_users.setdefault(c, []).append((p, value))
-            elif c != col:
-                col_users.setdefault(c, []).append((p, value))
-    solutions = []
-    for rhs_key in rhs_keys:
-        residual: dict[int, int | Fraction] = {}
-        heap: list[int] = []
-        for p, value in rhs_users.get(rhs_key, ()):
-            residual[p] = value
-            heap.append(-p)
+
+    def __init__(
+        self,
+        cols: Sequence[Hashable],
+        rows: Sequence[Hashable],
+        entries: dict[tuple[Hashable, Hashable], Fraction],
+    ) -> None:
+        self.cols = list(cols)
+        self._row_index = {label: rid for rid, label in enumerate(rows)}
+        col_index = {label: idx for idx, label in enumerate(self.cols)}
+        sparse: list[dict[int, Fraction]] = [{} for _ in rows]
+        for (row_label, col_label), value in entries.items():
+            if value:
+                sparse[self._row_index[row_label]][col_index[col_label]] = value
+        # clearing a row's denominators scales its rhs entries alike
+        self._row_scales: list[int] = []
+        int_rows: list[dict[int, int]] = []
+        for raw in sparse:
+            denom = _lcm_denominator(raw.values())
+            self._row_scales.append(denom)
+            int_rows.append(
+                {c: v.numerator * (denom // v.denominator) for c, v in raw.items()}
+            )
+        self._pivots, self._steps = _eliminate(int_rows)
+        self.rank = len(self._pivots)
+        self._pivot_of = {rid: p for p, (rid, _, _) in enumerate(self._pivots)}
+
+    def solve(
+        self, rhs_list: Sequence[dict[Hashable, Fraction]]
+    ) -> list[SolveResult]:
+        """One verdict per right-hand side.  A unique solution lists only
+        its nonzero values, in column order."""
+        scales = [_lcm_denominator(rhs.values()) for rhs in rhs_list]
+        inconsistent: set[int] = set()
+        # row -> {rhs: value}: each rhs cleared of its denominators, then
+        # scaled like the row it sits on
+        values: dict[int, dict[int, int | Fraction]] = {}
+        for k, (rhs, scale) in enumerate(zip(rhs_list, scales)):
+            for row_label, value in rhs.items():
+                if not value:
+                    continue
+                rid = self._row_index.get(row_label)
+                if rid is None:
+                    inconsistent.add(k)
+                else:
+                    values.setdefault(rid, {})[k] = (
+                        value.numerator
+                        * (scale // value.denominator)
+                        * self._row_scales[rid]
+                    )
+        self._replay(values)
+        # a value left on a row that is not a pivot row is a failed equation
+        starts: dict[int, list[tuple[int, int | Fraction]]] = {}
+        for rid, row_values in values.items():
+            p = self._pivot_of.get(rid)
+            for k, value in row_values.items():
+                if p is None:
+                    inconsistent.add(k)
+                else:
+                    starts.setdefault(k, []).append((p, value))
+        if self.rank < len(self.cols):
+            return [
+                SolveResult(
+                    SolveResult.INCONSISTENT
+                    if k in inconsistent
+                    else SolveResult.UNDERDETERMINED
+                )
+                for k in range(len(rhs_list))
+            ]
+        return [
+            SolveResult(SolveResult.INCONSISTENT)
+            if k in inconsistent
+            else SolveResult(
+                SolveResult.UNIQUE,
+                self._back_substitute(starts.get(k, ()), scale),
+            )
+            for k, scale in enumerate(scales)
+        ]
+
+    def _replay(self, values: dict[int, dict[int, int | Fraction]]) -> None:
+        """Apply the logged row operations to the rhs values in place."""
+        empty: dict[int, int | Fraction] = {}
+        for pid, pivot_val, cleared in self._steps:
+            source = values.get(pid, empty)
+            for other, factor, content in cleared:
+                target = values.get(other, empty)
+                if not source and not target:
+                    continue
+                merged = {}
+                for k in target.keys() | source.keys():
+                    value = pivot_val * target.get(k, 0) - factor * source.get(k, 0)
+                    if value:
+                        merged[k] = _divided(value, content)
+                if merged:
+                    values[other] = merged
+                else:
+                    values.pop(other, None)
+
+    @cached_property
+    def _col_users(self) -> dict[int, list[tuple[int, int]]]:
+        """Column -> [(pivot, coefficient)] over the pivot rows meeting it
+        off their own pivot column."""
+        users: dict[int, list[tuple[int, int]]] = {}
+        for p, (_, col, row) in enumerate(self._pivots):
+            for c, value in row.items():
+                if c != col:
+                    users.setdefault(c, []).append((p, value))
+        return users
+
+    def _back_substitute(
+        self, starts: Sequence[tuple[int, int | Fraction]], scale: int
+    ) -> dict[Hashable, Fraction]:
+        """The nonzero solution values of one rhs, divided by its scale,
+        in column order.
+
+        Pivot row p holds its own column and otherwise only columns of
+        later pivots, so the value at pivot p depends only on values at
+        pivots q > p.  The rhs starts from the pivot rows it meets and
+        pushes every nonzero value it finds into the rows of earlier
+        pivots that meet its column; a heap hands out the reached pivots
+        in decreasing order, so each is settled after everything it
+        depends on.
+        """
+        col_users = self._col_users
+        residual: dict[int, int | Fraction] = dict(starts)
+        heap = [-p for p in residual]
         heapq.heapify(heap)
         solution: dict[int, Fraction] = {}
         while heap:
@@ -217,7 +294,7 @@ def _back_substitute(
             total = residual[p]
             if not total:
                 continue
-            col, row = pivots[p]
+            _, col, row = self._pivots[p]
             value = Fraction(total, row[col])
             solution[col] = value
             for q, coef in col_users.get(col, ()):
@@ -226,8 +303,7 @@ def _back_substitute(
                 else:
                     residual[q] = -coef * value
                     heapq.heappush(heap, -q)
-        solutions.append(solution)
-    return solutions
+        return {self.cols[c]: solution[c] / scale for c in sorted(solution)}
 
 
 def solve_many(
@@ -238,31 +314,15 @@ def solve_many(
 ) -> list[SolveResult]:
     """Solve one coefficient matrix against many right-hand sides.
 
-    The elimination and the back-substitution pass are shared; each rhs
-    gets its own verdict.  A unique solution lists every column, zeros
-    included.
+    One factorization serves every rhs, and each gets its own verdict.  A
+    unique solution lists every column, zeros included.
     """
-    int_rows, rhs_scales = _scaled_integer_rows(cols, rows, entries, rhs_list)
-    pivots, leftovers = _eliminate(int_rows)
-    # leftover rows carry rhs entries only: each one is a failed equation
-    inconsistent = {c for row in leftovers for c in row}
-    if len(pivots) < len(cols):
-        return [
-            SolveResult(
-                SolveResult.INCONSISTENT
-                if -1 - k in inconsistent
-                else SolveResult.UNDERDETERMINED
-            )
-            for k in range(len(rhs_list))
-        ]
-    consistent = [k for k in range(len(rhs_list)) if -1 - k not in inconsistent]
-    indexed = _back_substitute(pivots, [-1 - k for k in consistent])
-    results = [SolveResult(SolveResult.INCONSISTENT) for _ in rhs_list]
-    for k, sparse in zip(consistent, indexed):
-        solution = dict.fromkeys(cols, Fraction(0))
-        for idx, value in sparse.items():
-            solution[cols[idx]] = value / rhs_scales[k]
-        results[k] = SolveResult(SolveResult.UNIQUE, solution)
+    results = Factorization(cols, rows, entries).solve(rhs_list)
+    for result in results:
+        if result.status == SolveResult.UNIQUE:
+            solution = dict.fromkeys(cols, Fraction(0))
+            solution.update(result.solution)
+            result.solution = solution
     return results
 
 
@@ -275,8 +335,4 @@ def solve_unique(system: SparseSystem) -> SolveResult:
 
 def rank(system: SparseSystem) -> int:
     """Exact rank of the coefficient matrix (rhs ignored)."""
-    int_rows, _ = _scaled_integer_rows(
-        system.cols, system.rows, system.entries, []
-    )
-    pivots, _ = _eliminate(int_rows)
-    return len(pivots)
+    return Factorization(system.cols, system.rows, system.entries).rank

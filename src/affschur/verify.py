@@ -11,7 +11,9 @@ than failing.
 
 The window parameter is both the starting and the maximal window of the
 run: a certification at window W is a fixed-budget statement about
-everything that fits in W.  The transpose and corner-involution maps can
+everything that fits in W.  One :class:`~affschur.cellular.WindowBlocks`
+serves the whole run, so each signature block of the ideal's spanning
+set is built and eliminated once for every check that needs it.  The transpose and corner-involution maps can
 be overridden, which is used by negative-control tests to show that the
 battery actually rejects wrong structure maps.
 """
@@ -35,14 +37,13 @@ from .hecke import (
     quotient_image,
 )
 from .laurent import LaurentPoly2
-from .linalg import SolveResult, rank, solve_many
+from .linalg import Factorization, SolveResult
 from .multiplication import multiply
 from .cellular import (
     CellTensor,
-    LEFT_BASIS,
     MembershipResult,
     SIGNATURE_BLOCKS,
-    batch_ideal_membership,
+    WindowBlocks,
     corner_involution,
     decompose_left,
     decompose_right,
@@ -50,8 +51,7 @@ from .cellular import (
     idempotent_02,
     idempotent_11,
     idempotent_20,
-    monomial_image,
-    omega_candidates,
+    module_element,
     omega_element,
     span_system,
     tensor_to_ideal,
@@ -199,6 +199,10 @@ def verify_cell_chain(
     def basis(*entries: tuple[int, int, int]) -> AlgebraElement:
         return AlgebraElement.basis(PeriodicMatrix.from_entries(2, entries))
 
+    # the ideal's signature blocks at the run's window, each built and
+    # factored once for every check that asks about them
+    blocks = WindowBlocks(window)
+
     def check_generator_certificates() -> tuple[str, str]:
         failures: list[str] = []
         undecided: list[str] = []
@@ -241,7 +245,7 @@ def verify_cell_chain(
             ("second reflection plus unit", t2 + e_nu),
             ("row idempotent", e_lam),
         ]
-        batch = batch_ideal_membership([element for _, element in members], window)
+        batch = blocks.membership([element for _, element in members])
         for (label, _), result in zip(members, batch):
             if result.status == MembershipResult.NOT_MEMBER:
                 failures.append(_membership_detail(label, result))
@@ -252,28 +256,31 @@ def verify_cell_chain(
     def check_transpose_stability() -> tuple[str, str]:
         failures: list[str] = []
         undecided: list[str] = []
-        candidates = omega_candidates(window)
-        for (l, m, a, b), element in candidates:
+        # every spanning element in the order of its cell (l, m)
+        candidates = sorted(
+            (
+                item
+                for signature in SIGNATURE_BLOCKS
+                for item in blocks.candidates(signature)
+            ),
+            key=lambda item: item[0][:2],
+        )
+        # those whose transpose fits, for the independent route below
+        inside = []
+        for label, element in candidates:
             transposed = tau(element)
-            partner = omega_element(m, l, a, -a - b)
-            if transposed != partner:
+            l, m, a, b = label
+            if len(failures) < 5 and transposed != omega_element(m, l, a, -a - b):
                 failures.append(
                     f"transpose of cell ({l},{m},{a},{b}) left the spanning set"
                 )
-                if len(failures) > 4:
-                    break
+            if fits_window(transposed, window):
+                inside.append((label, element))
         # independent route: solve for coordinates of a few transposes
-        inside = [
-            (label, element)
-            for label, element in candidates
-            if fits_window(tau(element), window)
-        ]
         rng_local = random.Random(seed + 1)
         subsample = rng_local.sample(inside, min(8, len(inside)))
         if subsample:
-            batch = batch_ideal_membership(
-                [tau(element) for _, element in subsample], window
-            )
+            batch = blocks.membership([tau(element) for _, element in subsample])
             for (label, _), result in zip(subsample, batch):
                 if result.status == MembershipResult.NOT_MEMBER:
                     failures.append(f"transposed cell {label}: {result.status}")
@@ -306,10 +313,7 @@ def verify_cell_chain(
         # keeps every needed coordinate monomial inside the window
         margin = 3
         module_span = (
-            (
-                (m, a, b),
-                multiply(monomial_image(a, b), AlgebraElement.basis(LEFT_BASIS[m])),
-            )
+            ((m, a, b), module_element("left", m, a, b))
             for m in range(4)
             for b in range(-(window + 1) // 2 - 1, (window - 1) // 2 + 1)
             for a in range((window - 2 * b - 1) // 2 + 1)
@@ -320,7 +324,8 @@ def verify_cell_chain(
             if fits_window(element, window)
         )
         cols = system.cols
-        system_rank = rank(system)
+        factorization = Factorization(system.cols, system.rows, system.entries)
+        system_rank = factorization.rank
         if system_rank != len(cols):
             failures.append(
                 f"module coordinate system rank {system_rank} < {len(cols)}"
@@ -334,16 +339,15 @@ def verify_cell_chain(
                 x = basis((1, i, 2)) if i == j else basis((1, i, 1), (1, j, 1))
                 rhs_list.append(dict(x.terms))
                 expected_vectors.append(decompose_left(x))
-        results = solve_many(system.cols, system.rows, system.entries, rhs_list)
+        results = factorization.solve(rhs_list)
         for result, expected in zip(results, expected_vectors):
             if result.status != SolveResult.UNIQUE:
                 failures.append(f"solver cross-check status {result.status}")
                 continue
-            solved = [LaurentPoly2.zero() for _ in range(4)]
+            solved: list[dict] = [{}, {}, {}, {}]
             for (m, a, b), value in result.solution.items():
-                if value:
-                    solved[m] = solved[m] + LaurentPoly2.monomial(a, b, value)
-            if tuple(solved) != expected.coords:
+                solved[m][(a, b)] = value
+            if tuple(LaurentPoly2(coords) for coords in solved) != expected.coords:
                 failures.append("solver and recurrence coordinates disagree")
             solver_checked += 1
         status, detail = _status_merge(failures, [])
@@ -357,14 +361,13 @@ def verify_cell_chain(
     def check_independence() -> tuple[str, str]:
         failures: list[str] = []
         block_dims = []
-        for signature, pairs in sorted(
-            SIGNATURE_BLOCKS.items(),
-            key=lambda kv: (kv[0][0].parts, kv[0][1].parts),
+        for signature in sorted(
+            SIGNATURE_BLOCKS, key=lambda sig: (sig[0].parts, sig[1].parts)
         ):
-            candidates = omega_candidates(window, pairs)
+            candidates = blocks.candidates(signature)
             if not candidates:
                 continue
-            block_rank = rank(span_system(candidates))
+            block_rank = blocks.factorization(signature).rank
             block_dims.append(f"{len(candidates)}")
             if block_rank != len(candidates):
                 failures.append(
@@ -439,9 +442,7 @@ def verify_cell_chain(
         for _ in range(samples):
             x = random_element(rng, 2, 2, col_lo=lo, col_hi=hi)
             differences.append(x - laurent_lift(quotient_image(x)))
-        for index, result in enumerate(
-            batch_ideal_membership(differences, window)
-        ):
+        for index, result in enumerate(blocks.membership(differences)):
             if result.status == MembershipResult.NOT_MEMBER:
                 failures.append(f"complement escaped the ideal on sample {index}")
             elif result.status == MembershipResult.UNDECIDED:

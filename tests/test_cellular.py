@@ -34,16 +34,20 @@ from affschur import (
     laurent_to_corner,
     monomial_image,
     multiply,
-    solve_many,
     tensor_involution,
     tensor_to_ideal,
 )
 from affschur import cellular
 from affschur.cellular import (
+    WEIGHT_11,
+    WEIGHT_20,
+    WindowBlocks,
     _pair_coords,
     _x_coords,
     _y_coords,
+    module_element,
     omega_candidates,
+    omega_element,
     span_system,
 )
 from affschur.hecke import HeckeElement, T1, T2
@@ -343,6 +347,48 @@ class TestRecurrenceGrading:
                     assert 2 * a + 4 * b + grade(LEFT_BASIS[idx]) == l
 
 
+class TestTranslation:
+    def test_translated_elements_equal_direct_products(self, e_lam):
+        """Elements with an x2^b factor are built by moving the columns of
+        their b = 0 member; they must equal the products of generators."""
+        x1 = AlgebraElement.basis(GEN_X1)
+        for b in range(-6, 7):
+            x2_step = AlgebraElement.basis(GEN_X2 if b > 0 else GEN_X2_INV)
+            mono = e_lam
+            for _ in range(abs(b)):
+                mono = multiply(mono, x2_step)
+            for a in range(7):
+                assert monomial_image(a, b) == mono, (a, b)
+                rights = []
+                for k in range(4):
+                    left = multiply(mono, AlgebraElement.basis(LEFT_BASIS[k]))
+                    right = multiply(AlgebraElement.basis(RIGHT_BASIS[k]), mono)
+                    assert module_element("left", k, a, b) == left, (k, a, b)
+                    assert module_element("right", k, a, b) == right, (k, a, b)
+                    rights.append(right)
+                for l in range(4):
+                    for m in range(4):
+                        direct = multiply(
+                            rights[l], AlgebraElement.basis(LEFT_BASIS[m])
+                        )
+                        assert omega_element(l, m, a, b) == direct, (l, m, a, b)
+                mono = multiply(mono, x1)
+
+    def test_translated_matrices_are_interned(self):
+        # omega(0,0,2,1) meets omega(0,0,0,2) in two matrices; equal
+        # translated matrices must be one object
+        first = omega_element(0, 0, 2, 1)
+        second = omega_element(0, 0, 0, 2)
+        shared = set(first.terms) & set(second.terms)
+        assert len(shared) == 2
+        objects = {id(m) for m in first.terms} & {id(m) for m in second.terms}
+        assert len(objects) == 2
+
+    def test_rejects_unknown_side(self):
+        with pytest.raises(ValueError):
+            module_element("middle", 0, 0, 0)
+
+
 class TestTensorToIdeal:
     def test_unit_cell_is_idempotent(self, e_lam):
         t = CellTensor.unit(2, 2, ONE)
@@ -444,14 +490,16 @@ class TestIdealToTensor:
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """The argument tuples of every solve_many call made by cellular."""
+    """The argument tuples (factorization, rhs list) of every block solve
+    made by cellular."""
     calls = []
+    solve = cellular.Factorization.solve
 
     def counting(*args):
         calls.append(args)
-        return solve_many(*args)
+        return solve(*args)
 
-    monkeypatch.setattr(cellular, "solve_many", counting)
+    monkeypatch.setattr(cellular.Factorization, "solve", counting)
     return calls
 
 
@@ -518,6 +566,27 @@ class TestMembership:
             assert result.is_member and result.window == 8
             assert tensor_to_ideal(result.tensor) == x
             assert ideal_membership(x, window=8, max_window=8) == result
+
+    def test_window_blocks_factor_each_block_once(self, monkeypatch, e_lam, e_mu, e_nu):
+        factored = []
+        init = cellular.Factorization.__init__
+
+        def recording(self, cols, rows, entries):
+            factored.append(tuple(cols))
+            init(self, cols, rows, entries)
+
+        monkeypatch.setattr(cellular.Factorization, "__init__", recording)
+        blocks = WindowBlocks(8)
+        t1 = hecke_embed(HeckeElement.group(T1))
+        first = blocks.membership([e_lam, t1 + e_nu])
+        second = blocks.membership([e_mu, e_nu, e_lam.scaled(3)])
+        assert len(factored) == len(set(factored))
+        for signature in ((WEIGHT_20, WEIGHT_20), (WEIGHT_11, WEIGHT_11)):
+            cols = tuple(label for label, _ in blocks.candidates(signature))
+            assert cols in factored
+            assert blocks.factorization(signature).rank == len(cols)
+        elements = [e_lam, t1 + e_nu, e_mu, e_nu, e_lam.scaled(3)]
+        assert first + second == batch_ideal_membership(elements, 8)
 
     def test_span_system_rows_sorted_and_cover_support(self):
         candidates = omega_candidates(6, [(0, 0), (0, 1), (1, 0), (1, 1)])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affschur import SolveResult, SparseSystem, rank, solve_many, solve_unique
+from affschur.linalg import Factorization
 
 
 def system(rows_data, rhs=None):
@@ -142,11 +143,24 @@ class TestSolveMany:
         many = solve_many(
             first.cols, first.rows, first.entries, [s.rhs for s in systems]
         )
-        assert len(many) == len(systems)
-        for got, sys_, rhs in zip(many, systems, rhs_dense):
+        # one factorization, solved in batches split at drawn points
+        factorization = Factorization(first.cols, first.rows, first.entries)
+        batched = []
+        start = 0
+        for end in range(1, len(systems) + 1):
+            if end == len(systems) or data.draw(st.booleans()):
+                batched += factorization.solve([s.rhs for s in systems[start:end]])
+                start = end
+        assert factorization.rank == rank(first)
+        assert len(many) == len(batched) == len(systems)
+        for got, part, sys_, rhs in zip(many, batched, systems, rhs_dense):
             single = solve_unique(sys_)
-            assert got.status == single.status
+            assert got.status == part.status == single.status
             assert got.solution == single.solution
+            if part.status == SolveResult.UNIQUE:
+                assert part.solution == {
+                    c: v for c, v in single.solution.items() if v
+                }
             if got.status == SolveResult.UNIQUE:
                 assert list(got.solution) == first.cols
                 values = [got.solution[c] for c in first.cols]

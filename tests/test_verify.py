@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 from affschur import verify_cell_chain
+from affschur.cellular import SIGNATURE_BLOCKS, omega_candidates
+from affschur.linalg import Factorization
 
 GOLDEN_REPORT = Path(__file__).with_name("golden_verify_cell_w12_s0_n100.json")
 
@@ -29,6 +31,28 @@ class TestVerifyPasses:
         assert [(c.name, c.status, c.detail) for c in a.checks] == [
             (c.name, c.status, c.detail) for c in b.checks
         ]
+
+
+def test_each_block_factored_once_per_run(monkeypatch):
+    """A run eliminates each nonempty signature block once, for all its
+    checks, plus the module system of the freeness check."""
+    factored = []
+    init = Factorization.__init__
+
+    def recording(self, cols, rows, entries):
+        factored.append(tuple(cols))
+        init(self, cols, rows, entries)
+
+    monkeypatch.setattr(Factorization, "__init__", recording)
+    assert verify_cell_chain(window=12, seed=0, samples=20).passed
+    blocks = [
+        tuple(label for label, _ in omega_candidates(12, pairs))
+        for pairs in SIGNATURE_BLOCKS.values()
+    ]
+    blocks = sorted(cols for cols in blocks if cols)
+    module = [cols for cols in factored if len(cols[0]) == 3]
+    assert len(module) == 1
+    assert sorted(cols for cols in factored if len(cols[0]) == 4) == blocks
 
 
 class TestNegativeControls:
