@@ -23,7 +23,8 @@ x2 is the shift by one period, which is central, so every spanning
 element with an x2^b factor (corner monomials, module elements, the
 ideal's omega elements) is its b = 0 member with every column moved by
 2b: only the b = 0 members are multiplied out, and the moved matrices
-are interned so that equal ones are one object.
+are the interned objects of :mod:`affschur.core`, so that equal ones are
+one object.
 
 All membership and inversion problems are truncated by a *window*: a
 bound W restricting the column support of every matrix involved to
@@ -42,10 +43,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
-from .core import AlgebraElement, Composition, PeriodicMatrix, diag_matrix
+from .core import AlgebraElement, Composition, PeriodicMatrix, Scalar, diag_matrix
 from .laurent import LaurentPoly2
 from .linalg import Factorization, SolveResult, SparseSystem, solve_many
 from .multiplication import multiply
@@ -177,7 +177,7 @@ def span_system(
     other rows, which the solver treats as unsatisfiable equations.
     """
     cols: list[Hashable] = []
-    entries: dict[tuple, Fraction] = {}
+    entries: dict[tuple, Scalar] = {}
     rows: set[PeriodicMatrix] = set()
     for label, element in candidates:
         cols.append(label)
@@ -210,32 +210,26 @@ def _window_ladder(x: AlgebraElement, window: int | None, cap: int) -> list[int]
 
 _ZERO = AlgebraElement.zero(N, R)
 
-# The canonical object of every matrix made by _translated.
-_MATRICES: dict[PeriodicMatrix, PeriodicMatrix] = {}
-
 
 def _translated(x: AlgebraElement, b: int) -> AlgebraElement:
     """x times the central x2^b: every column moved by 2b (one period
-    per step), through interned matrices."""
+    per step), onto interned matrices."""
     if not b:
         return x
-    terms = {}
-    for matrix, coeff in x.terms.items():
-        moved = PeriodicMatrix(
-            N, tuple((i, j + 2 * b, a) for i, j, a in matrix.entries)
-        )
-        terms[_MATRICES.setdefault(moved, moved)] = coeff
-    return x._like(terms)
+    shift = 2 * b
+    return x._like(
+        {matrix.columns_moved(shift): coeff for matrix, coeff in x.terms.items()}
+    )
 
 
 def _combination(
-    terms: Iterable[tuple[Fraction, AlgebraElement]]
+    terms: Iterable[tuple[Scalar, AlgebraElement]]
 ) -> AlgebraElement:
     """The sum of coeff * element, accumulated in one term dict."""
-    acc: dict[PeriodicMatrix, Fraction] = {}
+    acc: dict[PeriodicMatrix, Scalar] = {}
     for coeff, element in terms:
         for matrix, c in element.terms.items():
-            acc[matrix] = acc.get(matrix, Fraction(0)) + coeff * c
+            acc[matrix] = acc.get(matrix, 0) + coeff * c
     return _ZERO._like(acc)
 
 
@@ -659,7 +653,7 @@ def omega_candidates(
 
 def _split_by_signature(
     x: AlgebraElement,
-) -> dict[tuple[Composition, Composition], dict[PeriodicMatrix, Fraction]]:
+) -> dict[tuple[Composition, Composition], dict[PeriodicMatrix, Scalar]]:
     parts: dict = {}
     for matrix, coeff in x.terms.items():
         key = (matrix.row_vector(), matrix.col_vector())

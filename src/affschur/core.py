@@ -17,11 +17,24 @@ Conventions used throughout the package:
   exact rational coefficients.  All arithmetic in this package is exact;
   no floating point is used anywhere.
 
+* Every stored coefficient is a canonical exact scalar: an ``int`` when
+  it is integral, else a ``Fraction`` with denominator above 1.  At q = 1
+  the structure constants are orbit counts, so products, module and
+  ideal spanning elements and the decomposition recurrences stay in
+  ``int``; a ``Fraction`` enters only with input that brings a
+  denominator.  Python compares, hashes and prints ``2`` and
+  ``Fraction(2)`` alike, so the choice never shows in results.
+
 * ``LinearCombination`` is the one representation of a rational linear
-  combination (a dict from key to nonzero ``Fraction``) and owns its
+  combination (a dict from key to nonzero canonical scalar) and owns its
   arithmetic; ``AlgebraElement`` here, ``HeckeElement`` and the Laurent
   rings build on it.  Public constructors check every term; internal
   arithmetic on checked elements builds through the trusted ``_like``.
+
+* Matrices are interned: every matrix that ``from_entries``,
+  ``shifted_by``, ``columns_moved`` or ``transpose`` returns is the one
+  canonical object with its entries, built and validated once, and a
+  lookup by entries builds nothing.
 """
 
 from __future__ import annotations
@@ -62,8 +75,22 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_fraction(value: Fraction) -> str:
+def format_fraction(value: Scalar) -> str:
     return str(value)
+
+
+def _exact(value: Scalar) -> Scalar:
+    """The canonical exact form of a scalar: an ``int`` when the value is
+    integral (never a ``bool``), else a ``Fraction``.
+
+    >>> _exact(Fraction(6, 3)), _exact(True), _exact(Fraction(1, 2))
+    (2, 1, Fraction(1, 2))
+    """
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 @dataclass(frozen=True)
@@ -114,13 +141,34 @@ def _normalize_row(n: int, i: int, j: int) -> tuple[int, int]:
     return i - s * n, j - s * n
 
 
+def canonical_entries(
+    n: int, entries: Iterable[tuple[int, int, int]]
+) -> tuple[tuple[int, int, int], ...]:
+    """The stored entries of the matrix with these (row, column, value)
+    triples: rows shifted into 1..n, coinciding positions merged, zero
+    values dropped, sorted.  Two triple lists give the same matrix exactly
+    when their canonical entries agree, which needs no matrix built."""
+    if n < 1:
+        raise ValueError("period must be positive")
+    acc: dict[tuple[int, int], int] = {}
+    for i, j, a in entries:
+        if a < 0:
+            raise ValueError("matrix entries must be nonnegative")
+        if a == 0:
+            continue
+        key = _normalize_row(n, i, j)
+        acc[key] = acc.get(key, 0) + a
+    return tuple(sorted((i, j, a) for (i, j), a in acc.items()))
+
+
 @dataclass(frozen=True)
 class PeriodicMatrix:
     """Canonical representative of an n-periodic nonnegative matrix.
 
     ``entries`` is a sorted tuple of (row, column, value) triples with row
     in 1..n, column in Z and value >= 1; ``r`` is the weight, the total of
-    the stored entries.
+    the stored entries.  Build matrices with ``from_entries`` (or the
+    methods below that return one), which hand out the interned object.
     """
 
     n: int
@@ -129,6 +177,9 @@ class PeriodicMatrix:
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
     r: int = field(init=False, repr=False, compare=False, hash=False, default=0)
+    _transposed: "PeriodicMatrix | None" = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -157,16 +208,7 @@ class PeriodicMatrix:
         >>> PeriodicMatrix.from_entries(2, [(3, 2, 1), (1, 0, 1)])
         Mat(n=2;(1,0):2)
         """
-        acc: dict[tuple[int, int], int] = {}
-        for i, j, a in entries:
-            if a < 0:
-                raise ValueError("matrix entries must be nonnegative")
-            if a == 0:
-                continue
-            key = _normalize_row(n, i, j)
-            acc[key] = acc.get(key, 0) + a
-        canon = tuple(sorted((i, j, a) for (i, j), a in acc.items()))
-        return cls(n, canon)
+        return _interned(n, canonical_entries(n, entries))
 
     def entry(self, i: int, j: int) -> int:
         """The matrix entry a_{i,j} for arbitrary integers i, j."""
@@ -204,8 +246,21 @@ class PeriodicMatrix:
         return Composition(self.n, tuple(parts))
 
     def transpose(self) -> "PeriodicMatrix":
-        return PeriodicMatrix.from_entries(
-            self.n, ((j, i, a) for i, j, a in self.entries)
+        """The transposed matrix, built once per matrix."""
+        if self._transposed is None:
+            object.__setattr__(
+                self,
+                "_transposed",
+                PeriodicMatrix.from_entries(
+                    self.n, ((j, i, a) for i, j, a in self.entries)
+                ),
+            )
+        return self._transposed
+
+    def columns_moved(self, shift: int) -> "PeriodicMatrix":
+        """The matrix with every column index moved by ``shift``."""
+        return _interned(
+            self.n, tuple((i, j + shift, a) for i, j, a in self.entries)
         )
 
     def shifted_by(
@@ -222,10 +277,9 @@ class PeriodicMatrix:
         for value in acc.values():
             if value < 0:
                 raise ValueError("matrix entry driven negative")
-        canon = tuple(
-            sorted((i, j, a) for (i, j), a in acc.items() if a != 0)
+        return _interned(
+            self.n, tuple(sorted((i, j, a) for (i, j), a in acc.items() if a != 0))
         )
-        return PeriodicMatrix(self.n, canon)
 
     def is_upper_triangular(self) -> bool:
         return all(i <= j for i, j, _ in self.entries)
@@ -239,6 +293,22 @@ class PeriodicMatrix:
     def __repr__(self) -> str:
         body = ",".join(f"({i},{j}):{a}" for i, j, a in self.entries)
         return f"Mat(n={self.n};{body})"
+
+
+# The canonical object of every matrix the methods above return, keyed by
+# (n, entries) so that a lookup builds nothing.
+_MATRICES: dict[tuple[int, tuple[tuple[int, int, int], ...]], PeriodicMatrix] = {}
+
+
+def _interned(
+    n: int, entries: tuple[tuple[int, int, int], ...]
+) -> PeriodicMatrix:
+    """The interned matrix with these canonical entries."""
+    key = (n, entries)
+    found = _MATRICES.get(key)
+    if found is None:
+        found = _MATRICES[key] = PeriodicMatrix(n, entries)
+    return found
 
 
 def diag_matrix(comp: Composition) -> PeriodicMatrix:
@@ -290,11 +360,12 @@ def grade(matrix: PeriodicMatrix) -> int:
 class LinearCombination:
     """Finite rational linear combination of hashable keys.
 
-    ``terms`` maps each key to its coefficient, always a nonzero
-    ``Fraction``.  Instances are treated as immutable: every operation
-    returns a fresh element.  A subclass lists the parameters that fix its
-    module in ``_params`` (elements with different parameters never mix),
-    checks each key in ``_checked_key`` (or in its own ``__init__``) and
+    ``terms`` maps each key to its coefficient, always a nonzero canonical
+    exact scalar (an ``int`` when integral, else a ``Fraction``).
+    Instances are treated as immutable: every operation returns a fresh
+    element.  A subclass lists the parameters that fix its module in
+    ``_params`` (elements with different parameters never mix), checks
+    each key in ``_checked_key`` (or in its own ``__init__``) and
     multiplies two keys in ``_key_product``.
     """
 
@@ -302,25 +373,30 @@ class LinearCombination:
     _params: tuple[str, ...] = ()
 
     def __init__(self, terms: Mapping[Hashable, Scalar] | None = None) -> None:
-        clean: dict[Hashable, Fraction] = {}
+        clean: dict[Hashable, Scalar] = {}
         for key, coeff in (terms or {}).items():
             key = self._checked_key(key)
-            value = Fraction(coeff)
+            value = _exact(coeff)
             if value:
                 clean[key] = value
         self.terms = clean
 
-    def _like(self, terms: Mapping[Hashable, Fraction]):
+    def _like(self, terms: Mapping[Hashable, Scalar]):
         """An element with this one's parameters and the given terms.
 
         The trusted constructor of internal arithmetic: keys must come from
-        validated elements of the same module and values must be
-        ``Fraction``s, so nothing is checked; zero values are dropped.
+        validated elements of the same module and values must be ``int``s
+        or ``Fraction``s, so nothing is checked; zero values are dropped
+        and the rest made canonical.
         """
         new = object.__new__(type(self))
         for name in self._params:
             setattr(new, name, getattr(self, name))
-        new.terms = {key: value for key, value in terms.items() if value}
+        new.terms = {
+            key: value if type(value) is int else _exact(value)
+            for key, value in terms.items()
+            if value
+        }
         return new
 
     def _parameters(self) -> tuple:
@@ -348,7 +424,7 @@ class LinearCombination:
         return self.scaled(-1)
 
     def scaled(self, coeff: Scalar):
-        value = Fraction(coeff)
+        value = _exact(coeff)
         return self._like({key: c * value for key, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -365,7 +441,7 @@ class LinearCombination:
 
     def _product(self, other):
         """The bilinear extension of ``_key_product``."""
-        acc: dict[Hashable, Fraction] = {}
+        acc: dict[Hashable, Scalar] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = self._key_product(k1, k2)
@@ -405,10 +481,10 @@ class AlgebraElement(LinearCombination):
             raise ValueError("weight must be nonnegative")
         self.n = n
         self.r = r
-        clean: dict[PeriodicMatrix, Fraction] = {}
+        clean: dict[PeriodicMatrix, Scalar] = {}
         for matrix, coeff in (terms or {}).items():
-            value = coeff if type(coeff) is Fraction else Fraction(coeff)
-            if value == 0:
+            value = coeff if type(coeff) is int else _exact(coeff)
+            if not value:
                 continue
             if matrix.n != n or matrix.r != r:
                 raise ValueError("term matrix has mismatched parameters")
@@ -423,12 +499,12 @@ class AlgebraElement(LinearCombination):
     def basis(
         cls, matrix: PeriodicMatrix, coeff: Scalar = 1
     ) -> "AlgebraElement":
-        return cls(matrix.n, matrix.r, {matrix: Fraction(coeff)})
+        return cls(matrix.n, matrix.r, {matrix: coeff})
 
-    def coefficient(self, matrix: PeriodicMatrix) -> Fraction:
-        return self.terms.get(matrix, Fraction(0))
+    def coefficient(self, matrix: PeriodicMatrix) -> Scalar:
+        return self.terms.get(matrix, 0)
 
-    def sorted_terms(self) -> list[tuple[PeriodicMatrix, Fraction]]:
+    def sorted_terms(self) -> list[tuple[PeriodicMatrix, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def _product(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -480,20 +556,22 @@ def element_to_json(x: AlgebraElement) -> dict:
 def element_from_json(data: dict) -> AlgebraElement:
     """Parse the JSON exchange format, normalizing sloppy input.
 
-    Entries with rows outside 1..n are shifted into range, duplicate
-    matrices have their coefficients merged, zero terms are dropped.
+    ``n``, ``r`` and every entry must be JSON integers (not floats,
+    booleans or strings).  Entries with rows outside 1..n are shifted
+    into range, duplicate matrices have their coefficients merged, zero
+    terms are dropped.
     """
     if not isinstance(data, dict):
         raise ValueError("element JSON must be an object")
     try:
-        n = int(data["n"])
-        r = int(data["r"])
-        raw_terms = data["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, r, raw_terms = data["n"], data["r"], data["terms"]
+    except KeyError as exc:
         raise ValueError(f"malformed element JSON: {exc}") from None
+    if type(n) is not int or type(r) is not int:
+        raise ValueError("element n and r must be integers")
     if not isinstance(raw_terms, list):
         raise ValueError("element terms must be a list")
-    acc: dict[PeriodicMatrix, Fraction] = {}
+    acc: dict[PeriodicMatrix, Scalar] = {}
     for item in raw_terms:
         if not isinstance(item, dict):
             raise ValueError("each term must be an object")
@@ -506,12 +584,12 @@ def element_from_json(data: dict) -> AlgebraElement:
             if (
                 not isinstance(triple, (list, tuple))
                 or len(triple) != 3
-                or not all(isinstance(v, int) for v in triple)
+                or not all(type(v) is int for v in triple)
             ):
                 raise ValueError("entries must be integer triples")
             triples.append((triple[0], triple[1], triple[2]))
         matrix = PeriodicMatrix.from_entries(n, triples)
         if matrix.r != r:
             raise ValueError("term weight disagrees with declared r")
-        acc[matrix] = acc.get(matrix, Fraction(0)) + coeff
+        acc[matrix] = acc.get(matrix, 0) + coeff
     return AlgebraElement(n, r, acc)

@@ -20,8 +20,6 @@ orbit-counting product.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import (
     AlgebraElement,
     Composition,
@@ -90,7 +88,7 @@ class HeckeElement(LinearCombination):
         # words compose in reverse; see hecke_multiply
         return wb * wa
 
-    def sorted_terms(self) -> list[tuple[WeylElement, Fraction]]:
+    def sorted_terms(self) -> list[tuple[WeylElement, Scalar]]:
         return sorted(
             self.terms.items(), key=lambda kv: (kv[0].sigma, kv[0].eps)
         )
@@ -109,13 +107,13 @@ class HeckeElement(LinearCombination):
     def from_json(cls, data: list) -> "HeckeElement":
         if not isinstance(data, list):
             raise ValueError("Hecke element JSON must be a list")
-        acc: dict[WeylElement, Fraction] = {}
+        acc: dict[WeylElement, Scalar] = {}
         for item in data:
             if not isinstance(item, dict):
                 raise ValueError("each Hecke term must be an object")
             w = WeylElement.from_json(item)
             coeff = parse_fraction(item.get("coeff", ""))
-            acc[w] = acc.get(w, Fraction(0)) + coeff
+            acc[w] = acc.get(w, 0) + coeff
         return cls(acc)
 
     def __repr__(self) -> str:
@@ -144,7 +142,7 @@ def hecke_embed(h: HeckeElement) -> AlgebraElement:
     acc = {}
     for w, coeff in h.terms.items():
         matrix = _group_to_matrix(w)
-        acc[matrix] = acc.get(matrix, Fraction(0)) + coeff
+        acc[matrix] = acc.get(matrix, 0) + coeff
     return AlgebraElement(N, R, acc)
 
 
@@ -156,7 +154,7 @@ def hecke_preimage(x: AlgebraElement) -> HeckeElement:
     """
     if x.n != N or x.r != R:
         raise ValueError("corner elements live at n = r = 2")
-    acc: dict[WeylElement, Fraction] = {}
+    acc: dict[WeylElement, Scalar] = {}
     for matrix, coeff in x.terms.items():
         i, j = matrix_to_pair(matrix)
         if i != REFERENCE_TUPLE:
@@ -164,7 +162,7 @@ def hecke_preimage(x: AlgebraElement) -> HeckeElement:
         bridges = transporter(REFERENCE_TUPLE, j, N)
         if not bridges:
             raise ValueError("element does not lie in the corner algebra")
-        acc[bridges[0]] = acc.get(bridges[0], Fraction(0)) + coeff
+        acc[bridges[0]] = acc.get(bridges[0], 0) + coeff
     return HeckeElement(acc)
 
 
@@ -189,10 +187,10 @@ def quotient_image(x: AlgebraElement) -> LaurentPoly1:
     e_nu = AlgebraElement.basis(IDEMPOTENT_11)
     compressed = multiply(multiply(e_nu, x), e_nu)
     h = hecke_preimage(compressed)
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Scalar] = {}
     for w, coeff in h.terms.items():
         a, sign = _monomial_image(w)
-        acc[a] = acc.get(a, Fraction(0)) + sign * coeff
+        acc[a] = acc.get(a, 0) + sign * coeff
     return LaurentPoly1(acc)
 
 
@@ -205,5 +203,5 @@ def laurent_lift(p: LaurentPoly1) -> AlgebraElement:
         for _ in range(abs(a)):
             power = power * step
         matrix = _group_to_matrix(power)
-        acc[matrix] = acc.get(matrix, Fraction(0)) + coeff
+        acc[matrix] = acc.get(matrix, 0) + coeff
     return AlgebraElement(N, R, acc)

@@ -15,9 +15,9 @@ row operation is logged and replayed on a batch of right-hand sides when
 it is solved.  Back-substitution is sparse, in the style of a
 Gilbert–Peierls triangular solve: each right-hand side visits only the
 pivots its nonzero entries reach, in decreasing pivot order, so a
-rational number is made only for a nonzero solution value.  Everything
-is exact; verdicts distinguish a unique solution from inconsistent and
-underdetermined systems.
+division is made only for a nonzero solution value; an exact quotient
+stays an ``int``.  Everything is exact; verdicts distinguish a unique
+solution from inconsistent and underdetermined systems.
 """
 
 from __future__ import annotations
@@ -83,12 +83,13 @@ def _reduce_content(row: dict[int, int]) -> int:
     return 1
 
 
-def _divided(value: int | Fraction, content: int) -> int | Fraction:
-    if content == 1:
-        return value
-    if type(value) is int and not value % content:
-        return value // content
-    return Fraction(value, content)
+def _divided(value: int | Fraction, divisor: int) -> int | Fraction:
+    """value / divisor, an ``int`` when the quotient is integral, else a
+    ``Fraction``."""
+    if type(value) is int:
+        return Fraction(value, divisor) if value % divisor else value // divisor
+    quotient = value / divisor
+    return quotient.numerator if quotient.denominator == 1 else quotient
 
 
 # one elimination step: the pivot row, its pivot value and the rows it
@@ -288,14 +289,14 @@ class Factorization:
         residual: dict[int, int | Fraction] = dict(starts)
         heap = [-p for p in residual]
         heapq.heapify(heap)
-        solution: dict[int, Fraction] = {}
+        solution: dict[int, int | Fraction] = {}
         while heap:
             p = -heapq.heappop(heap)
             total = residual[p]
             if not total:
                 continue
             _, col, row = self._pivots[p]
-            value = Fraction(total, row[col])
+            value = _divided(total, row[col])
             solution[col] = value
             for q, coef in col_users.get(col, ()):
                 if q in residual:
@@ -303,7 +304,7 @@ class Factorization:
                 else:
                     residual[q] = -coef * value
                     heapq.heappush(heap, -q)
-        return {self.cols[c]: solution[c] / scale for c in sorted(solution)}
+        return {self.cols[c]: _divided(solution[c], scale) for c in sorted(solution)}
 
 
 def solve_many(
@@ -320,7 +321,7 @@ def solve_many(
     results = Factorization(cols, rows, entries).solve(rhs_list)
     for result in results:
         if result.status == SolveResult.UNIQUE:
-            solution = dict.fromkeys(cols, Fraction(0))
+            solution = dict.fromkeys(cols, 0)
             solution.update(result.solution)
             result.solution = solution
     return results

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import AlgebraElement, PeriodicMatrix, compositions, diag_matrix
+from .core import AlgebraElement, PeriodicMatrix, Scalar, compositions, diag_matrix
 from .weyl import (
     IndexTuple,
     WeylElement,
@@ -129,7 +128,7 @@ def multiply_oracle(
             matrix = pair_to_matrix(i, q, n)
             orbit_reps.setdefault(matrix, q)
 
-    terms: dict[PeriodicMatrix, Fraction] = {}
+    terms: dict[PeriodicMatrix, int] = {}
     for matrix, q in orbit_reps.items():
         count = sum(
             1
@@ -137,7 +136,7 @@ def multiply_oracle(
             if pair_orbit_equal((s, q), (j, l_aligned), n)
         )
         if count:
-            terms[matrix] = Fraction(count)
+            terms[matrix] = count
     return AlgebraElement(n, r, terms)
 
 
@@ -184,7 +183,7 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the basis product."""
     if x.n != y.n or x.r != y.r:
         raise ValueError("elements live in different algebras")
-    acc: dict[PeriodicMatrix, Fraction] = {}
+    acc: dict[PeriodicMatrix, Scalar] = {}
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
             product = structure_table.product(a, b)
@@ -192,7 +191,7 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
                 continue
             scale = ca * cb
             for matrix, coeff in product.terms.items():
-                acc[matrix] = acc.get(matrix, Fraction(0)) + scale * coeff
+                acc[matrix] = acc.get(matrix, 0) + scale * coeff
     return x._like(acc)
 
 
@@ -203,7 +202,7 @@ def identity_element(n: int, r: int) -> AlgebraElement:
     return AlgebraElement(
         n,
         r,
-        {diag_matrix(comp): Fraction(1) for comp in compositions(n, r)},
+        {diag_matrix(comp): 1 for comp in compositions(n, r)},
     )
 
 
@@ -229,7 +228,7 @@ def chevalley_left(
     if sign not in ("up", "down"):
         raise ValueError("sign must be 'up' or 'down'")
     source, dest = (h + 1, h) if sign == "up" else (h, h + 1)
-    terms: dict[PeriodicMatrix, Fraction] = {}
+    terms: dict[PeriodicMatrix, int] = {}
     for t in InfiniteComposition.bounded(a.row_entries(source), m):
         coeff = 1
         deltas = []
@@ -238,7 +237,7 @@ def chevalley_left(
             deltas.append((dest, u, tu))
             deltas.append((source, u, -tu))
         matrix = a.shifted_by(deltas)
-        terms[matrix] = terms.get(matrix, Fraction(0)) + coeff
+        terms[matrix] = terms.get(matrix, 0) + coeff
     return AlgebraElement(n, a.r, terms)
 
 
@@ -268,13 +267,13 @@ def loop_left(h: int, m: int, a: PeriodicMatrix) -> AlgebraElement:
         raise ValueError("slot must lie in 1..n")
     if m == 0:
         raise ValueError("loop amount must be nonzero")
-    terms: dict[PeriodicMatrix, Fraction] = {}
+    terms: dict[PeriodicMatrix, int] = {}
     for u, value in a.row_entries(h).items():
         if value < 1:
             continue
         coeff = a.entry(h, u + m * n) + 1
         matrix = a.shifted_by([(h, u + m * n, 1), (h, u, -1)])
-        terms[matrix] = terms.get(matrix, Fraction(0)) + coeff
+        terms[matrix] = terms.get(matrix, 0) + coeff
     return AlgebraElement(n, a.r, terms)
 
 
@@ -326,7 +325,7 @@ def doublecoset_product(
     stab_i = stabilizer(i, n)
     stab_ij = [w for w in middle_stab if act(i, w, n) == i]
 
-    terms: dict[PeriodicMatrix, Fraction] = {}
+    terms: dict[PeriodicMatrix, int] = {}
     for delta in _double_cosets(middle_stab, stab_jl, stab_ij):
         target = act(l, delta, n)
         pair_stab = [w for w in stab_i if act(target, w, n) == target]
@@ -335,5 +334,5 @@ def doublecoset_product(
         if remainder:
             raise ArithmeticError("subgroup index is not integral")
         matrix = pair_to_matrix(i, target, n)
-        terms[matrix] = terms.get(matrix, Fraction(0)) + index
+        terms[matrix] = terms.get(matrix, 0) + index
     return AlgebraElement(n, r, terms)

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import PeriodicMatrix
+from .core import PeriodicMatrix, canonical_entries
 
 __all__ = [
     "WeylElement",
@@ -110,7 +110,7 @@ class WeylElement:
         eps = data.get("eps")
         if not isinstance(sigma, list) or not isinstance(eps, list):
             raise ValueError("Weyl element needs sigma and eps arrays")
-        if not all(isinstance(v, int) for v in sigma + eps):
+        if not all(type(v) is int for v in sigma + eps):
             raise ValueError("sigma and eps must be integer arrays")
         return cls(tuple(sigma), tuple(eps))
 
@@ -176,13 +176,19 @@ def pair_to_matrix(
     >>> pair_to_matrix((1, 1), (3, 3), 2)
     Mat(n=2;(1,3):2)
     """
+    return PeriodicMatrix.from_entries(n, _pair_triples(i, j, n))
+
+
+def _pair_triples(
+    i: Sequence[int], j: Sequence[int], n: int
+) -> list[tuple[int, int, int]]:
     if len(i) != len(j):
         raise ValueError("tuple lengths differ")
     triples = []
     for a, b in zip(i, j):
         s = (a - 1) // n
         triples.append((a - s * n, b - s * n, 1))
-    return PeriodicMatrix.from_entries(n, triples)
+    return triples
 
 
 def matrix_to_pair(
@@ -202,5 +208,8 @@ def pair_orbit_equal(
     pair2: tuple[Sequence[int], Sequence[int]],
     n: int,
 ) -> bool:
-    """Whether two tuple pairs lie in the same diagonal orbit."""
-    return pair_to_matrix(*pair1, n) == pair_to_matrix(*pair2, n)
+    """Whether two tuple pairs lie in the same diagonal orbit, that is,
+    have the same matrix (compared by entries, building none)."""
+    return canonical_entries(n, _pair_triples(*pair1, n)) == canonical_entries(
+        n, _pair_triples(*pair2, n)
+    )

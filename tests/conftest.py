@@ -28,12 +28,17 @@ def basis(n, *entries):
     return AlgebraElement.basis(mat(n, *entries))
 
 
-def assert_nonzero_fractions(*elements):
-    """Every stored coefficient is a nonzero Fraction (the invariant that
-    the trusted constructor of internal arithmetic must keep)."""
+def assert_canonical_exact(*elements):
+    """Every stored coefficient is a nonzero canonical exact scalar: an int
+    (never a bool) when integral, else a Fraction with denominator above 1
+    (the invariant that the trusted constructor of internal arithmetic must
+    keep)."""
     for element in elements:
         for coeff in element.terms.values():
-            assert type(coeff) is Fraction and coeff != 0, element.terms
+            assert coeff != 0, element.terms
+            assert type(coeff) is int or (
+                type(coeff) is Fraction and coeff.denominator > 1
+            ), element.terms
 
 
 @pytest.fixture

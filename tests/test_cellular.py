@@ -37,7 +37,7 @@ from affschur import (
     tensor_involution,
     tensor_to_ideal,
 )
-from affschur import cellular
+from affschur import cellular, core
 from affschur.cellular import (
     WEIGHT_11,
     WEIGHT_20,
@@ -384,9 +384,45 @@ class TestTranslation:
         objects = {id(m) for m in first.terms} & {id(m) for m in second.terms}
         assert len(objects) == 2
 
+    def test_transposed_matrices_are_interned(self):
+        # every matrix of a spanning element and of its transpose is the
+        # interned object, so transposing back returns the matrix itself
+        for l, m, a, b in [(0, 0, 2, 1), (1, 3, 0, -2), (2, 1, 3, 0)]:
+            element = omega_element(l, m, a, b)
+            transposed = element.transpose()
+            assert transposed == omega_element(m, l, a, -a - b)
+            for matrix in [*element.terms, *transposed.terms]:
+                assert core._MATRICES[(matrix.n, matrix.entries)] is matrix
+                assert matrix.transpose().transpose() is matrix
+
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
             module_element("middle", 0, 0, 0)
+
+
+def _integral(element):
+    return all(type(c) is int for c in element.terms.values())
+
+
+class TestIntegrality:
+    """The spanning elements and decomposition coordinates lie in the
+    Z-form: every stored coefficient is an int, not a Fraction."""
+
+    def test_spanning_elements(self):
+        for a in range(7):
+            for b in range(-6, 7):
+                assert _integral(monomial_image(a, b)), (a, b)
+                for k in range(4):
+                    assert _integral(module_element("left", k, a, b)), (k, a, b)
+                    assert _integral(module_element("right", k, a, b)), (k, a, b)
+                for l in range(4):
+                    for m in range(4):
+                        assert _integral(omega_element(l, m, a, b)), (l, m, a, b)
+
+    def test_recurrence_coordinates(self):
+        for l in range(1, 41):
+            for poly in _x_coords(l) + _y_coords(l):
+                assert _integral(poly), l
 
 
 class TestTensorToIdeal:

@@ -86,6 +86,40 @@ class TestCanon:
         assert code == 2
 
 
+def _with(base, **changes):
+    return {**base, **changes}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (["canon"], _with(ELT_LAM, n=2.9)),
+        (["canon"], _with(ELT_LAM, n=True)),
+        (["canon"], _with(ELT_LAM, n="2")),
+        (["canon"], _with(ELT_LAM, r=2.0)),
+        (["canon"], _with(ELT_LAM, n=0)),
+        (
+            ["canon"],
+            _with(ELT_LAM, terms=[{"coeff": "1", "entries": [[1, 1, True], [1, 2, 1]]}]),
+        ),
+        (["hecke-embed"], [{"coeff": "1", "sigma": [2, True], "eps": [0, 1]}]),
+        (["hecke-embed"], [{"coeff": "1", "sigma": [2, 1], "eps": [0, True]}]),
+    ],
+    ids=[
+        "n-float", "n-true", "n-string", "r-float", "n-zero", "entry-true",
+        "sigma-true", "eps-true",
+    ],
+)
+def test_non_integer_numbers_are_invalid_input(capsys, tmp_path, command, payload):
+    """n, r, matrix entries, sigma and eps must be JSON integers: a float,
+    a boolean or a string is not read as one, and a period of 0 is
+    rejected rather than divided by."""
+    code, out, err = invoke(capsys, command, json.dumps(payload), tmp_path=tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 class TestGrade:
     def test_homogeneous(self, capsys, tmp_path):
         elt = {

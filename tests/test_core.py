@@ -25,7 +25,7 @@ from affschur.core import parse_fraction
 
 from conftest import (
     algebra_elements,
-    assert_nonzero_fractions,
+    assert_canonical_exact,
     basis,
     basis_matrices,
     mat,
@@ -140,6 +140,35 @@ class TestTranspose:
     @given(algebra_elements())
     def test_involution(self, x):
         assert x.transpose().transpose() == x
+
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-3, max_value=6),
+                st.integers(min_value=-6, max_value=6),
+                st.integers(min_value=0, max_value=3),
+            ),
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=80)
+    def test_matrix_transpose_matches_swapped_entries(self, n, triples):
+        a = PeriodicMatrix.from_entries(n, triples)
+        # the reference: rebuild from the swapped triples
+        expected = PeriodicMatrix.from_entries(n, ((j, i, v) for i, j, v in a.entries))
+        got = a.transpose()
+        assert got == expected and got.r == expected.r
+        # every stored entry reappears mirrored, and nothing else
+        assert len(got.entries) == len(a.entries)
+        assert all(got.entry(j, i) == v for i, j, v in a.entries)
+        assert got.transpose() is a
+
+    def test_matrix_transpose_is_canonical_object(self):
+        a = mat(2, (1, 2, 1), (2, 3, 1))
+        b = mat(2, (1, 2, 1), (2, 3, 1))
+        assert a.transpose() is b.transpose()
+        assert a.transpose().transpose() is a
 
     @given(basis_matrices())
     @settings(max_examples=40)
@@ -256,7 +285,7 @@ class TestElementArithmetic:
     @given(algebra_elements(), algebra_elements(), st.integers(-2, 2))
     @settings(max_examples=40)
     def test_results_store_only_nonzero_fractions(self, x, y, k):
-        assert_nonzero_fractions(
+        assert_canonical_exact(
             x + y, x - y, x - x, -x, x.scaled(k), k * x, x * y, x.transpose(),
             _combination([(Fraction(k), x), (Fraction(1), y), (Fraction(-1), y)]),
         )

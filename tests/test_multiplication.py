@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -278,6 +279,24 @@ class TestStructureTable:
             assert cached == structure_table.recompute(a, b)
             # cached object is reused
             assert structure_table.product(a, b) is cached
+
+
+    @pytest.mark.parametrize("n, r", [(2, 2), (2, 3)])
+    def test_products_are_integral(self, n, r):
+        # at q = 1 every structure constant is an orbit count
+        matrices = {
+            pair_to_matrix(rows, cols, n)
+            for rows in itertools.combinations_with_replacement(range(1, n + 1), r)
+            for cols in itertools.product(range(-1, 3), repeat=r)
+        }
+        products = 0
+        for a in matrices:
+            for b in matrices:
+                if a.col_vector() == b.row_vector():
+                    product = structure_table.product(a, b)
+                    assert all(type(c) is int for c in product.terms.values())
+                    products += 1
+        assert products > 100
 
 
 class TestInfiniteComposition:
