@@ -161,7 +161,7 @@ def canonical_entries(
     return tuple(sorted((i, j, a) for (i, j), a in acc.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicMatrix:
     """Canonical representative of an n-periodic nonnegative matrix.
 
@@ -169,6 +169,10 @@ class PeriodicMatrix:
     in 1..n, column in Z and value >= 1; ``r`` is the weight, the total of
     the stored entries.  Build matrices with ``from_entries`` (or the
     methods below that return one), which hand out the interned object.
+
+    Instances are slotted and compute their hash once, when built;
+    equality stays by value, so a matrix built directly equals and
+    hashes like the interned one with its entries.
     """
 
     n: int
@@ -180,6 +184,7 @@ class PeriodicMatrix:
     _transposed: "PeriodicMatrix | None" = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
+    _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -195,6 +200,10 @@ class PeriodicMatrix:
             lookup[(i, j)] = a
         object.__setattr__(self, "_lookup", lookup)
         object.__setattr__(self, "r", sum(lookup.values()))
+        object.__setattr__(self, "_hash", hash((self.n, self.entries)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_entries(

@@ -7,6 +7,9 @@ exponent nonnegative, the second any integer) used for the corner
 algebra.  Both are :class:`~affschur.core.LinearCombination`s keyed by
 exponents (an int, resp. a pair of ints), so they share its arithmetic
 and add only their key check, the exponent product, JSON and repr.
+Exponents must be ``int``s (a float or ``bool`` is refused, not
+truncated), and a JSON key must be spelled exactly as ``to_json``
+writes it.
 """
 
 from __future__ import annotations
@@ -16,11 +19,31 @@ from .core import LinearCombination, Scalar, format_fraction, parse_fraction
 __all__ = ["LaurentPoly1", "LaurentPoly2"]
 
 
+def _exponent(value: object) -> int:
+    """An exponent, which must be an ``int`` (not a ``bool``)."""
+    if type(value) is not int:
+        raise ValueError(f"exponent must be an integer, not {value!r}")
+    return value
+
+
+def _exponent_from_json(text: object) -> int:
+    """The exponent a JSON key spells exactly as ``to_json`` writes it."""
+    if isinstance(text, str):
+        try:
+            value = int(text)
+        except ValueError:
+            pass
+        else:
+            if str(value) == text:
+                return value
+    raise ValueError(f"bad exponent key {text!r}")
+
+
 class LaurentPoly1(LinearCombination):
     """A finitely supported map Z -> Q, written sum c_a x^a."""
 
     __slots__ = ()
-    _checked_key = staticmethod(int)
+    _checked_key = staticmethod(_exponent)
 
     @classmethod
     def zero(cls) -> "LaurentPoly1":
@@ -55,7 +78,10 @@ class LaurentPoly1(LinearCombination):
         if not isinstance(data, dict) or not isinstance(data.get("poly"), dict):
             raise ValueError("Laurent polynomial JSON must hold a 'poly' map")
         return cls(
-            {int(e): parse_fraction(c) for e, c in data["poly"].items()}
+            {
+                _exponent_from_json(e): parse_fraction(c)
+                for e, c in data["poly"].items()
+            }
         )
 
     def __repr__(self) -> str:
@@ -74,9 +100,9 @@ class LaurentPoly2(LinearCombination):
     @staticmethod
     def _checked_key(key: tuple[int, int]) -> tuple[int, int]:
         a, b = key
-        if a < 0:
+        if _exponent(a) < 0:
             raise ValueError("x1-exponent must be nonnegative")
-        return (int(a), int(b))
+        return (a, _exponent(b))
 
     @classmethod
     def zero(cls) -> "LaurentPoly2":
@@ -118,8 +144,11 @@ class LaurentPoly2(LinearCombination):
             raise ValueError("Laurent polynomial JSON must hold a 'poly' map")
         terms = {}
         for key, coeff in data["poly"].items():
+            if not isinstance(key, str):
+                raise ValueError(f"bad exponent key {key!r}")
             a_str, _, b_str = key.partition(",")
-            terms[(int(a_str), int(b_str))] = parse_fraction(coeff)
+            key = (_exponent_from_json(a_str), _exponent_from_json(b_str))
+            terms[key] = parse_fraction(coeff)
         return cls(terms)
 
     def __repr__(self) -> str:

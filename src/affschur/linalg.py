@@ -7,10 +7,14 @@ matrix once and is then asked about any number of right-hand sides, in
 any number of batches; ``solve_many``, ``solve_unique`` and ``rank`` are
 thin calls to it.
 
+Values are exact scalars: an ``int`` when integral, else a ``Fraction``.
 Elimination is division-free: rows are combined by integer
-cross-multiplication (after clearing denominators) and kept small by
-dividing out the row content.  Pivots are chosen by a Markowitz-style
-sparsity count.  The right-hand sides stay out of the elimination: every
+cross-multiplication (after clearing denominators).  Each cleared row is
+updated in place, touching only the pivot row's columns, so a step costs
+its arithmetic; a row is scaled only by a pivot value other than 1, and
+only a scaled row has its content divided out again.  Pivots are chosen
+by a Markowitz-style sparsity count, and each pivot row is kept as a
+compact copy.  The right-hand sides stay out of the elimination: every
 row operation is logged and replayed on a batch of right-hand sides when
 it is solved.  Back-substitution is sparse, in the style of a
 Gilbert–Peierls triangular solve: each right-hand side visits only the
@@ -41,20 +45,23 @@ __all__ = [
 
 @dataclass
 class SparseSystem:
-    """A labelled exact linear system  M x = rhs."""
+    """A labelled exact linear system  M x = rhs, with ``int`` or
+    ``Fraction`` values."""
 
     cols: list[Hashable]
     rows: list[Hashable]
-    entries: dict[tuple[Hashable, Hashable], Fraction]
-    rhs: dict[Hashable, Fraction] = field(default_factory=dict)
+    entries: dict[tuple[Hashable, Hashable], int | Fraction]
+    rhs: dict[Hashable, int | Fraction] = field(default_factory=dict)
 
 
 @dataclass
 class SolveResult:
-    """Outcome of an exact solve: unique / inconsistent / underdetermined."""
+    """Outcome of an exact solve: unique / inconsistent / underdetermined.
+
+    A solution value is an ``int`` when integral, else a ``Fraction``."""
 
     status: str
-    solution: dict[Hashable, Fraction] | None = None
+    solution: dict[Hashable, int | Fraction] | None = None
 
     UNIQUE = "unique"
     INCONSISTENT = "inconsistent"
@@ -94,6 +101,7 @@ def _divided(value: int | Fraction, divisor: int) -> int | Fraction:
 
 # one elimination step: the pivot row, its pivot value and the rows it
 # cleared, each with its own factor and the content divided out after
+# (1 for a row the step did not scale)
 _Step = tuple[int, int, list[tuple[int, int, int]]]
 
 
@@ -108,6 +116,16 @@ def _eliminate(
     coefficient; a column index limits each step to the rows actually
     meeting the pivot column.  Rows that end up zero take no part any
     more.
+
+    A cleared row is updated in place, at the cost of its arithmetic:
+    only the pivot row's columns are touched, and the row is scaled by
+    the pivot value only when that is not 1.  Only a scaled row has its
+    content divided out (an unscaled one logs content 1: there is no
+    growth to undo), so a row differs from its fully reduced form by a
+    nonzero factor at most, which changes no row length, pivot choice
+    or solution.  The pivot column leaves the column index in one step,
+    only fill entries are added to it, and each pivot row is kept as a
+    compact copy.
     """
     rows: dict[int, dict[int, int]] = {}
     colmap: dict[int, set[int]] = {}
@@ -126,28 +144,38 @@ def _eliminate(
         if len(rows.get(rid, ())) != count:
             continue
         pivot_row = rows.pop(rid)
-        for c in pivot_row:
-            colmap[c].discard(rid)
         col = min(pivot_row, key=lambda c: (abs(pivot_row[c]), c))
         pivot_val = pivot_row[col]
-        pivots.append((rid, col, pivot_row))
+        pivots.append((rid, col, dict(pivot_row)))
+        rest = [(c, v) for c, v in pivot_row.items() if c != col]
+        for c, _ in rest:
+            colmap[c].discard(rid)
+        targets = colmap.pop(col)
+        targets.discard(rid)
         cleared: list[tuple[int, int, int]] = []
-        for other in list(colmap.get(col, ())):
+        for other in targets:
             row = rows[other]
-            factor = row[col]
-            merged: dict[int, int] = {}
-            for c in row.keys() | pivot_row.keys():
-                value = pivot_val * row.get(c, 0) - factor * pivot_row.get(c, 0)
+            factor = row.pop(col)
+            if pivot_val != 1:
+                for c in row:
+                    row[c] *= pivot_val
+            for c, v in rest:
+                old = row.get(c)
+                if old is None:
+                    row[c] = -factor * v
+                    colmap[c].add(other)
+                    continue
+                value = old - factor * v
                 if value:
-                    merged[c] = value
-            cleared.append((other, factor, _reduce_content(merged)))
-            for c in row:
-                colmap[c].discard(other)
-            if merged:
-                rows[other] = merged
-                for c in merged:
-                    colmap.setdefault(c, set()).add(other)
-                heapq.heappush(heap, (len(merged), other))
+                    row[c] = value
+                else:
+                    del row[c]
+                    colmap[c].discard(other)
+            cleared.append(
+                (other, factor, 1 if pivot_val == 1 else _reduce_content(row))
+            )
+            if row:
+                heapq.heappush(heap, (len(row), other))
             else:
                 del rows[other]
         steps.append((rid, pivot_val, cleared))
@@ -157,6 +185,7 @@ def _eliminate(
 class Factorization:
     """The elimination of one coefficient matrix, solvable many times.
 
+    Entries and right-hand side values are ``int``s or ``Fraction``s.
     ``rank`` is the pivot count.  :meth:`solve` takes a batch of
     right-hand sides ({row label: value}), replays the logged row
     operations on them and back-substitutes each one; a rhs entry on a
@@ -167,12 +196,12 @@ class Factorization:
         self,
         cols: Sequence[Hashable],
         rows: Sequence[Hashable],
-        entries: dict[tuple[Hashable, Hashable], Fraction],
+        entries: dict[tuple[Hashable, Hashable], int | Fraction],
     ) -> None:
         self.cols = list(cols)
         self._row_index = {label: rid for rid, label in enumerate(rows)}
         col_index = {label: idx for idx, label in enumerate(self.cols)}
-        sparse: list[dict[int, Fraction]] = [{} for _ in rows]
+        sparse: list[dict[int, int | Fraction]] = [{} for _ in rows]
         for (row_label, col_label), value in entries.items():
             if value:
                 sparse[self._row_index[row_label]][col_index[col_label]] = value
@@ -190,7 +219,7 @@ class Factorization:
         self._pivot_of = {rid: p for p, (rid, _, _) in enumerate(self._pivots)}
 
     def solve(
-        self, rhs_list: Sequence[dict[Hashable, Fraction]]
+        self, rhs_list: Sequence[dict[Hashable, int | Fraction]]
     ) -> list[SolveResult]:
         """One verdict per right-hand side.  A unique solution lists only
         its nonzero values, in column order."""
@@ -273,7 +302,7 @@ class Factorization:
 
     def _back_substitute(
         self, starts: Sequence[tuple[int, int | Fraction]], scale: int
-    ) -> dict[Hashable, Fraction]:
+    ) -> dict[Hashable, int | Fraction]:
         """The nonzero solution values of one rhs, divided by its scale,
         in column order.
 
@@ -310,8 +339,8 @@ class Factorization:
 def solve_many(
     cols: Sequence[Hashable],
     rows: Sequence[Hashable],
-    entries: dict[tuple[Hashable, Hashable], Fraction],
-    rhs_list: Sequence[dict[Hashable, Fraction]],
+    entries: dict[tuple[Hashable, Hashable], int | Fraction],
+    rhs_list: Sequence[dict[Hashable, int | Fraction]],
 ) -> list[SolveResult]:
     """Solve one coefficient matrix against many right-hand sides.
 

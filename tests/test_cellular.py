@@ -454,6 +454,19 @@ class TestTensorToIdeal:
             ) + tensor_to_ideal(tb)
 
 
+class TestTensorJson:
+    def test_round_trip(self):
+        t = CellTensor.unit(1, 3, X2) + CellTensor.unit(2, 2, ONE)
+        assert CellTensor.from_json(t.to_json()) == t
+
+    @pytest.mark.parametrize("key", ["1_0,2", "0, 1", "0,+1", "00,1"])
+    def test_rejects_sloppy_exponent_keys(self, key):
+        data = CellTensor.unit(1, 3, X2).to_json()
+        data["coords"][1][3] = {"poly": {key: "1"}}
+        with pytest.raises(ValueError):
+            CellTensor.from_json(data)
+
+
 class TestTensorInvolution:
     def test_unit_cell_fixed(self):
         t = CellTensor.unit(2, 2, ONE)

@@ -80,6 +80,19 @@ class TestMatrixCanonicalization:
         assert a.row_entries(3) == {5: 2}
         assert a.col_entries(1) == {2: 1, -1: 2}
 
+    def test_direct_build_hashes_like_interned(self):
+        interned = mat(2, (1, 3, 2), (2, 1, 1))
+        direct = PeriodicMatrix(2, interned.entries)
+        assert direct is not interned
+        assert direct == interned and hash(direct) == hash(interned)
+        assert {interned: "found"}[direct] == "found"
+        assert not hasattr(direct, "__dict__")
+        assert not hasattr(interned, "__dict__")
+        assert direct.columns_moved(0) is interned
+        assert direct.columns_moved(2) is interned.columns_moved(2)
+        assert direct.transpose() is interned.transpose()
+        assert direct.transpose().transpose() is interned
+
 
 class TestRowCol:
     def test_row_antidiagonal(self):

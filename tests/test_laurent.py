@@ -70,6 +70,16 @@ class TestPoly1:
             a + b, a - b, a - a, -a, a.scaled(k), k * a, a * b, a.invert_variable()
         )
 
+    @pytest.mark.parametrize("exponent", [2.9, 2.0, True, Fraction(2)])
+    def test_rejects_non_int_exponents(self, exponent):
+        with pytest.raises(ValueError):
+            LaurentPoly1({exponent: 1})
+
+    @pytest.mark.parametrize("key", ["1_0", " 3", "3 ", "+3", "03", "-0"])
+    def test_json_rejects_sloppy_keys(self, key):
+        with pytest.raises(ValueError):
+            LaurentPoly1.from_json({"poly": {key: "1"}})
+
     def test_does_not_mix_with_poly2(self):
         with pytest.raises(TypeError):
             LaurentPoly1.one() + LaurentPoly2.one()
@@ -87,6 +97,18 @@ class TestPoly2:
     def test_rejects_negative_first_exponent(self):
         with pytest.raises(ValueError):
             LaurentPoly2.monomial(-1, 0)
+
+    @pytest.mark.parametrize(
+        "key", [(1.5, 0.2), (1.0, 0), (1, 0.0), (True, 0), (0, False)]
+    )
+    def test_rejects_non_int_exponents(self, key):
+        with pytest.raises(ValueError):
+            LaurentPoly2({key: 1})
+
+    @pytest.mark.parametrize("key", ["1_0,2", "1,2_0", "1, 2", " 1,2", "1,+2", "01,2"])
+    def test_json_rejects_sloppy_keys(self, key):
+        with pytest.raises(ValueError):
+            LaurentPoly2.from_json({"poly": {key: "1"}})
 
     def test_json_round_trip(self):
         p = LaurentPoly2({(2, -1): Fraction(5, 2), (0, 3): -1})

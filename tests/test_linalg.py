@@ -221,3 +221,104 @@ class TestRank:
             factor = rng.choice([1, 2, 3, Fraction(1, 2), -1])
             scaled.append([v * factor for v in row])
         assert rank(system(scaled)) == base
+
+
+def gauss_jordan(matrix, rhs_list):
+    """Dense reference: reduce [matrix | rhs...] over Fraction to reduced
+    row echelon form; returns the rank and, per rhs, its verdict and (for
+    a unique solution) the nonzero values by column index."""
+    ncols = len(matrix[0])
+    rows = [
+        [Fraction(v) for v in row] + [Fraction(rhs[i]) for rhs in rhs_list]
+        for i, row in enumerate(matrix)
+    ]
+    pivot_cols = []
+    for c in range(ncols):
+        r = len(pivot_cols)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+    rank_ = len(pivot_cols)
+    verdicts = []
+    for k in range(len(rhs_list)):
+        if any(row[ncols + k] for row in rows[rank_:]):
+            verdicts.append((SolveResult.INCONSISTENT, None))
+        elif rank_ < ncols:
+            verdicts.append((SolveResult.UNDERDETERMINED, None))
+        else:
+            solution = {c: rows[i][ncols + k] for i, c in enumerate(pivot_cols)}
+            verdicts.append(
+                (SolveResult.UNIQUE, {c: v for c, v in sorted(solution.items()) if v})
+            )
+    return rank_, verdicts
+
+
+@st.composite
+def sparse_systems(draw):
+    """A matrix of up to 10 x 10 with entries in [-4, 4], some of them
+    rational, with zero and repeated (rescaled) rows, and 1-4 right-hand
+    sides: consistent ones, arbitrary ones and zero."""
+    ncols = draw(st.integers(min_value=1, max_value=10))
+    nrows = draw(st.integers(min_value=1, max_value=10))
+    density = draw(st.integers(min_value=1, max_value=4))  # in quarters
+    nonzero = st.integers(min_value=-4, max_value=4).filter(bool)
+    denominator = st.sampled_from([1, 1, 1, 1, 2, 3])
+    matrix = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "fresh", "zero", "repeat"]))
+        if kind == "zero":
+            row = [0] * ncols
+        elif kind == "repeat" and matrix:
+            factor = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+            row = [v * factor for v in draw(st.sampled_from(matrix))]
+        else:
+            row = [
+                Fraction(draw(nonzero), draw(denominator))
+                if draw(st.integers(min_value=0, max_value=3)) < density
+                else 0
+                for _ in range(ncols)
+            ]
+        matrix.append(row)
+    rhs_dense = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["consistent", "arbitrary", "zero"]))
+        if kind == "consistent":
+            x = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(ncols)]
+            rhs_dense.append([sum(a * b for a, b in zip(row, x)) for row in matrix])
+        elif kind == "arbitrary":
+            rhs_dense.append(
+                [draw(st.integers(min_value=-2, max_value=2)) for _ in range(nrows)]
+            )
+        else:
+            rhs_dense.append([0] * nrows)
+    return matrix, rhs_dense
+
+
+class TestFactorizationReference:
+    """``Factorization`` against a dense Gauss–Jordan reference, on small
+    systems dense enough for non-unit pivots, pivot rows of several
+    entries and fill, none of which the certifier's systems reach."""
+
+    @given(sparse_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_gauss_jordan(self, drawn):
+        matrix, rhs_dense = drawn
+        systems = [system(matrix, rhs) for rhs in rhs_dense]
+        first = systems[0]
+        factorization = Factorization(first.cols, first.rows, first.entries)
+        expected_rank, expected = gauss_jordan(matrix, rhs_dense)
+        assert factorization.rank == expected_rank
+        got = factorization.solve([s.rhs for s in systems])
+        for result, (status, solution) in zip(got, expected, strict=True):
+            assert result.status == status
+            if status == SolveResult.UNIQUE:
+                assert result.solution == {f"c{c}": v for c, v in solution.items()}
+                assert list(result.solution) == [f"c{c}" for c in solution]
+            else:
+                assert result.solution is None
