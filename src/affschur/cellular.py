@@ -211,17 +211,6 @@ def _window_ladder(x: AlgebraElement, window: int | None, cap: int) -> list[int]
 _ZERO = AlgebraElement.zero(N, R)
 
 
-def _translated(x: AlgebraElement, b: int) -> AlgebraElement:
-    """x times the central x2^b: every column moved by 2b (one period
-    per step), onto interned matrices."""
-    if not b:
-        return x
-    shift = 2 * b
-    return x._like(
-        {matrix.columns_moved(shift): coeff for matrix, coeff in x.terms.items()}
-    )
-
-
 def _combination(
     terms: Iterable[tuple[Scalar, AlgebraElement]]
 ) -> AlgebraElement:
@@ -250,7 +239,7 @@ def monomial_image(a: int, b: int) -> AlgebraElement:
         raise ValueError("x1-exponent must be nonnegative")
     if (a, b) not in _MONO_CACHE:
         if b:
-            _MONO_CACHE[(a, b)] = _translated(monomial_image(a, 0), b)
+            _MONO_CACHE[(a, b)] = monomial_image(a, 0).translated(b)
         else:
             x1 = AlgebraElement.basis(GEN_X1)
             _MONO_CACHE.setdefault((0, 0), idempotent_20())
@@ -554,7 +543,7 @@ def module_element(side: str, index: int, a: int, b: int) -> AlgebraElement:
     cached = _MODULE_CACHE.get(key)
     if cached is None:
         if b:
-            cached = _translated(module_element(side, index, a, 0), b)
+            cached = module_element(side, index, a, 0).translated(b)
         elif side == "left":
             cached = multiply(
                 monomial_image(a, 0), AlgebraElement.basis(LEFT_BASIS[index])
@@ -578,7 +567,7 @@ def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
     cached = _OMEGA_CACHE.get(key)
     if cached is None:
         if b:
-            cached = _translated(omega_element(l, m, a, 0), b)
+            cached = omega_element(l, m, a, 0).translated(b)
         else:
             cached = multiply(
                 module_element("right", l, a, 0),

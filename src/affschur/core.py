@@ -35,6 +35,12 @@ Conventions used throughout the package:
   ``shifted_by``, ``columns_moved`` or ``transpose`` returns is the one
   canonical object with its entries, built and validated once, and a
   lookup by entries builds nothing.
+
+* The shift by one period is central: moving every column of a matrix
+  by k*n multiplies its basis element by the k-th power x2^k of that
+  shift.  ``PeriodicMatrix.translation_class`` splits a matrix into the
+  shape it shares with all its moves and the number of periods it is
+  moved by; ``AlgebraElement.translated`` moves an element.
 """
 
 from __future__ import annotations
@@ -172,7 +178,8 @@ class PeriodicMatrix:
 
     Instances are slotted and compute their hash once, when built;
     equality stays by value, so a matrix built directly equals and
-    hashes like the interned one with its entries.
+    hashes like the interned one with its entries.  The transpose and
+    the translation class are computed on first use and kept in slots.
     """
 
     n: int
@@ -185,6 +192,9 @@ class PeriodicMatrix:
         init=False, repr=False, compare=False, hash=False, default=None
     )
     _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
+    _translation: "tuple[tuple[int, ...], int] | None" = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -265,6 +275,29 @@ class PeriodicMatrix:
                 ),
             )
         return self._transposed
+
+    def translation_class(self) -> tuple[tuple[int, ...], int]:
+        """``(shape, k)``: this matrix is ``shape`` with every column
+        moved by k periods.
+
+        k is the number of whole periods by which the smallest column lies
+        outside 1..n; ``shape`` is the entries with their columns moved back
+        by k*n, flattened to (row, column, value, row, column, value, ...).
+        Two matrices with one ``n`` and one shape differ by a power of the
+        central period shift.  Computed once; builds no matrix.
+
+        >>> PeriodicMatrix.from_entries(2, [(1, 5, 1), (2, 8, 1)]).translation_class()
+        ((1, 1, 1, 2, 4, 1), 2)
+        """
+        if self._translation is None:
+            low = min((j for _, j, _ in self.entries), default=1)
+            k = (low - 1) // self.n
+            shift = k * self.n
+            shape = tuple(
+                v for i, j, a in self.entries for v in (i, j - shift, a)
+            )
+            object.__setattr__(self, "_translation", (shape, k))
+        return self._translation
 
     def columns_moved(self, shift: int) -> "PeriodicMatrix":
         """The matrix with every column index moved by ``shift``."""
@@ -523,6 +556,16 @@ class AlgebraElement(LinearCombination):
 
     def transpose(self) -> "AlgebraElement":
         return self._like({m.transpose(): c for m, c in self.terms.items()})
+
+    def translated(self, periods: int) -> "AlgebraElement":
+        """This element times the central x2^periods: every column moved
+        by periods * n, onto interned matrices."""
+        if not periods:
+            return self
+        shift = periods * self.n
+        return self._like(
+            {m.columns_moved(shift): c for m, c in self.terms.items()}
+        )
 
     def supported_on(self, row: Composition | None, col: Composition | None) -> bool:
         """True when every term matches the given row/column weights."""

@@ -283,7 +283,9 @@ class Factorization:
                 for k in target.keys() | source.keys():
                     value = pivot_val * target.get(k, 0) - factor * source.get(k, 0)
                     if value:
-                        merged[k] = _divided(value, content)
+                        merged[k] = (
+                            value if content == 1 else _divided(value, content)
+                        )
                 if merged:
                     values[other] = merged
                 else:

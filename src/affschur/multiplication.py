@@ -13,8 +13,10 @@ Two independent routes are implemented:
   index multiplicities).  These are fast paths whose outputs must agree
   with the oracle exactly.
 
-Basis products are memoized in a fill-once structure table keyed by
-canonical matrix pairs; concurrent duplicate fills are harmless because
+Basis products are memoized in a fill-once structure table with one
+oracle run per translation class of pairs: the period shift is central,
+so moving the columns of either factor by whole periods moves the
+product by as many.  Concurrent duplicate fills are harmless because
 every fill computes the identical value.
 """
 
@@ -141,15 +143,30 @@ def multiply_oracle(
 
 
 class StructureTable:
-    """Fill-once cache of basis products keyed by canonical matrix pairs."""
+    """Fill-once cache of basis products, one oracle run per translation
+    class of pairs.
+
+    With ``a = shape_a`` moved by s periods and ``b = shape_b`` moved by t
+    (:meth:`PeriodicMatrix.translation_class`), the class key is
+    ``(n, shape_a, shape_b)``; ``n`` is part of it because equal shapes
+    at different periods are different matrices.  The translation tau by
+    (n, ..., n) lies in the affine Weyl group and commutes with its
+    action, so e_a e_b = (e_shape_a e_shape_b) x2^(s+t).  A class keeps
+    the total offset k0 = s + t of the pair that filled it and its
+    products by total offset: the oracle computes the k0 product, and a
+    new offset is that product moved by its difference to k0, built once
+    and kept, so one pair always gets the same object.  ``len`` counts
+    classes, that is oracle runs.
+    """
 
     def __init__(self) -> None:
-        self._cache: dict[
-            tuple[PeriodicMatrix, PeriodicMatrix], AlgebraElement
+        self._classes: dict[
+            tuple[int, tuple[int, ...], tuple[int, ...]],
+            tuple[int, dict[int, AlgebraElement]],
         ] = {}
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._classes)
 
     def product(
         self, a: PeriodicMatrix, b: PeriodicMatrix
@@ -158,14 +175,21 @@ class StructureTable:
             raise ValueError("matrices index different algebras")
         if a.col_vector() != b.row_vector():
             return AlgebraElement.zero(a.n, a.r)
-        key = (a, b)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = multiply_oracle(
+        shape_a, s = a.translation_class()
+        shape_b, t = b.translation_class()
+        key = (a.n, shape_a, shape_b)
+        found = self._classes.get(key)
+        if found is None:
+            product = multiply_oracle(
                 matrix_to_pair(a), matrix_to_pair(b), a.n
             )
-            self._cache[key] = cached
-        return cached
+            self._classes[key] = (s + t, {s + t: product})
+            return product
+        k0, products = found
+        product = products.get(s + t)
+        if product is None:
+            product = products[s + t] = products[k0].translated(s + t - k0)
+        return product
 
     def recompute(
         self, a: PeriodicMatrix, b: PeriodicMatrix

@@ -293,20 +293,47 @@ def verify_cell_chain(
         status, detail = _status_merge(failures, undecided)
         return status, detail_ok if status == PASS else detail
 
+    def pair(i: int, j: int) -> AlgebraElement:
+        return basis((1, i, 2)) if i == j else basis((1, i, 1), (1, j, 1))
+
     def check_freeness() -> tuple[str, str]:
+        # Round trips per base pair.  The pair {i, j} (i <= j) is its base
+        # pair {i - 2k, j - 2k}, smaller column in {1, 2}, moved by
+        # k = (i - 1) // 2 periods, that is times the central x2^k.
+        # decompose_left normalizes the smaller column by exactly that
+        # power, so the pair's coordinates are the base coordinates times
+        # x2^k, and to_element sends x2^k times a module element to the
+        # element moved by k periods; so the left round trip of {i, j} is
+        # the base pair's moved by k periods.  Transposing turns moved
+        # columns into moved rows, which row normalization turns back into
+        # columns moved by -k periods: the right round trip of the
+        # transpose is the base one moved by -k.  Each base pair is
+        # contracted once and every pair compared with its moved base
+        # result.  The premise is not taken on trust: the solver
+        # cross-check below decomposes every pair inside its margin itself
+        # and solves against module elements, whose x2^b members are
+        # translates too, so a decomposition or module element that broke
+        # the translation shows there as a disagreement.
         failures: list[str] = []
         count = 0
+        base_trips: dict[
+            tuple[int, int], tuple[AlgebraElement, AlgebraElement]
+        ] = {}
         for i in range(-window, window + 1):
+            k = (i - 1) // 2
             for j in range(i, window + 1):
-                if i == j:
-                    x = basis((1, i, 2))
-                else:
-                    x = basis((1, i, 1), (1, j, 1))
-                vector = decompose_left(x)
-                if vector.to_element() != x:
+                base = (i - 2 * k, j - 2 * k)
+                trips = base_trips.get(base)
+                if trips is None:
+                    x0 = pair(*base)
+                    trips = base_trips[base] = (
+                        decompose_left(x0).to_element(),
+                        decompose_right(x0.transpose()).to_element(),
+                    )
+                x = pair(i, j)
+                if trips[0].translated(k) != x:
                     failures.append(f"left round trip failed at ({i},{j})")
-                transposed = x.transpose()
-                if decompose_right(transposed).to_element() != transposed:
+                if trips[1].translated(-k) != x.transpose():
                     failures.append(f"right round trip failed at ({i},{j})")
                 count += 1
         # independent solver route plus uniqueness, within a margin that
@@ -336,7 +363,7 @@ def verify_cell_chain(
         bound = max(window - margin, 1)
         for i in range(-bound, bound + 1):
             for j in range(i, bound + 1):
-                x = basis((1, i, 2)) if i == j else basis((1, i, 1), (1, j, 1))
+                x = pair(i, j)
                 rhs_list.append(dict(x.terms))
                 expected_vectors.append(decompose_left(x))
         results = factorization.solve(rhs_list)

@@ -10,6 +10,7 @@ import affschur
 from affschur import (
     AlgebraElement,
     CellTensor,
+    CellVector,
     GEN_X1,
     GEN_X2,
     GEN_X2_INV,
@@ -398,6 +399,62 @@ class TestTranslation:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
             module_element("middle", 0, 0, 0)
+
+
+class TestFreenessShortcut:
+    """The premise of the base-pair round trips of module-basis-freeness:
+    the pair {i, j} is its base pair, smaller column in {1, 2}, moved by
+    k = (i - 1) // 2 periods, and both decomposition and contraction
+    commute with that move."""
+
+    PAIRS = [(i, j) for i in range(-9, 10) for j in range(i, 10)]
+
+    @staticmethod
+    def base(i, j):
+        k = (i - 1) // 2
+        return (i - 2 * k, j - 2 * k), k
+
+    def test_base_pair_moved_is_the_pair(self):
+        for i, j in self.PAIRS:
+            (i0, j0), k = self.base(i, j)
+            assert i0 in (1, 2)
+            assert pairelt(i0, j0).translated(k) == pairelt(i, j)
+
+    def test_left_coordinates_move_by_x2_power(self):
+        for i, j in self.PAIRS:
+            (i0, j0), k = self.base(i, j)
+            base = decompose_left(pairelt(i0, j0))
+            moved = decompose_left(pairelt(i, j))
+            assert moved.coords == tuple(
+                c * LaurentPoly2.x2(k) for c in base.coords
+            ), (i, j)
+            assert moved.to_element() == base.to_element().translated(k)
+
+    def test_right_coordinates_move_by_inverse_x2_power(self):
+        for i, j in self.PAIRS:
+            (i0, j0), k = self.base(i, j)
+            base = decompose_right(pairelt(i0, j0).transpose())
+            moved = decompose_right(pairelt(i, j).transpose())
+            assert moved.coords == tuple(
+                c * LaurentPoly2.x2(-k) for c in base.coords
+            ), (i, j)
+            assert moved.to_element() == base.to_element().translated(-k)
+
+    def test_contraction_commutes_with_translation(self):
+        # x2 is central: on either side, coordinates times x2^k contract to
+        # the element moved by k periods
+        for side in ("left", "right"):
+            for i, j in self.PAIRS:
+                vector = decompose_left(pairelt(i, j))
+                for k in (-3, 1, 4):
+                    moved = CellVector(
+                        side,
+                        tuple(c * LaurentPoly2.x2(k) for c in vector.coords),
+                    )
+                    plain = CellVector(side, vector.coords)
+                    assert moved.to_element() == plain.to_element().translated(
+                        k
+                    ), (side, i, j, k)
 
 
 def _integral(element):

@@ -304,6 +304,38 @@ class TestElementArithmetic:
         )
 
 
+class TestTranslationClass:
+    @given(basis_matrices(), st.integers(-(10**6), 10**6))
+    def test_moved_matrix_keeps_its_shape(self, a, s):
+        shape, k = a.translation_class()
+        moved = a.columns_moved(s * a.n)
+        assert moved.translation_class() == (shape, k + s)
+        # the shape's smallest column lies in 1..n
+        assert 1 <= min(shape[1::3]) <= a.n
+        assert mat(a.n, *zip(shape[::3], shape[1::3], shape[2::3])).columns_moved(
+            k * a.n
+        ) is a
+
+    def test_examples(self):
+        assert mat(2, (1, 5, 1), (2, 8, 1)).translation_class() == (
+            (1, 1, 1, 2, 4, 1),
+            2,
+        )
+        assert mat(3, (2, 0, 2)).translation_class() == ((2, 3, 2), -1)
+        assert PeriodicMatrix.from_entries(2, []).translation_class() == ((), 0)
+
+    @given(algebra_elements(), st.integers(-5, 5), st.integers(-5, 5))
+    @settings(max_examples=40)
+    def test_translated_moves_every_column(self, x, s, t):
+        assert x.translated(0) is x
+        moved = x.translated(s)
+        assert moved.terms == {
+            m.columns_moved(s * x.n): c for m, c in x.terms.items()
+        }
+        assert moved.translated(t) == x.translated(s + t)
+        assert_canonical_exact(moved)
+
+
 class TestJson:
     def test_round_trip(self):
         x = basis(2, (1, 1, 1), (1, 2, 1)) + basis(2, (1, 3, 2)).scaled(

@@ -19,6 +19,7 @@ from affschur import (
     matrix_to_pair,
     multiply,
     multiply_oracle,
+    StructureTable,
     pair_to_matrix,
     structure_table,
 )
@@ -297,6 +298,67 @@ class TestStructureTable:
                     assert all(type(c) is int for c in product.terms.values())
                     products += 1
         assert products > 100
+
+
+TABLE_SHAPES = [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4)]
+
+# period shifts near 0 and near +-10^6
+period_shifts = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=10**6 - 3, max_value=10**6 + 3),
+    st.integers(min_value=-(10**6) - 3, max_value=-(10**6) + 3),
+)
+
+
+@st.composite
+def product_pairs(draw):
+    """Basis matrices a, b with col(a) = row(b), so the product is
+    looked up in the table."""
+    n, r = draw(st.sampled_from(TABLE_SHAPES))
+    a = draw(basis_matrices(nr=(n, r)))
+    rows = tuple(
+        idx for idx, p in enumerate(a.col_vector().parts, start=1) for _ in range(p)
+    )
+    cols = tuple(draw(st.integers(min_value=-4, max_value=5)) for _ in range(r))
+    return a, pair_to_matrix(rows, cols, n)
+
+
+class TestTranslationClasses:
+    @settings(max_examples=200)
+    @given(product_pairs(), period_shifts, period_shifts)
+    def test_moved_pair_matches_fresh_oracle(self, pair, s, t):
+        a, b = pair
+        structure_table.product(a, b)
+        moved_a = a.columns_moved(s * a.n)
+        moved_b = b.columns_moved(t * b.n)
+        product = structure_table.product(moved_a, moved_b)
+        assert product == structure_table.recompute(moved_a, moved_b)
+        assert structure_table.product(moved_a, moved_b) is product
+
+    def test_moved_pairs_share_one_oracle_run(self):
+        a = mat(2, (1, 1, 1), (2, 4, 1))
+        b = mat(2, (1, 2, 1), (2, 0, 1))
+        table = StructureTable()
+        first = table.product(a, b)
+        for s, t in [(1, 0), (0, -3), (5, 5), (-2, 2)]:
+            moved = table.product(a.columns_moved(2 * s), b.columns_moved(2 * t))
+            assert moved == first.translated(s + t)
+        assert len(table) == 1
+
+    def test_period_is_part_of_the_class_key(self):
+        # identical entries with smallest column 1 at n = 2 and n = 3: one
+        # shape at both periods, but different matrices with different
+        # products
+        entries_a = [(1, 1, 1), (1, 4, 1), (1, 5, 1)]
+        entries_b = [(1, 1, 2), (2, 1, 1)]
+        a2, b2 = mat(2, *entries_a), mat(2, *entries_b)
+        a3, b3 = mat(3, *entries_a), mat(3, *entries_b)
+        assert a2.translation_class() == a3.translation_class()
+        assert b2.translation_class() == b3.translation_class()
+        table = StructureTable()
+        assert table.product(a2, b2) == basis(2, (1, 1, 1), (1, 3, 1), (1, 5, 1))
+        assert table.product(a3, b3) == basis(3, (1, 1, 1), (1, 4, 2)).scaled(2)
+        assert len(table) == 2
 
 
 class TestInfiniteComposition:
