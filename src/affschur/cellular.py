@@ -22,9 +22,13 @@ coordinates of ideal members) and as an independent cross-check.
 x2 is the shift by one period, which is central, so every spanning
 element with an x2^b factor (corner monomials, module elements, the
 ideal's omega elements) is its b = 0 member with every column moved by
-2b: only the b = 0 members are multiplied out, and the moved matrices
-are the interned objects of :mod:`affschur.core`, so that equal ones are
-one object.
+2b.  Only the b = 0 members are multiplied out.  Each family fills its
+other members by single steps from a cached neighbour b - 1 or b + 1,
+which reads the neighbour slots of the interned matrices of
+:mod:`affschur.core`, and jumps once from b = 0 when no neighbour is
+cached.  The support of a member is the support of its b = 0 member
+plus 2b, so the spanning sets of a window build only the members that
+fit it.
 
 All membership and inversion problems are truncated by a *window*: a
 bound W restricting the column support of every matrix involved to
@@ -43,7 +47,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .core import AlgebraElement, Composition, PeriodicMatrix, Scalar, diag_matrix
 from .laurent import LaurentPoly2
@@ -82,6 +87,7 @@ __all__ = [
     "module_element",
     "omega_element",
     "omega_candidates",
+    "module_candidates",
     "max_window_cap",
     "fits_window",
     "span_system",
@@ -229,6 +235,35 @@ def _combination(
 _MONO_CACHE: dict[tuple[int, int], AlgebraElement] = {}
 
 
+def _x2_member(
+    cache: dict, stem: tuple, b: int, build_base: Callable[[], AlgebraElement]
+) -> AlgebraElement:
+    """``cache[stem + (b,)]``: the family member ``cache[stem + (0,)]``
+    times x2^b, that is moved by b periods.
+
+    The b = 0 member comes from ``build_base()``.  Any other member is
+    one step from a cached neighbour b - 1 or b + 1, else one jump from
+    b = 0, so it costs no recursion and, filled in order, one slot read
+    per matrix.
+    """
+    key = stem + (b,)
+    found = cache.get(key)
+    if found is None:
+        if not b:
+            found = build_base()
+        else:
+            for source, periods in ((b - 1, 1), (b + 1, -1), (0, b)):
+                near = cache.get(stem + (source,))
+                if near is not None:
+                    found = near.translated(periods)
+                    break
+            else:
+                base = cache[stem + (0,)] = build_base()
+                found = base.translated(b)
+        cache[key] = found
+    return found
+
+
 def monomial_image(a: int, b: int) -> AlgebraElement:
     """The corner element representing x1^a x2^b.
 
@@ -237,16 +272,17 @@ def monomial_image(a: int, b: int) -> AlgebraElement:
     """
     if a < 0:
         raise ValueError("x1-exponent must be nonnegative")
-    if (a, b) not in _MONO_CACHE:
-        if b:
-            _MONO_CACHE[(a, b)] = monomial_image(a, 0).translated(b)
-        else:
-            x1 = AlgebraElement.basis(GEN_X1)
-            _MONO_CACHE.setdefault((0, 0), idempotent_20())
-            for k in range(1, a + 1):
-                if (k, 0) not in _MONO_CACHE:
-                    _MONO_CACHE[(k, 0)] = multiply(_MONO_CACHE[(k - 1, 0)], x1)
-    return _MONO_CACHE[(a, b)]
+    return _x2_member(_MONO_CACHE, (a,), b, lambda: _x1_power(a))
+
+
+def _x1_power(a: int) -> AlgebraElement:
+    """x1^a in the corner, with every lower power filled on the way."""
+    x1 = AlgebraElement.basis(GEN_X1)
+    _MONO_CACHE.setdefault((0, 0), idempotent_20())
+    for k in range(1, a + 1):
+        if (k, 0) not in _MONO_CACHE:
+            _MONO_CACHE[(k, 0)] = multiply(_MONO_CACHE[(k - 1, 0)], x1)
+    return _MONO_CACHE[(a, 0)]
 
 
 def laurent_to_corner(p: LaurentPoly2) -> AlgebraElement:
@@ -539,23 +575,19 @@ def module_element(side: str, index: int, a: int, b: int) -> AlgebraElement:
 
     Only b = 0 is multiplied out; x2^b translates it.
     """
-    key = (side, index, a, b)
-    cached = _MODULE_CACHE.get(key)
-    if cached is None:
-        if b:
-            cached = module_element(side, index, a, 0).translated(b)
-        elif side == "left":
-            cached = multiply(
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+
+    def build() -> AlgebraElement:
+        if side == "left":
+            return multiply(
                 monomial_image(a, 0), AlgebraElement.basis(LEFT_BASIS[index])
             )
-        elif side == "right":
-            cached = multiply(
-                AlgebraElement.basis(RIGHT_BASIS[index]), monomial_image(a, 0)
-            )
-        else:
-            raise ValueError("side must be 'left' or 'right'")
-        _MODULE_CACHE[key] = cached
-    return cached
+        return multiply(
+            AlgebraElement.basis(RIGHT_BASIS[index]), monomial_image(a, 0)
+        )
+
+    return _x2_member(_MODULE_CACHE, (side, index, a), b, build)
 
 
 def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
@@ -563,18 +595,15 @@ def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
 
     Only b = 0 is multiplied out; x2^b translates it.
     """
-    key = (l, m, a, b)
-    cached = _OMEGA_CACHE.get(key)
-    if cached is None:
-        if b:
-            cached = omega_element(l, m, a, 0).translated(b)
-        else:
-            cached = multiply(
-                module_element("right", l, a, 0),
-                AlgebraElement.basis(LEFT_BASIS[m]),
-            )
-        _OMEGA_CACHE[key] = cached
-    return cached
+    return _x2_member(
+        _OMEGA_CACHE,
+        (l, m, a),
+        b,
+        lambda: multiply(
+            module_element("right", l, a, 0),
+            AlgebraElement.basis(LEFT_BASIS[m]),
+        ),
+    )
 
 
 def tensor_to_ideal(t: CellTensor) -> AlgebraElement:
@@ -615,29 +644,74 @@ def _signature_blocks() -> dict[
 SIGNATURE_BLOCKS = _signature_blocks()
 
 
+def _window_members(
+    member: Callable[[int, int], AlgebraElement],
+    grid: Iterable[tuple[int, int]],
+    window: int,
+) -> Iterator[tuple[int, int, AlgebraElement]]:
+    """``(a, b, member(a, b))`` for the ``(b, a)`` of ``grid``, in its
+    order, whose element fits the window.
+
+    ``member(a, b)`` is ``member(a, 0)`` moved by b periods, so its
+    columns are those of ``member(a, 0)`` plus 2b: the column extent of
+    each b = 0 member is read once, and only members that fit are built.
+    """
+    extents: dict[int, tuple[int, int] | None] = {}
+    for b, a in grid:
+        if a not in extents:
+            support = _column_support(member(a, 0))
+            extents[a] = (min(support), max(support)) if support else None
+        extent = extents[a]
+        if extent and -window <= extent[0] + 2 * b and extent[1] + 2 * b <= window:
+            yield a, b, member(a, b)
+
+
 def omega_candidates(
     window: int, pairs: Iterable[tuple[int, int]] | None = None
 ) -> list[tuple[tuple[int, int, int, int], AlgebraElement]]:
     """All coordinate cells whose ideal element fits inside the window.
 
     Returned in a fixed deterministic order as (label, element) pairs,
-    label = (l, m, a, b).
+    label = (l, m, a, b): by (l, m), then b, then a, over the cells with
+    -window - 2 <= 2b + 1 and 2a + 2b + 1 <= window + 2.  Only the
+    elements that fit are built (see :func:`_window_members`).
     """
     if pairs is None:
         pairs = [(l, m) for l in range(4) for m in range(4)]
-    out = []
-    for l, m in sorted(pairs):
-        b = -(window + 3) // 2 - 1
-        while 2 * b + 1 <= window + 2:
-            if 2 * b + 1 >= -window - 2:
-                a = 0
-                while 2 * a + 2 * b + 1 <= window + 2:
-                    element = omega_element(l, m, a, b)
-                    if fits_window(element, window):
-                        out.append(((l, m, a, b), element))
-                    a += 1
-            b += 1
-    return out
+    grid = [
+        (b, a)
+        for b in range(-((window + 3) // 2), (window + 1) // 2 + 1)
+        for a in range((window + 1 - 2 * b) // 2 + 1)
+    ]
+    return [
+        ((l, m, a, b), element)
+        for l, m in sorted(pairs)
+        for a, b, element in _window_members(
+            partial(omega_element, l, m), grid, window
+        )
+    ]
+
+
+def module_candidates(
+    window: int,
+) -> list[tuple[tuple[int, int, int], AlgebraElement]]:
+    """The left module elements that fit inside the window, as
+    ((index, a, b), element) pairs: by index, then b, then a, over the
+    cells with b >= -((window + 2) // 2) - 1 and 2a + 2b + 1 <= window.
+    Only the elements that fit are built (see :func:`_window_members`).
+    """
+    grid = [
+        (b, a)
+        for b in range(-(window + 1) // 2 - 1, (window - 1) // 2 + 1)
+        for a in range((window - 2 * b - 1) // 2 + 1)
+    ]
+    return [
+        ((index, a, b), element)
+        for index in range(4)
+        for a, b, element in _window_members(
+            partial(module_element, "left", index), grid, window
+        )
+    ]
 
 
 def _split_by_signature(

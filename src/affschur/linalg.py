@@ -271,10 +271,21 @@ class Factorization:
         ]
 
     def _replay(self, values: dict[int, dict[int, int | Fraction]]) -> None:
-        """Apply the logged row operations to the rhs values in place."""
+        """Apply the logged row operations to the rhs values in place.
+
+        A step whose pivot row holds no rhs value and whose pivot value
+        is 1 changes nothing: it scaled no row, so every content it
+        logged is 1 and each target keeps its values.  Such a step is
+        skipped whole, so a solve pays only for the steps its values
+        reach or that scaled rows.
+        """
         empty: dict[int, int | Fraction] = {}
         for pid, pivot_val, cleared in self._steps:
-            source = values.get(pid, empty)
+            source = values.get(pid)
+            if source is None:
+                if pivot_val == 1:
+                    continue
+                source = empty
             for other, factor, content in cleared:
                 target = values.get(other, empty)
                 if not source and not target:

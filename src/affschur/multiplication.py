@@ -142,6 +142,10 @@ def multiply_oracle(
     return AlgebraElement(n, r, terms)
 
 
+# (n, shape_a, shape_b): one translation class of basis pairs
+_ClassKey = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+
 class StructureTable:
     """Fill-once cache of basis products, one oracle run per translation
     class of pairs.
@@ -152,18 +156,17 @@ class StructureTable:
     at different periods are different matrices.  The translation tau by
     (n, ..., n) lies in the affine Weyl group and commutes with its
     action, so e_a e_b = (e_shape_a e_shape_b) x2^(s+t).  A class keeps
-    the total offset k0 = s + t of the pair that filled it and its
-    products by total offset: the oracle computes the k0 product, and a
-    new offset is that product moved by its difference to k0, built once
-    and kept, so one pair always gets the same object.  ``len`` counts
-    classes, that is oracle runs.
+    ``(k0, product)``: the total offset k0 = s + t of the pair that filled
+    it and the oracle's product there.  The product at any other offset
+    is that product moved by its difference to k0, built once and kept in
+    one table keyed by ``(class key, offset)``, so one pair always gets
+    the same object and a class met at one offset only holds no table of
+    its own.  ``len`` counts classes, that is oracle runs.
     """
 
     def __init__(self) -> None:
-        self._classes: dict[
-            tuple[int, tuple[int, ...], tuple[int, ...]],
-            tuple[int, dict[int, AlgebraElement]],
-        ] = {}
+        self._classes: dict[_ClassKey, tuple[int, AlgebraElement]] = {}
+        self._moved: dict[tuple[_ClassKey, int], AlgebraElement] = {}
 
     def __len__(self) -> int:
         return len(self._classes)
@@ -183,13 +186,15 @@ class StructureTable:
             product = multiply_oracle(
                 matrix_to_pair(a), matrix_to_pair(b), a.n
             )
-            self._classes[key] = (s + t, {s + t: product})
+            self._classes[key] = (s + t, product)
             return product
-        k0, products = found
-        product = products.get(s + t)
-        if product is None:
-            product = products[s + t] = products[k0].translated(s + t - k0)
-        return product
+        k0, product = found
+        if s + t == k0:
+            return product
+        moved = self._moved.get((key, s + t))
+        if moved is None:
+            moved = self._moved[(key, s + t)] = product.translated(s + t - k0)
+        return moved
 
     def recompute(
         self, a: PeriodicMatrix, b: PeriodicMatrix

@@ -51,7 +51,7 @@ from .cellular import (
     idempotent_02,
     idempotent_11,
     idempotent_20,
-    module_element,
+    module_candidates,
     omega_element,
     span_system,
     tensor_to_ideal,
@@ -339,17 +339,7 @@ def verify_cell_chain(
         # independent solver route plus uniqueness, within a margin that
         # keeps every needed coordinate monomial inside the window
         margin = 3
-        module_span = (
-            ((m, a, b), module_element("left", m, a, b))
-            for m in range(4)
-            for b in range(-(window + 1) // 2 - 1, (window - 1) // 2 + 1)
-            for a in range((window - 2 * b - 1) // 2 + 1)
-        )
-        system = span_system(
-            (label, element)
-            for label, element in module_span
-            if fits_window(element, window)
-        )
+        system = span_system(module_candidates(window))
         cols = system.cols
         factorization = Factorization(system.cols, system.rows, system.entries)
         system_rank = factorization.rank

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -46,6 +47,8 @@ from affschur.cellular import (
     _pair_coords,
     _x_coords,
     _y_coords,
+    fits_window,
+    module_candidates,
     module_element,
     omega_candidates,
     omega_element,
@@ -399,6 +402,113 @@ class TestTranslation:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
             module_element("middle", 0, 0, 0)
+
+
+def _reference_omega_candidates(window):
+    """Every omega element on the enumeration grid, kept when it fits:
+    the loop that built each candidate before testing it."""
+    out = []
+    for l in range(4):
+        for m in range(4):
+            b = -(window + 3) // 2 - 1
+            while 2 * b + 1 <= window + 2:
+                if 2 * b + 1 >= -window - 2:
+                    a = 0
+                    while 2 * a + 2 * b + 1 <= window + 2:
+                        element = omega_element(l, m, a, b)
+                        if fits_window(element, window):
+                            out.append(((l, m, a, b), element))
+                        a += 1
+                b += 1
+    return out
+
+
+def _reference_module_candidates(window):
+    return [
+        ((k, a, b), element)
+        for k in range(4)
+        for b in range(-(window + 1) // 2 - 1, (window - 1) // 2 + 1)
+        for a in range((window - 2 * b - 1) // 2 + 1)
+        for element in [module_element("left", k, a, b)]
+        if fits_window(element, window)
+    ]
+
+
+class TestX2Families:
+    """Members with b != 0 are filled from a neighbour by one period step,
+    or by one jump from b = 0."""
+
+    FAMILIES = [
+        ("monomial", lambda a, b: monomial_image(a, b)),
+        *[
+            (f"{side}-{k}", lambda a, b, side=side, k=k: module_element(side, k, a, b))
+            for side in ("left", "right")
+            for k in range(4)
+        ],
+        *[
+            (f"omega-{l}{m}", lambda a, b, l=l, m=m: omega_element(l, m, a, b))
+            for l in range(4)
+            for m in range(4)
+        ],
+    ]
+
+    def test_fill_order_does_not_matter(self, monkeypatch, e_lam):
+        bs = list(range(-12, 13))
+        shuffled = bs[:]
+        random.Random(5).shuffle(shuffled)
+        filled = []
+        for order in (bs, bs[::-1], shuffled):
+            for cache in ("_MONO_CACHE", "_MODULE_CACHE", "_OMEGA_CACHE"):
+                monkeypatch.setattr(cellular, cache, {})
+            filled.append(
+                {
+                    (name, a, b): family(a, b)
+                    for a in (0, 3)
+                    for b in order
+                    for name, family in self.FAMILIES
+                }
+            )
+        first = filled[0]
+        for other in filled[1:]:
+            assert other.keys() == first.keys()
+            for key, element in first.items():
+                assert other[key] == element, key
+                # the same interned matrices, whichever way they were reached
+                assert [id(m) for m in other[key].terms] == [
+                    id(m) for m in element.terms
+                ], key
+        for (name, a, b), element in first.items():
+            assert element == first[(name, a, 0)].translated(b), (name, a, b)
+            for matrix in element.terms:
+                assert core._MATRICES[(matrix.n, matrix.entries)] is matrix
+
+        # the direct generator products
+        x1_cubed = multiply(
+            multiply(AlgebraElement.basis(GEN_X1), AlgebraElement.basis(GEN_X1)),
+            AlgebraElement.basis(GEN_X1),
+        )
+        for b in bs:
+            x2_step = AlgebraElement.basis(GEN_X2 if b > 0 else GEN_X2_INV)
+            mono = e_lam
+            for _ in range(abs(b)):
+                mono = multiply(mono, x2_step)
+            for a, x1_power in ((0, e_lam), (3, x1_cubed)):
+                corner = multiply(mono, x1_power)
+                assert first[("monomial", a, b)] == corner
+                for k in range(4):
+                    left = AlgebraElement.basis(LEFT_BASIS[k])
+                    right = AlgebraElement.basis(RIGHT_BASIS[k])
+                    assert first[(f"left-{k}", a, b)] == multiply(corner, left)
+                    assert first[(f"right-{k}", a, b)] == multiply(right, corner)
+                    for m in range(4):
+                        assert first[(f"omega-{k}{m}", a, b)] == multiply(
+                            multiply(right, corner), AlgebraElement.basis(LEFT_BASIS[m])
+                        )
+
+    def test_window_candidates_equal_the_filtered_grid(self):
+        for window in range(1, 31):
+            assert omega_candidates(window) == _reference_omega_candidates(window), window
+            assert module_candidates(window) == _reference_module_candidates(window), window
 
 
 class TestFreenessShortcut:

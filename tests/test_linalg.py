@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affschur import SolveResult, SparseSystem, rank, solve_many, solve_unique
@@ -306,6 +306,10 @@ class TestFactorizationReference:
     entries and fill, none of which the certifier's systems reach."""
 
     @given(sparse_systems())
+    # the first pivot (2 at r0, c0) holds no rhs value, yet its step must
+    # scale the row it clears: a replay that skipped it would solve
+    # 2 c0 + 3 c1 = 0, c0 + c1 = 1 wrongly
+    @example(([[2, 3], [1, 1]], [[0, 1]]))
     @settings(max_examples=300, deadline=None)
     def test_matches_dense_gauss_jordan(self, drawn):
         matrix, rhs_dense = drawn
