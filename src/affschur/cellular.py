@@ -19,40 +19,46 @@ linear algebra; the linear solver is used where no recurrence exists
 (writing a corner element as a polynomial, and finding tensor
 coordinates of ideal members) and as an independent cross-check.
 
-x2 is the shift by one period, which is central, so every spanning
-element with an x2^b factor (corner monomials, module elements, the
-ideal's omega elements) is its b = 0 member with every column moved by
-2b.  Only the b = 0 members are multiplied out.  Each family fills its
-other members by single steps from a cached neighbour b - 1 or b + 1,
-which reads the neighbour slots of the interned matrices of
-:mod:`affschur.core`, and jumps once from b = 0 when no neighbour is
+One family spans everything: the omega element (l, m, a, b) is
+(right basis l) * x1^a x2^b * (left basis m).  Index 2 of both bases is
+the (2,0) idempotent, the corner unit, so cell (2, 2) holds the corner
+monomials, the cells (2, m) the left module and the cells (l, 2) the
+right module; :func:`monomial_image` and :func:`module_element` are
+views of the one cache.  x2 is the shift by one period, which is
+central, so a member with b != 0 is its b = 0 member with every column
+moved by 2b.  Only the b = 0 members are multiplied out; the others are
+filled by single steps from a cached neighbour b - 1 or b + 1, which
+reads the neighbour slots of the interned matrices of
+:mod:`affschur.core`, or by one jump from b = 0 when no neighbour is
 cached.  The support of a member is the support of its b = 0 member
-plus 2b, so the spanning sets of a window build only the members that
+plus 2b, so the spanning set of a window builds only the members that
 fit it.
 
 All membership and inversion problems are truncated by a *window*: a
 bound W restricting the column support of every matrix involved to
-[-W, W].  Every windowed question is "is x in the span of these labelled
-elements": :func:`span_system` turns the labelled elements into one
-sparse system, and :func:`_window_ladder` lists the windows to try,
-growing geometrically up to a cap.  The ideal's spanning set at one
-window splits into signature blocks; :class:`WindowBlocks` builds and
-factors each block once, on first use, for every question asked of it.
-Membership is the window ladder over :func:`batch_ideal_membership`, a
-fresh :class:`WindowBlocks` per rung; a question that does not fit the
-cap is answered "undecided" rather than guessed.
+[-W, W].  Every windowed question is "is x in the span of the family
+members that fit", and one class answers it: the spanning set at one
+window splits into signature blocks, and :class:`WindowBlocks` turns
+each block into one sparse system (:func:`span_system`) and factors it
+once, on first use, for every question asked of it.  Its
+:meth:`~WindowBlocks.coordinates` solves; its
+:meth:`~WindowBlocks.membership` adds the certificate tensor, re-verified
+by contraction.  :func:`ideal_membership` and :func:`corner_to_laurent`
+are the window ladder (:func:`_window_ladder`, growing geometrically up
+to a cap) over a fresh :class:`WindowBlocks` per rung; a question that
+does not fit the cap is answered "undecided" rather than guessed.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from itertools import count
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .core import AlgebraElement, Composition, PeriodicMatrix, Scalar, diag_matrix
 from .laurent import LaurentPoly2
-from .linalg import Factorization, SolveResult, SparseSystem, solve_many
+from .linalg import Factorization, SolveResult, SparseSystem
 from .multiplication import multiply
 
 __all__ = [
@@ -87,7 +93,6 @@ __all__ = [
     "module_element",
     "omega_element",
     "omega_candidates",
-    "module_candidates",
     "max_window_cap",
     "fits_window",
     "span_system",
@@ -140,12 +145,12 @@ def idempotent_11() -> AlgebraElement:
 
 
 def max_window_cap() -> int:
-    """Global cap on window growth, from AFFSCHUR_MAX_WINDOW (default 64)."""
+    """Global cap on window growth, from AFFSCHUR_MAX_WINDOW (default 64),
+    which must be spelled in ASCII digits only."""
     raw = os.environ.get("AFFSCHUR_MAX_WINDOW", "64")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError("AFFSCHUR_MAX_WINDOW must be an integer") from None
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError("AFFSCHUR_MAX_WINDOW must be an integer")
+    cap = int(raw)
     if cap < 1:
         raise ValueError("AFFSCHUR_MAX_WINDOW must be positive")
     return cap
@@ -229,60 +234,123 @@ def _combination(
 
 
 # ---------------------------------------------------------------------------
-# corner ring <-> Laurent polynomials
+# the spanning family
 
 
-_MONO_CACHE: dict[tuple[int, int], AlgebraElement] = {}
+# (l, m, a, b) -> omega_element(l, m, a, b), the only cache of the family
+_OMEGA_CACHE: dict[tuple[int, int, int, int], AlgebraElement] = {}
 
 
-def _x2_member(
-    cache: dict, stem: tuple, b: int, build_base: Callable[[], AlgebraElement]
-) -> AlgebraElement:
-    """``cache[stem + (b,)]``: the family member ``cache[stem + (0,)]``
-    times x2^b, that is moved by b periods.
+def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
+    """The ideal element (right basis l) * x1^a x2^b * (left basis m).
 
-    The b = 0 member comes from ``build_base()``.  Any other member is
-    one step from a cached neighbour b - 1 or b + 1, else one jump from
-    b = 0, so it costs no recursion and, filled in order, one slot read
-    per matrix.
+    Index 2 of both bases is the corner unit, so the b = 0 member of
+    cell (2, 2) is x1^a, filled by x1 steps from the unit (no exponent
+    costs recursion depth); that of cell (2, m) or (l, 2) is one product
+    with x1^a, and that of any other cell one product with its (l, 2)
+    member.  Any other member is x2^b times, that is b periods from, its
+    b = 0 member: one step from a cached neighbour b - 1 or b + 1, else
+    one jump from b = 0, so filled in order it costs one slot read per
+    matrix.
     """
-    key = stem + (b,)
-    found = cache.get(key)
-    if found is None:
-        if not b:
-            found = build_base()
+    key = (l, m, a, b)
+    found = _OMEGA_CACHE.get(key)
+    if found is not None:
+        return found
+    if a < 0:
+        raise ValueError("x1-exponent must be nonnegative")
+    if b:
+        for source, periods in ((b - 1, 1), (b + 1, -1)):
+            near = _OMEGA_CACHE.get((l, m, a, source))
+            if near is not None:
+                break
         else:
-            for source, periods in ((b - 1, 1), (b + 1, -1), (0, b)):
-                near = cache.get(stem + (source,))
-                if near is not None:
-                    found = near.translated(periods)
-                    break
-            else:
-                base = cache[stem + (0,)] = build_base()
-                found = base.translated(b)
-        cache[key] = found
+            near, periods = omega_element(l, m, a, 0), b
+        found = near.translated(periods)
+    elif l == m == 2:
+        x1 = AlgebraElement.basis(GEN_X1)
+        found = _OMEGA_CACHE.setdefault((2, 2, 0, 0), idempotent_20())
+        for k in range(1, a + 1):
+            power = _OMEGA_CACHE.get((2, 2, k, 0))
+            if power is None:
+                power = _OMEGA_CACHE[(2, 2, k, 0)] = multiply(found, x1)
+            found = power
+    elif m == 2:
+        found = multiply(
+            AlgebraElement.basis(RIGHT_BASIS[l]), omega_element(2, 2, a, 0)
+        )
+    else:
+        found = multiply(
+            omega_element(l, 2, a, 0), AlgebraElement.basis(LEFT_BASIS[m])
+        )
+    _OMEGA_CACHE[key] = found
     return found
 
 
 def monomial_image(a: int, b: int) -> AlgebraElement:
-    """The corner element representing x1^a x2^b.
+    """The corner element representing x1^a x2^b: omega cell (2, 2)."""
+    return omega_element(2, 2, a, b)
 
-    x1^a is filled bottom-up along x1 from 1, so no exponent costs
-    recursion depth; x2^b translates it.
+
+def module_element(side: str, index: int, a: int, b: int) -> AlgebraElement:
+    """A spanning element of a free module: x1^a x2^b * (left basis index),
+    omega cell (2, index), on side "left"; (right basis index) * x1^a x2^b,
+    omega cell (index, 2), on side "right"."""
+    if side == "left":
+        return omega_element(2, index, a, b)
+    if side == "right":
+        return omega_element(index, 2, a, b)
+    raise ValueError("side must be 'left' or 'right'")
+
+
+def _window_members(
+    l: int, m: int, window: int
+) -> Iterator[tuple[int, int, AlgebraElement]]:
+    """``(a, b, omega_element(l, m, a, b))`` for the members of cell
+    (l, m) that fit the window, by b, then a.
+
+    A member's columns are those of its b = 0 member plus 2b, so the
+    column extent [lo, hi] of each b = 0 member is read once, and only
+    the b with -window <= lo + 2b and hi + 2b <= window are built.  The
+    width hi - lo grows with a (by 2 per step), so the a-range stops at
+    the first a wider than 2 * window.
     """
-    if a < 0:
-        raise ValueError("x1-exponent must be nonnegative")
-    return _x2_member(_MONO_CACHE, (a,), b, lambda: _x1_power(a))
+    b_ranges = []
+    for a in count():
+        support = _column_support(omega_element(l, m, a, 0))
+        lo, hi = min(support), max(support)
+        if hi - lo > 2 * window:
+            break
+        b_ranges.append((-((window + lo) // 2), (window - hi) // 2))
+    first = min((b_lo for b_lo, _ in b_ranges), default=0)
+    last = max((b_hi for _, b_hi in b_ranges), default=-1)
+    for b in range(first, last + 1):
+        for a, (b_lo, b_hi) in enumerate(b_ranges):
+            if b_lo <= b <= b_hi:
+                yield a, b, omega_element(l, m, a, b)
 
 
-def _x1_power(a: int) -> AlgebraElement:
-    """x1^a in the corner, with every lower power filled on the way."""
-    x1 = AlgebraElement.basis(GEN_X1)
-    _MONO_CACHE.setdefault((0, 0), idempotent_20())
-    for k in range(1, a + 1):
-        if (k, 0) not in _MONO_CACHE:
-            _MONO_CACHE[(k, 0)] = multiply(_MONO_CACHE[(k - 1, 0)], x1)
-    return _MONO_CACHE[(a, 0)]
+def omega_candidates(
+    window: int, pairs: Iterable[tuple[int, int]] | None = None
+) -> list[tuple[tuple[int, int, int, int], AlgebraElement]]:
+    """The members of the cells (l, m) in ``pairs`` (default: all 16)
+    whose element fits inside the window.
+
+    Returned in a fixed deterministic order as (label, element) pairs,
+    label = (l, m, a, b): by (l, m), then b, then a.  Only the elements
+    that fit are built (see :func:`_window_members`).
+    """
+    if pairs is None:
+        pairs = [(l, m) for l in range(4) for m in range(4)]
+    return [
+        ((l, m, a, b), element)
+        for l, m in sorted(pairs)
+        for a, b, element in _window_members(l, m, window)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# corner ring <-> Laurent polynomials
 
 
 def laurent_to_corner(p: LaurentPoly2) -> AlgebraElement:
@@ -299,8 +367,9 @@ def corner_to_laurent(
 ) -> LaurentPoly2:
     """The unique Laurent polynomial mapping onto a corner element.
 
-    Computed by an exact linear solve against the monomial images whose
-    support fits the current window; the window grows geometrically up
+    The window ladder over the corner's signature block, whose only cell
+    (2, 2) holds the monomial images: the coordinates of x there are
+    the polynomial's coefficients.  The window grows geometrically up
     to the cap before giving up with :class:`UndecidedError`.
     """
     if not x.supported_on(WEIGHT_20, WEIGHT_20):
@@ -310,29 +379,12 @@ def corner_to_laurent(
     if x.is_zero():
         return LaurentPoly2.zero()
     for w in rungs:
-        result = _corner_solve(x, w)
-        if result is not None:
-            return result
+        coords = WindowBlocks(w).coordinates([x])[0]
+        if coords is not None:
+            return LaurentPoly2(
+                {(a, b): value for (_, _, a, b), value in coords.items()}
+            )
     raise UndecidedError(f"no polynomial preimage within window {cap}")
-
-
-def _corner_solve(x: AlgebraElement, w: int) -> LaurentPoly2 | None:
-    system = span_system(
-        ((a, b), monomial_image(a, b))
-        for b in range(-((w - 1) // 2) - 1, (w - 1) // 2 + 1)
-        if 2 * b + 1 >= -w
-        for a in range((w - 2 * b - 1) // 2 + 1)
-    )
-    result = solve_many(system.cols, system.rows, system.entries, [x.terms])[0]
-    if result.status == SolveResult.UNIQUE:
-        return LaurentPoly2(
-            {key: value for key, value in result.solution.items() if value}
-        )
-    if result.status == SolveResult.UNDERDETERMINED:
-        raise ArithmeticError(
-            "monomial images are dependent; corner ring model is broken"
-        )
-    return None
 
 
 def corner_involution(p: LaurentPoly2) -> LaurentPoly2:
@@ -565,47 +617,6 @@ class CellTensor:
         return cls(tuple(rows))
 
 
-_MODULE_CACHE: dict[tuple[str, int, int, int], AlgebraElement] = {}
-_OMEGA_CACHE: dict[tuple[int, int, int, int], AlgebraElement] = {}
-
-
-def module_element(side: str, index: int, a: int, b: int) -> AlgebraElement:
-    """A spanning element of a free module: x1^a x2^b * (left basis index)
-    on side "left", (right basis index) * x1^a x2^b on side "right".
-
-    Only b = 0 is multiplied out; x2^b translates it.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-
-    def build() -> AlgebraElement:
-        if side == "left":
-            return multiply(
-                monomial_image(a, 0), AlgebraElement.basis(LEFT_BASIS[index])
-            )
-        return multiply(
-            AlgebraElement.basis(RIGHT_BASIS[index]), monomial_image(a, 0)
-        )
-
-    return _x2_member(_MODULE_CACHE, (side, index, a), b, build)
-
-
-def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
-    """The ideal element (right basis l) * x1^a x2^b * (left basis m).
-
-    Only b = 0 is multiplied out; x2^b translates it.
-    """
-    return _x2_member(
-        _OMEGA_CACHE,
-        (l, m, a),
-        b,
-        lambda: multiply(
-            module_element("right", l, a, 0),
-            AlgebraElement.basis(LEFT_BASIS[m]),
-        ),
-    )
-
-
 def tensor_to_ideal(t: CellTensor) -> AlgebraElement:
     """Contract a coordinate tensor to the ideal element it represents."""
     return _combination(
@@ -644,76 +655,6 @@ def _signature_blocks() -> dict[
 SIGNATURE_BLOCKS = _signature_blocks()
 
 
-def _window_members(
-    member: Callable[[int, int], AlgebraElement],
-    grid: Iterable[tuple[int, int]],
-    window: int,
-) -> Iterator[tuple[int, int, AlgebraElement]]:
-    """``(a, b, member(a, b))`` for the ``(b, a)`` of ``grid``, in its
-    order, whose element fits the window.
-
-    ``member(a, b)`` is ``member(a, 0)`` moved by b periods, so its
-    columns are those of ``member(a, 0)`` plus 2b: the column extent of
-    each b = 0 member is read once, and only members that fit are built.
-    """
-    extents: dict[int, tuple[int, int] | None] = {}
-    for b, a in grid:
-        if a not in extents:
-            support = _column_support(member(a, 0))
-            extents[a] = (min(support), max(support)) if support else None
-        extent = extents[a]
-        if extent and -window <= extent[0] + 2 * b and extent[1] + 2 * b <= window:
-            yield a, b, member(a, b)
-
-
-def omega_candidates(
-    window: int, pairs: Iterable[tuple[int, int]] | None = None
-) -> list[tuple[tuple[int, int, int, int], AlgebraElement]]:
-    """All coordinate cells whose ideal element fits inside the window.
-
-    Returned in a fixed deterministic order as (label, element) pairs,
-    label = (l, m, a, b): by (l, m), then b, then a, over the cells with
-    -window - 2 <= 2b + 1 and 2a + 2b + 1 <= window + 2.  Only the
-    elements that fit are built (see :func:`_window_members`).
-    """
-    if pairs is None:
-        pairs = [(l, m) for l in range(4) for m in range(4)]
-    grid = [
-        (b, a)
-        for b in range(-((window + 3) // 2), (window + 1) // 2 + 1)
-        for a in range((window + 1 - 2 * b) // 2 + 1)
-    ]
-    return [
-        ((l, m, a, b), element)
-        for l, m in sorted(pairs)
-        for a, b, element in _window_members(
-            partial(omega_element, l, m), grid, window
-        )
-    ]
-
-
-def module_candidates(
-    window: int,
-) -> list[tuple[tuple[int, int, int], AlgebraElement]]:
-    """The left module elements that fit inside the window, as
-    ((index, a, b), element) pairs: by index, then b, then a, over the
-    cells with b >= -((window + 2) // 2) - 1 and 2a + 2b + 1 <= window.
-    Only the elements that fit are built (see :func:`_window_members`).
-    """
-    grid = [
-        (b, a)
-        for b in range(-(window + 1) // 2 - 1, (window - 1) // 2 + 1)
-        for a in range((window - 2 * b - 1) // 2 + 1)
-    ]
-    return [
-        ((index, a, b), element)
-        for index in range(4)
-        for a, b, element in _window_members(
-            partial(module_element, "left", index), grid, window
-        )
-    ]
-
-
 def _split_by_signature(
     x: AlgebraElement,
 ) -> dict[tuple[Composition, Composition], dict[PeriodicMatrix, Scalar]]:
@@ -748,7 +689,9 @@ class WindowBlocks:
     window, as from :func:`omega_candidates`) and the factorization of
     its system are built on first use and kept as long as this object,
     so every question asked of one object eliminates a block at most
-    once.
+    once.  The corner's block (2,0)/(2,0) is the monomial span and the
+    three row-(2,0) blocks are the left module's span, so the same
+    blocks answer :func:`corner_to_laurent` and module coordinates.
     """
 
     def __init__(self, window: int) -> None:
@@ -775,44 +718,25 @@ class WindowBlocks:
             self._factorizations[signature] = found
         return found
 
-    def membership(
+    def coordinates(
         self, elements: Sequence[AlgebraElement]
-    ) -> list[MembershipResult]:
-        """Membership tests for many elements at this window.
+    ) -> list[dict[tuple[int, int, int, int], Scalar] | None]:
+        """Coordinates of many elements over the members that fit this
+        window: per element its nonzero values as {(l, m, a, b): value},
+        or None when some block refutes it.
 
         Each signature block is solved once for all inputs, in order of
         first use; an element refuted by one block takes no part in
         later ones, and a block left with no element is not solved.
         """
-        window = self.window
-        results: list[MembershipResult | None] = []
+        solved: list[dict | None] = [{} for _ in elements]
         # signature -> {element index: its part in that block}
         blocks: dict[tuple, dict[int, dict]] = {}
         for idx, x in enumerate(elements):
-            if x.n != N or x.r != R:
-                raise ValueError("ideal elements live at n = r = 2")
-            if x.is_zero():
-                results.append(
-                    MembershipResult(MembershipResult.MEMBER, CellTensor.zero(), window)
-                )
-            elif max(abs(j) for j in _column_support(x)) > window:
-                results.append(
-                    MembershipResult(MembershipResult.UNDECIDED, None, window)
-                )
-            else:
-                results.append(None)
-                for signature, rhs in _split_by_signature(x).items():
-                    blocks.setdefault(signature, {})[idx] = rhs
-
-        # element index -> its tensor cells, as {(a, b): value} per (l, m)
-        cells: dict[int, list[list[dict]]] = {
-            idx: [[{} for _ in range(4)] for _ in range(4)]
-            for idx, result in enumerate(results)
-            if result is None
-        }
-        refuted: set[int] = set()
+            for signature, rhs in _split_by_signature(x).items():
+                blocks.setdefault(signature, {})[idx] = rhs
         for signature, parts in blocks.items():
-            owners = [idx for idx in parts if idx not in refuted]
+            owners = [idx for idx in parts if solved[idx] is not None]
             if not owners:
                 continue
             block_results = self.factorization(signature).solve(
@@ -824,19 +748,43 @@ class WindowBlocks:
                         "window tensor system is underdetermined; independence broken"
                     )
                 if result.status == SolveResult.INCONSISTENT:
-                    refuted.add(idx)
-                    continue
-                for (l, m, a, b), value in result.solution.items():
-                    cells[idx][l][m][(a, b)] = value
+                    solved[idx] = None
+                else:
+                    solved[idx].update(result.solution)
+        return solved
 
-        for idx, grid in cells.items():
-            if idx in refuted:
+    def membership(
+        self, elements: Sequence[AlgebraElement]
+    ) -> list[MembershipResult]:
+        """Membership tests for many elements at this window: the
+        :meth:`coordinates` of those that fit it, and for each member its
+        certificate tensor, re-verified by contracting it back to the
+        element."""
+        window = self.window
+        results: list[MembershipResult | None] = []
+        fitting: list[int] = []
+        for idx, x in enumerate(elements):
+            if x.n != N or x.r != R:
+                raise ValueError("ideal elements live at n = r = 2")
+            if max(map(abs, _column_support(x)), default=0) > window:
+                results.append(
+                    MembershipResult(MembershipResult.UNDECIDED, None, window)
+                )
+            else:
+                results.append(None)
+                fitting.append(idx)
+        found = self.coordinates([elements[idx] for idx in fitting])
+        for idx, coords in zip(fitting, found):
+            if coords is None:
                 results[idx] = MembershipResult(
                     MembershipResult.NOT_MEMBER, None, window
                 )
                 continue
+            cells: list[list[dict]] = [[{} for _ in range(4)] for _ in range(4)]
+            for (l, m, a, b), value in coords.items():
+                cells[l][m][(a, b)] = value
             tensor = CellTensor(
-                tuple(tuple(LaurentPoly2(cell) for cell in row) for row in grid)
+                tuple(tuple(LaurentPoly2(cell) for cell in row) for row in cells)
             )
             if tensor_to_ideal(tensor) != elements[idx]:
                 raise ArithmeticError("solved tensor fails to reproduce its element")

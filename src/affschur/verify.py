@@ -12,10 +12,13 @@ than failing.
 The window parameter is both the starting and the maximal window of the
 run: a certification at window W is a fixed-budget statement about
 everything that fits in W.  One :class:`~affschur.cellular.WindowBlocks`
-serves the whole run, so each signature block of the ideal's spanning
-set is built and eliminated once for every check that needs it.  The transpose and corner-involution maps can
-be overridden, which is used by negative-control tests to show that the
-battery actually rejects wrong structure maps.
+serves the whole run and is its only solver, so each signature block of
+the ideal's spanning set is built and eliminated once for every check
+that needs it; the freeness check's module system is the three
+row-(2,0) blocks, whose coordinates it reads without certificates.  The
+transpose and corner-involution maps can be overridden, which is used
+by negative-control tests to show that the battery actually rejects
+wrong structure maps.
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ from .hecke import (
     quotient_image,
 )
 from .laurent import LaurentPoly2
-from .linalg import Factorization, SolveResult
 from .multiplication import multiply
 from .cellular import (
     CellTensor,
     MembershipResult,
     SIGNATURE_BLOCKS,
+    WEIGHT_20,
     WindowBlocks,
     corner_involution,
     decompose_left,
@@ -51,9 +54,7 @@ from .cellular import (
     idempotent_02,
     idempotent_11,
     idempotent_20,
-    module_candidates,
     omega_element,
-    span_system,
     tensor_to_ideal,
 )
 from .sampling import (
@@ -309,69 +310,78 @@ def verify_cell_chain(
         # columns moved by -k periods: the right round trip of the
         # transpose is the base one moved by -k.  Each base pair is
         # contracted once and every pair compared with its moved base
-        # result.  The premise is not taken on trust: the solver
-        # cross-check below decomposes every pair inside its margin itself
-        # and solves against module elements, whose x2^b members are
-        # translates too, so a decomposition or module element that broke
-        # the translation shows there as a disagreement.
+        # result; successive visits of one base pair come one period
+        # apart (k rises by 1 as i rises by 2), so the moved results are
+        # kept and stepped by one period.  The premise is not taken on
+        # trust: the solver cross-check below decomposes every pair
+        # inside its margin itself and solves against module elements,
+        # whose x2^b members are translates too, so a decomposition or
+        # module element that broke the translation shows there as a
+        # disagreement.
         failures: list[str] = []
         count = 0
-        base_trips: dict[
+        moved_trips: dict[
             tuple[int, int], tuple[AlgebraElement, AlgebraElement]
         ] = {}
         for i in range(-window, window + 1):
             k = (i - 1) // 2
             for j in range(i, window + 1):
                 base = (i - 2 * k, j - 2 * k)
-                trips = base_trips.get(base)
+                trips = moved_trips.get(base)
                 if trips is None:
                     x0 = pair(*base)
-                    trips = base_trips[base] = (
-                        decompose_left(x0).to_element(),
-                        decompose_right(x0.transpose()).to_element(),
+                    trips = (
+                        decompose_left(x0).to_element().translated(k),
+                        decompose_right(x0.transpose()).to_element().translated(-k),
                     )
+                else:
+                    trips = (trips[0].translated(1), trips[1].translated(-1))
+                moved_trips[base] = trips
                 x = pair(i, j)
-                if trips[0].translated(k) != x:
+                if trips[0] != x:
                     failures.append(f"left round trip failed at ({i},{j})")
-                if trips[1].translated(-k) != x.transpose():
+                if trips[1] != x.transpose():
                     failures.append(f"right round trip failed at ({i},{j})")
                 count += 1
         # independent solver route plus uniqueness, within a margin that
-        # keeps every needed coordinate monomial inside the window
+        # keeps every needed coordinate monomial inside the window; index 2
+        # of the right basis is the corner unit, so the left module's span
+        # is the ideal's row-(2,0) blocks, cells (2, m)
         margin = 3
-        system = span_system(module_candidates(window))
-        cols = system.cols
-        factorization = Factorization(system.cols, system.rows, system.entries)
-        system_rank = factorization.rank
-        if system_rank != len(cols):
+        module_blocks = [sig for sig in SIGNATURE_BLOCKS if sig[0] == WEIGHT_20]
+        columns = sum(len(blocks.candidates(sig)) for sig in module_blocks)
+        system_rank = sum(blocks.factorization(sig).rank for sig in module_blocks)
+        if system_rank != columns:
             failures.append(
-                f"module coordinate system rank {system_rank} < {len(cols)}"
+                f"module coordinate system rank {system_rank} < {columns}"
             )
-        solver_checked = 0
-        rhs_list = []
-        expected_vectors = []
         bound = max(window - margin, 1)
-        for i in range(-bound, bound + 1):
-            for j in range(i, bound + 1):
-                x = pair(i, j)
-                rhs_list.append(dict(x.terms))
-                expected_vectors.append(decompose_left(x))
-        results = factorization.solve(rhs_list)
-        for result, expected in zip(results, expected_vectors):
-            if result.status != SolveResult.UNIQUE:
-                failures.append(f"solver cross-check status {result.status}")
+        pairs = [
+            pair(i, j)
+            for i in range(-bound, bound + 1)
+            for j in range(i, bound + 1)
+        ]
+        solver_checked = 0
+        for x, coords in zip(pairs, blocks.coordinates(pairs)):
+            if coords is None:
+                failures.append("solver cross-check status inconsistent")
                 continue
-            solved: list[dict] = [{}, {}, {}, {}]
-            for (m, a, b), value in result.solution.items():
-                solved[m][(a, b)] = value
-            if tuple(LaurentPoly2(coords) for coords in solved) != expected.coords:
+            solved: dict[tuple[int, int], dict] = {}
+            for (l, m, a, b), value in coords.items():
+                solved.setdefault((l, m), {})[(a, b)] = value
+            expected = {
+                (2, m): poly.terms
+                for m, poly in enumerate(decompose_left(x).coords)
+                if not poly.is_zero()
+            }
+            if solved != expected:
                 failures.append("solver and recurrence coordinates disagree")
             solver_checked += 1
         status, detail = _status_merge(failures, [])
         if status == PASS:
             detail = (
                 f"{count} round trips, {solver_checked} solver cross-checks, "
-                f"coordinate rank {system_rank}/{len(cols)}"
+                f"coordinate rank {system_rank}/{columns}"
             )
         return status, detail
 

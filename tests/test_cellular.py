@@ -48,7 +48,6 @@ from affschur.cellular import (
     _x_coords,
     _y_coords,
     fits_window,
-    module_candidates,
     module_element,
     omega_candidates,
     omega_element,
@@ -434,6 +433,17 @@ def _reference_module_candidates(window):
     ]
 
 
+def _reference_corner_grid(window):
+    """The monomial grid that corner_to_laurent once solved against at
+    one window, unfiltered."""
+    return [
+        ((a, b), monomial_image(a, b))
+        for b in range(-((window - 1) // 2) - 1, (window - 1) // 2 + 1)
+        if 2 * b + 1 >= -window
+        for a in range((window - 2 * b - 1) // 2 + 1)
+    ]
+
+
 class TestX2Families:
     """Members with b != 0 are filled from a neighbour by one period step,
     or by one jump from b = 0."""
@@ -458,8 +468,7 @@ class TestX2Families:
         random.Random(5).shuffle(shuffled)
         filled = []
         for order in (bs, bs[::-1], shuffled):
-            for cache in ("_MONO_CACHE", "_MODULE_CACHE", "_OMEGA_CACHE"):
-                monkeypatch.setattr(cellular, cache, {})
+            monkeypatch.setattr(cellular, "_OMEGA_CACHE", {})
             filled.append(
                 {
                     (name, a, b): family(a, b)
@@ -507,8 +516,41 @@ class TestX2Families:
 
     def test_window_candidates_equal_the_filtered_grid(self):
         for window in range(1, 31):
-            assert omega_candidates(window) == _reference_omega_candidates(window), window
-            assert module_candidates(window) == _reference_module_candidates(window), window
+            candidates = omega_candidates(window)
+            assert candidates == _reference_omega_candidates(window), window
+            # the left module and the corner monomials are cells of the family
+            module = [
+                ((m, a, b), element)
+                for (l, m, a, b), element in candidates
+                if l == 2
+            ]
+            assert module == _reference_module_candidates(window), window
+            corner = [
+                ((a, b), element)
+                for (l, m, a, b), element in candidates
+                if (l, m) == (2, 2)
+            ]
+            assert corner == _reference_corner_grid(window), window
+
+    def test_views_are_the_omega_cells(self):
+        for a in range(9):
+            for b in range(-8, 9):
+                assert monomial_image(a, b) is omega_element(2, 2, a, b)
+                for k in range(4):
+                    assert module_element("left", k, a, b) is omega_element(2, k, a, b)
+                    assert module_element("right", k, a, b) is omega_element(k, 2, a, b)
+
+    def test_width_grows_by_two_per_x1_step(self):
+        # the premise of the a-range stop in omega_candidates
+        def width(l, m, a):
+            support = cellular._column_support(omega_element(l, m, a, 0))
+            return max(support) - min(support)
+
+        for l in range(4):
+            for m in range(4):
+                base = width(l, m, 0)
+                for a in range(41):
+                    assert width(l, m, a) == base + 2 * a, (l, m, a)
 
 
 class TestFreenessShortcut:

@@ -290,6 +290,24 @@ def test_window_below_one_is_invalid_input(tmp_path, command, window):
     assert "window must be positive" in proc.stderr
 
 
+@pytest.mark.parametrize("cap", ["6_4", " 24 ", "+24", "٢٤"])
+def test_window_cap_must_be_ascii_digits(tmp_path, cap):
+    """AFFSCHUR_MAX_WINDOW is read as ASCII digits only, not by int()'s
+    wider rules: underscores, spaces, a sign or other scripts' digits are
+    invalid input, exit 2."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(ELT_EMU))
+    src = str(Path(affschur.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, AFFSCHUR_MAX_WINDOW=cap)
+    proc = subprocess.run(
+        [sys.executable, "-m", "affschur", "member", "--file", str(path)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "AFFSCHUR_MAX_WINDOW must be an integer" in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestVerifyCell:
     def test_small_run(self, capsys):
         code, out, _ = invoke(
