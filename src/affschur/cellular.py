@@ -637,8 +637,8 @@ def tensor_involution(t: CellTensor) -> CellTensor:
     )
 
 
-_ROW_SIGNATURE = (WEIGHT_11, WEIGHT_11, WEIGHT_20, WEIGHT_02)
-_COL_SIGNATURE = (WEIGHT_11, WEIGHT_11, WEIGHT_20, WEIGHT_02)
+# weight of module basis index i, for the rows (l) and the columns (m) alike
+_SIGNATURE = (WEIGHT_11, WEIGHT_11, WEIGHT_20, WEIGHT_02)
 
 
 def _signature_blocks() -> dict[
@@ -647,7 +647,7 @@ def _signature_blocks() -> dict[
     blocks: dict[tuple[Composition, Composition], list[tuple[int, int]]] = {}
     for l in range(4):
         for m in range(4):
-            key = (_ROW_SIGNATURE[l], _COL_SIGNATURE[m])
+            key = (_SIGNATURE[l], _SIGNATURE[m])
             blocks.setdefault(key, []).append((l, m))
     return blocks
 

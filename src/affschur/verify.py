@@ -7,7 +7,9 @@ module bases, independence of the coordinate system, the swap diagram,
 quotient-map homomorphism properties and the vector-space decomposition —
 and returns a machine-readable report.  Every check is exact; checks that
 need more column support than the run's window report "undecided" rather
-than failing.
+than failing.  A check that finds a block underdetermined, or a
+certificate that does not contract back, fails with that finding as its
+detail; the report is still returned.
 
 The window parameter is both the starting and the maximal window of the
 run: a certification at window W is a fixed-budget statement about
@@ -184,7 +186,12 @@ def verify_cell_chain(
 
     def run(name: str, fn: Callable[[], tuple[str, str]]) -> None:
         start = time.perf_counter()
-        status, detail = fn()
+        try:
+            status, detail = fn()
+        except ArithmeticError as exc:
+            # an underdetermined block or a certificate that does not
+            # contract back: the structure is wrong, so the check fails
+            status, detail = FAIL, str(exc)
         report.checks.append(
             CheckResult(name, status, detail, (time.perf_counter() - start) * 1e3)
         )

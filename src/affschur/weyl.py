@@ -139,13 +139,7 @@ def _solved_shift(
 
 def stabilizer(values: Sequence[int], n: int) -> list[WeylElement]:
     """All group elements fixing the tuple; at most r! of them."""
-    out = []
-    r = len(values)
-    for sigma in itertools.permutations(range(1, r + 1)):
-        eps = _solved_shift(values, values, sigma, n)
-        if eps is not None:
-            out.append(WeylElement(sigma, eps))
-    return out
+    return transporter(values, values, n)
 
 
 def transporter(

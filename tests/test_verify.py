@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
-from affschur import verify_cell_chain
+import pytest
+
+from affschur import cellular, multiplication, verify_cell_chain
 from affschur.cellular import SIGNATURE_BLOCKS, omega_candidates
+from affschur.core import AlgebraElement, PeriodicMatrix
 from affschur.linalg import Factorization
+from affschur.multiplication import StructureTable
 
 GOLDEN_REPORT = Path(__file__).with_name("golden_verify_cell_w12_s0_n100.json")
 
@@ -69,6 +73,62 @@ class TestNegativeControls:
         by_name = {c.name: c.status for c in report.checks}
         assert by_name["swap-diagram"] == "fail"
         assert report.exit_code() == 1
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Products and omega elements made under a broken premise would stay
+    cached for later tests, so a control runs on empty caches of its own."""
+    monkeypatch.setattr(cellular, "_OMEGA_CACHE", {})
+    monkeypatch.setattr(multiplication, "structure_table", StructureTable())
+
+
+class TestShortcutControls:
+    """Each shortcut rests on a premise; breaking the premise must make the
+    battery fail, in a returned report rather than an exception."""
+
+    @staticmethod
+    def failing_run():
+        report = verify_cell_chain(window=12, seed=0, samples=20)
+        assert report.exit_code() == 1
+        return {c.name: c.status for c in report.checks}
+
+    def test_structure_table_moves_a_class_by_its_offset(
+        self, monkeypatch, fresh_caches
+    ):
+        """Premise: the product of a translation class at offset s + t is
+        its product at the filling offset k0 moved by s + t - k0 periods."""
+        product = StructureTable.product
+
+        def one_period_too_far(table, a, b):
+            got = product(table, a, b)
+            if a.col_vector() != b.row_vector():
+                return got
+            (shape_a, s), (shape_b, t) = a.translation_class(), b.translation_class()
+            k0, _ = table._classes[(a.n, shape_a, shape_b)]
+            return got if s + t == k0 else got.translated(1)
+
+        monkeypatch.setattr(StructureTable, "product", one_period_too_far)
+        self.failing_run()
+
+    def test_translated_moves_by_whole_periods(self, monkeypatch, fresh_caches):
+        """Premise: ``translated(k)`` is the central x2^k for every k, not
+        only for the one-period steps."""
+        translated = AlgebraElement.translated
+
+        def off_far_out(element, periods):
+            return translated(element, periods + 1 if abs(periods) >= 4 else periods)
+
+        monkeypatch.setattr(AlgebraElement, "translated", off_far_out)
+        assert self.failing_run()["coordinate-independence"] == "fail"
+
+    def test_neighbour_slot_is_one_period_up(self, monkeypatch, fresh_caches):
+        """Premise: a matrix's upper neighbour is its columns moved by
+        exactly one period."""
+        monkeypatch.setattr(
+            PeriodicMatrix, "period_up", lambda m: m.columns_moved(2 * m.n)
+        )
+        assert self.failing_run()["coordinate-independence"] == "fail"
 
 
 class TestWindowStarvation:
