@@ -30,17 +30,21 @@ moved by 2b.  Only the b = 0 members are multiplied out; the others are
 filled by single steps from a cached neighbour b - 1 or b + 1, which
 reads the neighbour slots of the interned matrices of
 :mod:`affschur.core`, or by one jump from b = 0 when no neighbour is
-cached.  The support of a member is the support of its b = 0 member
-plus 2b, so the spanning set of a window builds only the members that
-fit it.
+cached.
 
 All membership and inversion problems are truncated by a *window*: a
 bound W restricting the column support of every matrix involved to
 [-W, W].  Every windowed question is "is x in the span of the family
 members that fit", and one class answers it: the spanning set at one
 window splits into signature blocks, and :class:`WindowBlocks` turns
-each block into one sparse system (:func:`span_system`) and factors it
-once, on first use, for every question asked of it.  Its
+each block into one sparse system and factors it once, on first use,
+for every question asked of it.  The system is built from the b = 0
+members, the *stems* (:func:`stem_system`): a member's columns are its
+stem's plus 2b, so the stem's column extent says which translates fit,
+and a matrix is read as its translation class (shape, k), so the
+matrix of a stem term moved by b periods is the row (shape id, k + b).
+No translate is built to assemble a system; a right-hand side reaches
+the rows through its matrices' classes.  Its
 :meth:`~WindowBlocks.coordinates` solves; its
 :meth:`~WindowBlocks.membership` adds the certificate tensor, re-verified
 by contraction.  :func:`ideal_membership` and :func:`corner_to_laurent`
@@ -54,11 +58,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import count
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import AlgebraElement, Composition, PeriodicMatrix, Scalar, diag_matrix
 from .laurent import LaurentPoly2
-from .linalg import Factorization, SolveResult, SparseSystem
+from .linalg import Factorization, SolveResult
 from .multiplication import multiply
 
 __all__ = [
@@ -95,7 +99,7 @@ __all__ = [
     "omega_candidates",
     "max_window_cap",
     "fits_window",
-    "span_system",
+    "stem_system",
 ]
 
 N = 2
@@ -176,26 +180,6 @@ def fits_window(x: AlgebraElement, window: int) -> bool:
     """Whether x is nonzero with its column support inside [-window, window]."""
     support = _column_support(x)
     return bool(support) and all(-window <= j <= window for j in support)
-
-
-def span_system(
-    candidates: Iterable[tuple[Hashable, AlgebraElement]]
-) -> SparseSystem:
-    """The system whose columns are the labelled candidates.
-
-    One column per label, one row per basis matrix some candidate meets
-    (sorted by ``PeriodicMatrix.sort_key``); a right-hand side may hold
-    other rows, which the solver treats as unsatisfiable equations.
-    """
-    cols: list[Hashable] = []
-    entries: dict[tuple, Scalar] = {}
-    rows: set[PeriodicMatrix] = set()
-    for label, element in candidates:
-        cols.append(label)
-        for matrix, coeff in element.terms.items():
-            entries[(matrix, label)] = coeff
-            rows.add(matrix)
-    return SparseSystem(cols, sorted(rows, key=PeriodicMatrix.sort_key), entries)
 
 
 def _window_ladder(x: AlgebraElement, window: int | None, cap: int) -> list[int]:
@@ -303,50 +287,108 @@ def module_element(side: str, index: int, a: int, b: int) -> AlgebraElement:
     raise ValueError("side must be 'left' or 'right'")
 
 
-def _window_members(
-    l: int, m: int, window: int
-) -> Iterator[tuple[int, int, AlgebraElement]]:
-    """``(a, b, omega_element(l, m, a, b))`` for the members of cell
-    (l, m) that fit the window, by b, then a.
+def _cell_stems(l: int, m: int, window: int) -> list[tuple[int, int, int]]:
+    """``(a, b_lo, b_hi)`` for each stem, b = 0 member, of cell (l, m)
+    with a translate that fits the window: the members (l, m, a, b) with
+    b_lo <= b <= b_hi are those that fit.
 
-    A member's columns are those of its b = 0 member plus 2b, so the
-    column extent [lo, hi] of each b = 0 member is read once, and only
-    the b with -window <= lo + 2b and hi + 2b <= window are built.  The
-    width hi - lo grows with a (by 2 per step), so the a-range stops at
-    the first a wider than 2 * window.
+    A member's columns are those of its stem plus 2b, so the column
+    extent [lo, hi] of each stem is read once, and the b with
+    -window <= lo + 2b and hi + 2b <= window fit.  The width hi - lo
+    grows with a (by 2 per step), so the a-range stops at the first a
+    wider than 2 * window.
     """
-    b_ranges = []
+    stems = []
     for a in count():
         support = _column_support(omega_element(l, m, a, 0))
         lo, hi = min(support), max(support)
         if hi - lo > 2 * window:
             break
-        b_ranges.append((-((window + lo) // 2), (window - hi) // 2))
-    first = min((b_lo for b_lo, _ in b_ranges), default=0)
-    last = max((b_hi for _, b_hi in b_ranges), default=-1)
-    for b in range(first, last + 1):
-        for a, (b_lo, b_hi) in enumerate(b_ranges):
-            if b_lo <= b <= b_hi:
-                yield a, b, omega_element(l, m, a, b)
+        b_lo, b_hi = -((window + lo) // 2), (window - hi) // 2
+        if b_lo <= b_hi:
+            stems.append((a, b_lo, b_hi))
+    return stems
+
+
+Label = tuple[int, int, int, int]
+
+
+def _window_labels(
+    window: int, pairs: Iterable[tuple[int, int]]
+) -> Iterator[Label]:
+    """The labels (l, m, a, b) of the members of the cells in ``pairs``
+    that fit the window, by (l, m), then b, then a: the one enumeration
+    of a window's spanning set."""
+    for l, m in sorted(pairs):
+        stems = _cell_stems(l, m, window)
+        first = min((b_lo for _, b_lo, _ in stems), default=0)
+        last = max((b_hi for _, _, b_hi in stems), default=-1)
+        for b in range(first, last + 1):
+            for a, b_lo, b_hi in stems:
+                if b_lo <= b <= b_hi:
+                    yield l, m, a, b
 
 
 def omega_candidates(
     window: int, pairs: Iterable[tuple[int, int]] | None = None
-) -> list[tuple[tuple[int, int, int, int], AlgebraElement]]:
+) -> list[tuple[Label, AlgebraElement]]:
     """The members of the cells (l, m) in ``pairs`` (default: all 16)
     whose element fits inside the window.
 
     Returned in a fixed deterministic order as (label, element) pairs,
-    label = (l, m, a, b): by (l, m), then b, then a.  Only the elements
-    that fit are built (see :func:`_window_members`).
+    label = (l, m, a, b): by (l, m), then b, then a, the columns of
+    :func:`stem_system`.  Only the elements that fit are built.
     """
     if pairs is None:
         pairs = [(l, m) for l in range(4) for m in range(4)]
-    return [
-        ((l, m, a, b), element)
-        for l, m in sorted(pairs)
-        for a, b, element in _window_members(l, m, window)
-    ]
+    return [(label, omega_element(*label)) for label in _window_labels(window, pairs)]
+
+
+# a matrix's row in a block system: (shape id, k) for translation class (shape, k)
+Row = tuple[int, int]
+
+
+def _moved_rows(
+    stem_rows: list[tuple[Row, Scalar]], b: int
+) -> list[tuple[Row, Scalar]]:
+    """The rows and values of the member b periods from a stem, from the
+    stem's: a matrix of class (shape, k) moved by b periods has class
+    (shape, k + b), and moving columns keeps every coefficient."""
+    return [((shape_id, k + b), coeff) for (shape_id, k), coeff in stem_rows]
+
+
+def stem_system(
+    window: int, pairs: Iterable[tuple[int, int]]
+) -> tuple[list[Label], dict[tuple[int, ...], int], dict[Row, dict[int, Scalar]]]:
+    """The system of the members of the cells in ``pairs`` that fit the
+    window, built from their stems: no translate is built.
+
+    Returns the column labels, in the order of :func:`omega_candidates`;
+    the shape ids, numbering the translation-class shapes in the order
+    met; and the rows, {(shape id, k): {column index: value}}.  Each
+    stem's terms are read through ``translation_class`` once, and the
+    column of its translate b holds them in the rows
+    :func:`_moved_rows` gives.  Distinct matrices have distinct classes,
+    so the rows of one column are distinct.
+    """
+    cols: list[Label] = []
+    shape_ids: dict[tuple[int, ...], int] = {}
+    stems: dict[tuple[int, int, int], list[tuple[Row, Scalar]]] = {}
+    rows: dict[Row, dict[int, Scalar]] = {}
+    for label in _window_labels(window, pairs):
+        l, m, a, b = label
+        stem_rows = stems.get((l, m, a))
+        if stem_rows is None:
+            stem_rows = stems[(l, m, a)] = [
+                ((shape_ids.setdefault(shape, len(shape_ids)), k), coeff)
+                for matrix, coeff in omega_element(l, m, a, 0).terms.items()
+                for shape, k in [matrix.translation_class()]
+            ]
+        col = len(cols)
+        cols.append(label)
+        for row, coeff in _moved_rows(stem_rows, b):
+            rows.setdefault(row, {})[col] = coeff
+    return cols, shape_ids, rows
 
 
 # ---------------------------------------------------------------------------
@@ -682,41 +724,58 @@ class MembershipResult:
         return self.status == self.MEMBER
 
 
+def _rhs_rows(
+    part: dict[PeriodicMatrix, Scalar], shape_ids: dict[tuple[int, ...], int]
+) -> dict[tuple, Scalar]:
+    """A right-hand side {matrix: value} on the rows of a block system.
+
+    A matrix of class (shape, k) is the row (shape id, k).  A shape the
+    block lacks keeps the shape itself in place of an id: that is no row
+    of the system, so its value is an equation 0 = value that refutes
+    the right-hand side, and distinct matrices still stay apart.
+    """
+    rhs: dict[tuple, Scalar] = {}
+    for matrix, value in part.items():
+        shape, k = matrix.translation_class()
+        rhs[(shape_ids.get(shape, shape), k)] = value
+    return rhs
+
+
 class WindowBlocks:
     """The signature blocks of the ideal's spanning set at one window.
 
-    Each block's candidates (the omega elements of its cells that fit the
-    window, as from :func:`omega_candidates`) and the factorization of
-    its system are built on first use and kept as long as this object,
-    so every question asked of one object eliminates a block at most
-    once.  The corner's block (2,0)/(2,0) is the monomial span and the
-    three row-(2,0) blocks are the left module's span, so the same
-    blocks answer :func:`corner_to_laurent` and module coordinates.
+    Each block's system is built from the stems of its cells
+    (:func:`stem_system`; its columns are the labels of
+    :func:`omega_candidates`) and factored on first use, and kept as
+    long as this object, so every question asked of one object
+    eliminates a block at most once.  The corner's block (2,0)/(2,0) is
+    the monomial span and the three row-(2,0) blocks are the left
+    module's span, so the same blocks answer :func:`corner_to_laurent`
+    and module coordinates.
     """
 
     def __init__(self, window: int) -> None:
         self.window = window
-        self._candidates: dict[tuple, list] = {}
-        self._factorizations: dict[tuple, Factorization] = {}
+        # signature -> (shape ids, factorization)
+        self._blocks: dict[tuple, tuple[dict, Factorization]] = {}
 
-    def candidates(
+    def _block(
         self, signature: tuple[Composition, Composition]
-    ) -> list[tuple[tuple[int, int, int, int], AlgebraElement]]:
-        found = self._candidates.get(signature)
+    ) -> tuple[dict[tuple[int, ...], int], Factorization]:
+        found = self._blocks.get(signature)
         if found is None:
-            found = omega_candidates(self.window, SIGNATURE_BLOCKS[signature])
-            self._candidates[signature] = found
+            cols, shape_ids, rows = stem_system(
+                self.window, SIGNATURE_BLOCKS[signature]
+            )
+            found = (shape_ids, Factorization(cols, list(rows), list(rows.values())))
+            self._blocks[signature] = found
         return found
 
     def factorization(
         self, signature: tuple[Composition, Composition]
     ) -> Factorization:
-        found = self._factorizations.get(signature)
-        if found is None:
-            system = span_system(self.candidates(signature))
-            found = Factorization(system.cols, system.rows, system.entries)
-            self._factorizations[signature] = found
-        return found
+        """The block's factorization; its ``cols`` are the block's labels."""
+        return self._block(signature)[1]
 
     def coordinates(
         self, elements: Sequence[AlgebraElement]
@@ -739,8 +798,9 @@ class WindowBlocks:
             owners = [idx for idx in parts if solved[idx] is not None]
             if not owners:
                 continue
-            block_results = self.factorization(signature).solve(
-                [parts[idx] for idx in owners]
+            shape_ids, factorization = self._block(signature)
+            block_results = factorization.solve(
+                [_rhs_rows(parts[idx], shape_ids) for idx in owners]
             )
             for idx, result in zip(owners, block_results):
                 if result.status == SolveResult.UNDERDETERMINED:

@@ -4,8 +4,9 @@ Exact sparse rational linear algebra.
 Systems are kept sparse as dict-of-dict rows over arbitrary hashable row
 and column labels.  A :class:`Factorization` eliminates one coefficient
 matrix once and is then asked about any number of right-hand sides, in
-any number of batches; ``solve_many``, ``solve_unique`` and ``rank`` are
-thin calls to it.
+any number of batches.  It takes its rows in index space; ``factorize``
+builds one from {(row, column): value} entries, and ``solve_many``,
+``solve_unique`` and ``rank`` are thin calls to that.
 
 Values are exact scalars: an ``int`` when integral, else a ``Fraction``.
 Elimination runs over Q with unit pivots: a chosen pivot row is divided
@@ -37,6 +38,7 @@ __all__ = [
     "SparseSystem",
     "SolveResult",
     "Factorization",
+    "factorize",
     "solve_unique",
     "solve_many",
     "rank",
@@ -157,28 +159,26 @@ def _eliminate(
 class Factorization:
     """The elimination of one coefficient matrix, solvable many times.
 
-    Entries and right-hand side values are ``int``s or ``Fraction``s;
-    the matrix is eliminated over Q with unit pivots.  ``rank`` is the
-    pivot count.  :meth:`solve` takes a batch of right-hand sides ({row
-    label: value}), clears each of its denominators, replays the logged
-    row operations on them and back-substitutes each one; a rhs entry
-    on a row not in ``rows`` is an equation 0 = value of its own.
+    The matrix comes in index space: ``rows`` labels the rows and
+    ``entries`` holds, per row in that order, its nonzero values as
+    {column index: value}, an index into ``cols``; the rows are consumed.
+    Values are ``int``s or ``Fraction``s, and the matrix is eliminated
+    over Q with unit pivots.  ``rank`` is the pivot count.  :meth:`solve`
+    takes a batch of right-hand sides ({row label: value}), clears each
+    of its denominators, replays the logged row operations on them and
+    back-substitutes each one; a rhs entry on a row not in ``rows`` is
+    an equation 0 = value of its own.
     """
 
     def __init__(
         self,
         cols: Sequence[Hashable],
         rows: Sequence[Hashable],
-        entries: dict[tuple[Hashable, Hashable], int | Fraction],
+        entries: list[dict[int, int | Fraction]],
     ) -> None:
         self.cols = list(cols)
         self._row_index = {label: rid for rid, label in enumerate(rows)}
-        col_index = {label: idx for idx, label in enumerate(self.cols)}
-        sparse: list[dict[int, int | Fraction]] = [{} for _ in rows]
-        for (row_label, col_label), value in entries.items():
-            if value:
-                sparse[self._row_index[row_label]][col_index[col_label]] = value
-        self._pivots, self._steps = _eliminate(sparse)
+        self._pivots, self._steps = _eliminate(entries)
         self.rank = len(self._pivots)
         self._pivot_of = {rid: p for p, (rid, _, _) in enumerate(self._pivots)}
 
@@ -301,6 +301,21 @@ class Factorization:
         return {self.cols[c]: _divided(solution[c], scale) for c in sorted(solution)}
 
 
+def factorize(
+    cols: Sequence[Hashable],
+    rows: Sequence[Hashable],
+    entries: dict[tuple[Hashable, Hashable], int | Fraction],
+) -> Factorization:
+    """The factorization of a system given by {(row, column): value}."""
+    row_index = {label: rid for rid, label in enumerate(rows)}
+    col_index = {label: idx for idx, label in enumerate(cols)}
+    sparse: list[dict[int, int | Fraction]] = [{} for _ in rows]
+    for (row_label, col_label), value in entries.items():
+        if value:
+            sparse[row_index[row_label]][col_index[col_label]] = value
+    return Factorization(cols, rows, sparse)
+
+
 def solve_many(
     cols: Sequence[Hashable],
     rows: Sequence[Hashable],
@@ -312,7 +327,7 @@ def solve_many(
     One factorization serves every rhs, and each gets its own verdict.  A
     unique solution lists every column, zeros included.
     """
-    results = Factorization(cols, rows, entries).solve(rhs_list)
+    results = factorize(cols, rows, entries).solve(rhs_list)
     for result in results:
         if result.status == SolveResult.UNIQUE:
             solution = dict.fromkeys(cols, 0)
@@ -330,4 +345,4 @@ def solve_unique(system: SparseSystem) -> SolveResult:
 
 def rank(system: SparseSystem) -> int:
     """Exact rank of the coefficient matrix (rhs ignored)."""
-    return Factorization(system.cols, system.rows, system.entries).rank
+    return factorize(system.cols, system.rows, system.entries).rank

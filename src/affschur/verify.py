@@ -17,7 +17,12 @@ everything that fits in W.  One :class:`~affschur.cellular.WindowBlocks`
 serves the whole run and is its only solver, so each signature block of
 the ideal's spanning set is built and eliminated once for every check
 that needs it; the freeness check's module system is the three
-row-(2,0) blocks, whose coordinates it reads without certificates.  The
+row-(2,0) blocks, whose coordinates it reads without certificates.
+Where x2, the central shift by one period, carries a statement from one
+element to its translates, a check makes it once per stem or base pair
+and argues the move next to the check: the freeness round trips move
+by whole periods, and the transpose check compares the stems' transposes
+only, since transposing turns a move by b periods into one by -b.  The
 transpose and corner-involution maps can be overridden, which is used
 by negative-control tests to show that the battery actually rejects
 wrong structure maps.
@@ -52,7 +57,6 @@ from .cellular import (
     corner_involution,
     decompose_left,
     decompose_right,
-    fits_window,
     idempotent_02,
     idempotent_11,
     idempotent_20,
@@ -160,6 +164,15 @@ def _membership_detail(name: str, result: MembershipResult) -> str:
     return f"{name}: {result.status} (window {result.window})"
 
 
+def _next_round_trips(
+    trips: tuple[AlgebraElement, AlgebraElement]
+) -> tuple[AlgebraElement, AlgebraElement]:
+    """A base pair's left and right round trips one visit on, one period
+    further: the left moved up by one period, the right down by one."""
+    left, right = trips
+    return left.translated(1), right.translated(-1)
+
+
 def verify_cell_chain(
     window: int = 12,
     seed: int = 0,
@@ -262,40 +275,64 @@ def verify_cell_chain(
         return _status_merge(failures, undecided)
 
     def check_transpose_stability() -> tuple[str, str]:
+        # On the stems.  T, the move of every column by one period n,
+        # sends the entry (i, j) to (i, j + n), which periodicity stores
+        # as (i - n, j); transposed, that is (j, i - n), the transposed
+        # entry with its column moved by -n.  So tau(T x) = T^-1 tau(x)
+        # for every matrix, hence for every element.  The member
+        # (l, m, a, b) is its stem (l, m, a, 0) moved by b periods (x2 is
+        # central, and the family is filled that way), so its transpose
+        # is tau(stem) moved by -b periods: once tau(stem) is the cell
+        # omega(m, l, a, -a), the transpose of every member of that stem
+        # is omega(m, l, a, -a - b), and its columns are tau(stem)'s
+        # moved by -2b, which says whether it fits the window.  Each stem
+        # is transposed and compared once.  The premise is not taken on
+        # trust: the independent route below transposes a few genuine
+        # members, built as translates, and solves for their coordinates,
+        # so a transpose or a translate that broke the commutation shows
+        # there as a failed solve.
         failures: list[str] = []
         undecided: list[str] = []
-        # every spanning element in the order of its cell (l, m)
-        candidates = sorted(
+        # every spanning element's label in the order of its cell (l, m)
+        labels = sorted(
             (
-                item
+                label
                 for signature in SIGNATURE_BLOCKS
-                for item in blocks.candidates(signature)
+                for label in blocks.factorization(signature).cols
             ),
-            key=lambda item: item[0][:2],
+            key=lambda label: label[:2],
         )
-        # those whose transpose fits, for the independent route below
+        # stem -> column extent of its transpose, None when that is zero
+        extents: dict[tuple[int, int, int], tuple[int, int] | None] = {}
+        # the members whose transpose fits, for the independent route
         inside = []
-        for label, element in candidates:
-            transposed = tau(element)
+        for label in labels:
             l, m, a, b = label
-            if len(failures) < 5 and transposed != omega_element(m, l, a, -a - b):
-                failures.append(
-                    f"transpose of cell ({l},{m},{a},{b}) left the spanning set"
-                )
-            if fits_window(transposed, window):
-                inside.append((label, element))
+            if (l, m, a) not in extents:
+                transposed = tau(omega_element(l, m, a, 0))
+                if len(failures) < 5 and transposed != omega_element(m, l, a, -a):
+                    failures.append(
+                        f"transpose of cell ({l},{m},{a},0) left the spanning set"
+                    )
+                support = [j for matrix in transposed.terms for _, j, _ in matrix.entries]
+                extents[(l, m, a)] = (min(support), max(support)) if support else None
+            extent = extents[(l, m, a)]
+            if extent and -window <= extent[0] - 2 * b and extent[1] - 2 * b <= window:
+                inside.append(label)
         # independent route: solve for coordinates of a few transposes
         rng_local = random.Random(seed + 1)
         subsample = rng_local.sample(inside, min(8, len(inside)))
         if subsample:
-            batch = blocks.membership([tau(element) for _, element in subsample])
-            for (label, _), result in zip(subsample, batch):
+            batch = blocks.membership(
+                [tau(omega_element(*label)) for label in subsample]
+            )
+            for label, result in zip(subsample, batch):
                 if result.status == MembershipResult.NOT_MEMBER:
                     failures.append(f"transposed cell {label}: {result.status}")
                 elif result.status == MembershipResult.UNDECIDED:
                     undecided.append(f"transposed cell {label}: undecided")
         detail_ok = (
-            f"{len(candidates)} spanning elements transposed back; "
+            f"{len(labels)} spanning elements transposed back; "
             f"{len(subsample)} re-solved"
         )
         status, detail = _status_merge(failures, undecided)
@@ -342,7 +379,7 @@ def verify_cell_chain(
                         decompose_right(x0.transpose()).to_element().translated(-k),
                     )
                 else:
-                    trips = (trips[0].translated(1), trips[1].translated(-1))
+                    trips = _next_round_trips(trips)
                 moved_trips[base] = trips
                 x = pair(i, j)
                 if trips[0] != x:
@@ -356,7 +393,7 @@ def verify_cell_chain(
         # is the ideal's row-(2,0) blocks, cells (2, m)
         margin = 3
         module_blocks = [sig for sig in SIGNATURE_BLOCKS if sig[0] == WEIGHT_20]
-        columns = sum(len(blocks.candidates(sig)) for sig in module_blocks)
+        columns = sum(len(blocks.factorization(sig).cols) for sig in module_blocks)
         system_rank = sum(blocks.factorization(sig).rank for sig in module_blocks)
         if system_rank != columns:
             failures.append(
@@ -398,15 +435,15 @@ def verify_cell_chain(
         for signature in sorted(
             SIGNATURE_BLOCKS, key=lambda sig: (sig[0].parts, sig[1].parts)
         ):
-            candidates = blocks.candidates(signature)
-            if not candidates:
+            factorization = blocks.factorization(signature)
+            columns = len(factorization.cols)
+            if not columns:
                 continue
-            block_rank = blocks.factorization(signature).rank
-            block_dims.append(f"{len(candidates)}")
-            if block_rank != len(candidates):
+            block_dims.append(f"{columns}")
+            if factorization.rank != columns:
                 failures.append(
                     f"block {signature[0].parts}/{signature[1].parts}: "
-                    f"rank {block_rank} < {len(candidates)}"
+                    f"rank {factorization.rank} < {columns}"
                 )
         status, detail = _status_merge(failures, [])
         if status == PASS:

@@ -41,6 +41,7 @@ from affschur import (
 )
 from affschur import cellular, core
 from affschur.cellular import (
+    SIGNATURE_BLOCKS,
     WEIGHT_11,
     WEIGHT_20,
     WindowBlocks,
@@ -51,7 +52,7 @@ from affschur.cellular import (
     module_element,
     omega_candidates,
     omega_element,
-    span_system,
+    stem_system,
 )
 from affschur.hecke import HeckeElement, T1, T2
 from affschur.sampling import random_element, random_poly2, random_tensor_cells
@@ -840,24 +841,58 @@ class TestMembership:
         second = blocks.membership([e_mu, e_nu, e_lam.scaled(3)])
         assert len(factored) == len(set(factored))
         for signature in ((WEIGHT_20, WEIGHT_20), (WEIGHT_11, WEIGHT_11)):
-            cols = tuple(label for label, _ in blocks.candidates(signature))
+            cols = tuple(blocks.factorization(signature).cols)
             assert cols in factored
             assert blocks.factorization(signature).rank == len(cols)
         elements = [e_lam, t1 + e_nu, e_mu, e_nu, e_lam.scaled(3)]
         assert first + second == batch_ideal_membership(elements, 8)
 
-    def test_span_system_rows_sorted_and_cover_support(self):
-        candidates = omega_candidates(6, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        system = span_system(candidates)
-        assert system.cols == [label for label, _ in candidates]
-        assert system.rows == sorted(system.rows, key=lambda m: m.sort_key())
-        assert len(set(system.rows)) == len(system.rows)
-        met = {matrix for _, element in candidates for matrix in element.terms}
-        assert set(system.rows) == met
-        for label, element in candidates:
-            for matrix, coeff in element.terms.items():
-                assert system.entries[(matrix, label)] == coeff
-        assert len(system.entries) == sum(len(e.terms) for _, e in candidates)
+    def test_stem_system_matches_the_translates(self):
+        """Each block built from its stems is the system of its built
+        translates: the same columns in the same order, and per column
+        the translate's terms, each in the row of its translation class."""
+        for window in range(1, 13):
+            for pairs in SIGNATURE_BLOCKS.values():
+                candidates = omega_candidates(window, pairs)
+                cols, shape_ids, rows = stem_system(window, pairs)
+                assert cols == [label for label, _ in candidates], window
+                assert sorted(shape_ids.values()) == list(range(len(shape_ids)))
+                by_column = [{} for _ in cols]
+                for row, values in rows.items():
+                    assert values, row
+                    for col, value in values.items():
+                        by_column[col][row] = value
+                for (label, element), got in zip(candidates, by_column):
+                    expected = {}
+                    for matrix, coeff in element.terms.items():
+                        shape, k = matrix.translation_class()
+                        expected[(shape_ids[shape], k)] = coeff
+                    assert got == expected, (window, label)
+
+    def test_blocks_build_no_translate(self, monkeypatch):
+        """Factoring every block of a window builds only stems: every
+        omega element cached afterwards has b = 0."""
+        monkeypatch.setattr(cellular, "_OMEGA_CACHE", {})
+        blocks = WindowBlocks(24)
+        for signature in SIGNATURE_BLOCKS:
+            assert blocks.factorization(signature).rank == len(
+                blocks.factorization(signature).cols
+            )
+        assert cellular._OMEGA_CACHE
+        assert all(b == 0 for _, _, _, b in cellular._OMEGA_CACHE)
+
+    def test_shape_the_block_lacks_refutes(self, e_lam):
+        """A right-hand side meeting a shape no member of the block has is
+        refuted, not dropped."""
+        blocks = WindowBlocks(4)
+        shape_ids, _ = blocks._block((WEIGHT_20, WEIGHT_20))
+        lacking = basis(2, (1, 1, 1), (1, 13, 1))
+        shape, _ = next(iter(lacking.terms)).translation_class()
+        assert shape not in shape_ids
+        assert blocks.coordinates([e_lam + lacking, e_lam]) == [
+            None,
+            {(2, 2, 0, 0): 1},
+        ]
 
 
 def tensor_left_action(s: AlgebraElement, t: CellTensor) -> CellTensor:

@@ -337,6 +337,26 @@ class TestTranslationClass:
         assert_canonical_exact(moved)
 
 
+class TestTransposeOfATranslate:
+    """tau(T^k x) = T^-k tau(x), T the move by one period: the premise of
+    the stem route of the transpose check."""
+
+    PERIODS = [-7, -4, -1, 1, 4, 9]
+
+    @given(basis_matrices())
+    @settings(max_examples=60)
+    def test_matrices(self, a):
+        for k in self.PERIODS:
+            moved = a.columns_moved(k * a.n)
+            assert moved.transpose() is a.transpose().columns_moved(-k * a.n)
+
+    @given(algebra_elements())
+    @settings(max_examples=40)
+    def test_elements(self, x):
+        for k in self.PERIODS:
+            assert x.translated(k).transpose() == x.transpose().translated(-k)
+
+
 class TestPeriodNeighbours:
     @given(basis_matrices())
     @settings(max_examples=60)

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affschur import SolveResult, SparseSystem, rank, solve_many, solve_unique
-from affschur.linalg import Factorization
+from affschur.linalg import factorize
 
 
 def system(rows_data, rhs=None):
@@ -144,7 +144,7 @@ class TestSolveMany:
             first.cols, first.rows, first.entries, [s.rhs for s in systems]
         )
         # one factorization, solved in batches split at drawn points
-        factorization = Factorization(first.cols, first.rows, first.entries)
+        factorization = factorize(first.cols, first.rows, first.entries)
         batched = []
         start = 0
         for end in range(1, len(systems) + 1):
@@ -315,7 +315,7 @@ class TestFactorizationReference:
         matrix, rhs_dense = drawn
         systems = [system(matrix, rhs) for rhs in rhs_dense]
         first = systems[0]
-        factorization = Factorization(first.cols, first.rows, first.entries)
+        factorization = factorize(first.cols, first.rows, first.entries)
         expected_rank, expected = gauss_jordan(matrix, rhs_dense)
         assert factorization.rank == expected_rank
         got = factorization.solve([s.rhs for s in systems])

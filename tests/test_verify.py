@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from affschur import cellular, multiplication, verify_cell_chain
+from affschur import verify as verify_module
 from affschur.cellular import SIGNATURE_BLOCKS, omega_candidates
 from affschur.core import AlgebraElement, PeriodicMatrix
 from affschur.linalg import Factorization
@@ -91,6 +92,7 @@ class TestShortcutControls:
     def failing_run():
         report = verify_cell_chain(window=12, seed=0, samples=20)
         assert report.exit_code() == 1
+        assert any(c.status == "fail" and c.detail for c in report.checks)
         return {c.name: c.status for c in report.checks}
 
     def test_structure_table_moves_a_class_by_its_offset(
@@ -113,22 +115,54 @@ class TestShortcutControls:
 
     def test_translated_moves_by_whole_periods(self, monkeypatch, fresh_caches):
         """Premise: ``translated(k)`` is the central x2^k for every k, not
-        only for the one-period steps."""
+        only for the one-period steps.  The freeness round trips move base
+        pairs by k periods, and the transpose check's target cells are
+        filled by one jump from b = 0; both rest on it."""
         translated = AlgebraElement.translated
 
         def off_far_out(element, periods):
             return translated(element, periods + 1 if abs(periods) >= 4 else periods)
 
         monkeypatch.setattr(AlgebraElement, "translated", off_far_out)
-        assert self.failing_run()["coordinate-independence"] == "fail"
+        statuses = self.failing_run()
+        assert statuses["module-basis-freeness"] == "fail"
+        assert statuses["transpose-ideal-stability"] == "fail"
 
     def test_neighbour_slot_is_one_period_up(self, monkeypatch, fresh_caches):
         """Premise: a matrix's upper neighbour is its columns moved by
-        exactly one period."""
+        exactly one period.  The freeness round trips of a base pair step
+        by one period from visit to visit, and the omega cells that the
+        transpose check compares with are filled by such steps."""
         monkeypatch.setattr(
             PeriodicMatrix, "period_up", lambda m: m.columns_moved(2 * m.n)
         )
+        statuses = self.failing_run()
+        assert statuses["module-basis-freeness"] == "fail"
+        assert statuses["transpose-ideal-stability"] == "fail"
+
+    def test_block_row_of_a_translate_is_its_stem_row_moved(
+        self, monkeypatch, fresh_caches
+    ):
+        """Premise: the stem term of class (shape, k) lies in translate b
+        at class (shape, k + b), so a block system needs no translate."""
+        moved_rows = cellular._moved_rows
+
+        def off_far_out(stem_rows, b):
+            return moved_rows(stem_rows, b + 1 if abs(b) >= 4 else b)
+
+        monkeypatch.setattr(cellular, "_moved_rows", off_far_out)
         assert self.failing_run()["coordinate-independence"] == "fail"
+
+    def test_right_round_trip_steps_down(self, monkeypatch, fresh_caches):
+        """Premise: transposing turns columns moved up into columns moved
+        down, so the right round trip of a base pair steps by -1 period
+        from visit to visit."""
+        monkeypatch.setattr(
+            verify_module,
+            "_next_round_trips",
+            lambda trips: (trips[0].translated(1), trips[1].translated(1)),
+        )
+        assert self.failing_run()["module-basis-freeness"] == "fail"
 
 
 class TestWindowStarvation:
