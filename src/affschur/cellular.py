@@ -15,9 +15,11 @@ Fixed data (all at n = r = 2):
 
 Decompositions over the free bases follow the explicit recurrences for
 the x1 action, filled bottom-up, so they are exact and terminate without
-linear algebra; the linear solver is used where no recurrence exists
-(writing a corner element as a polynomial, and finding tensor
-coordinates of ideal members) and as an independent cross-check.
+linear algebra.  The corner is a summand of the left module (index 2 of
+its basis is the corner unit), so the same recurrences write a corner
+element as a polynomial.  The linear solver is used where no recurrence
+exists, finding tensor coordinates of ideal members, and as an
+independent cross-check.
 
 One family spans everything: the omega element (l, m, a, b) is
 (right basis l) * x1^a x2^b * (left basis m).  Index 2 of both bases is
@@ -26,11 +28,8 @@ monomials, the cells (2, m) the left module and the cells (l, 2) the
 right module; :func:`monomial_image` and :func:`module_element` are
 views of the one cache.  x2 is the shift by one period, which is
 central, so a member with b != 0 is its b = 0 member with every column
-moved by 2b.  Only the b = 0 members are multiplied out; the others are
-filled by single steps from a cached neighbour b - 1 or b + 1, which
-reads the neighbour slots of the interned matrices of
-:mod:`affschur.core`, or by one jump from b = 0 when no neighbour is
-cached.
+moved by 2b.  Only the b = 0 members are multiplied out; each other
+member is one move of its b = 0 member by b periods, and is cached.
 
 All membership and inversion problems are truncated by a *window*: a
 bound W restricting the column support of every matrix involved to
@@ -47,10 +46,11 @@ No translate is built to assemble a system; a right-hand side reaches
 the rows through its matrices' classes.  Its
 :meth:`~WindowBlocks.coordinates` solves; its
 :meth:`~WindowBlocks.membership` adds the certificate tensor, re-verified
-by contraction.  :func:`ideal_membership` and :func:`corner_to_laurent`
-are the window ladder (:func:`_window_ladder`, growing geometrically up
-to a cap) over a fresh :class:`WindowBlocks` per rung; a question that
-does not fit the cap is answered "undecided" rather than guessed.
+by contraction.  :func:`ideal_membership` is the window ladder
+(:func:`_window_ladder`, growing geometrically up to a cap) over a
+fresh :class:`WindowBlocks` per rung.  It and :func:`corner_to_laurent`
+answer a question that does not fit the cap "undecided" rather than
+guess.
 """
 
 from __future__ import annotations
@@ -233,9 +233,7 @@ def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
     costs recursion depth); that of cell (2, m) or (l, 2) is one product
     with x1^a, and that of any other cell one product with its (l, 2)
     member.  Any other member is x2^b times, that is b periods from, its
-    b = 0 member: one step from a cached neighbour b - 1 or b + 1, else
-    one jump from b = 0, so filled in order it costs one slot read per
-    matrix.
+    b = 0 member: one move of that member's columns by 2b.
     """
     key = (l, m, a, b)
     found = _OMEGA_CACHE.get(key)
@@ -244,13 +242,7 @@ def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
     if a < 0:
         raise ValueError("x1-exponent must be nonnegative")
     if b:
-        for source, periods in ((b - 1, 1), (b + 1, -1)):
-            near = _OMEGA_CACHE.get((l, m, a, source))
-            if near is not None:
-                break
-        else:
-            near, periods = omega_element(l, m, a, 0), b
-        found = near.translated(periods)
+        found = omega_element(l, m, a, 0).translated(b)
     elif l == m == 2:
         x1 = AlgebraElement.basis(GEN_X1)
         found = _OMEGA_CACHE.setdefault((2, 2, 0, 0), idempotent_20())
@@ -409,24 +401,18 @@ def corner_to_laurent(
 ) -> LaurentPoly2:
     """The unique Laurent polynomial mapping onto a corner element.
 
-    The window ladder over the corner's signature block, whose only cell
-    (2, 2) holds the monomial images: the coordinates of x there are
-    the polynomial's coefficients.  The window grows geometrically up
-    to the cap before giving up with :class:`UndecidedError`.
+    The corner element p(x1, x2) * e is p times the left basis element
+    of index 2, the corner unit e, so p is its index-2 coordinate in
+    :func:`decompose_left`, read off the recurrences with no solve.  The
+    window rules are those of the ladder: a window below 1 is rejected,
+    and support beyond the cap raises :class:`UndecidedError`.
     """
     if not x.supported_on(WEIGHT_20, WEIGHT_20):
         raise ValueError("element does not lie in the corner algebra")
     cap = max_window if max_window is not None else max_window_cap()
-    rungs = _window_ladder(x, window, cap)
-    if x.is_zero():
-        return LaurentPoly2.zero()
-    for w in rungs:
-        coords = WindowBlocks(w).coordinates([x])[0]
-        if coords is not None:
-            return LaurentPoly2(
-                {(a, b): value for (_, _, a, b), value in coords.items()}
-            )
-    raise UndecidedError(f"no polynomial preimage within window {cap}")
+    if not _window_ladder(x, window, cap):
+        raise UndecidedError(f"no polynomial preimage within window {cap}")
+    return decompose_left(x).coords[2]
 
 
 def corner_involution(p: LaurentPoly2) -> LaurentPoly2:
@@ -557,20 +543,21 @@ def _pair_coords(i: int, j: int) -> tuple[LaurentPoly2, ...]:
 
 
 def decompose_left(x: AlgebraElement) -> CellVector:
-    """Coordinates of a row-(2,0) element over the left module basis."""
+    """Coordinates of a row-(2,0) element over the left module basis,
+    each accumulated in one term dict."""
     if not x.supported_on(WEIGHT_20, None):
         raise ValueError("element does not lie in the row-(2,0) span")
-    zero = LaurentPoly2.zero()
-    acc = [zero, zero, zero, zero]
+    acc: list[dict[tuple[int, int], Scalar]] = [{}, {}, {}, {}]
     for matrix, coeff in x.terms.items():
         cols: list[int] = []
         for _, j, a in matrix.entries:
             cols.extend([j] * a)
         i, j = cols
-        for idx, poly in enumerate(_pair_coords(i, j)):
-            if not poly.is_zero():
-                acc[idx] = acc[idx] + poly.scaled(coeff)
-    return CellVector("left", tuple(acc))
+        for terms, poly in zip(acc, _pair_coords(i, j)):
+            for key, c in poly.terms.items():
+                terms[key] = terms.get(key, 0) + coeff * c
+    zero = LaurentPoly2.zero()
+    return CellVector("left", tuple(zero._like(terms) for terms in acc))
 
 
 def decompose_right(x: AlgebraElement) -> CellVector:
@@ -748,10 +735,9 @@ class WindowBlocks:
     (:func:`stem_system`; its columns are the labels of
     :func:`omega_candidates`) and factored on first use, and kept as
     long as this object, so every question asked of one object
-    eliminates a block at most once.  The corner's block (2,0)/(2,0) is
-    the monomial span and the three row-(2,0) blocks are the left
-    module's span, so the same blocks answer :func:`corner_to_laurent`
-    and module coordinates.
+    eliminates a block at most once.  The three row-(2,0) blocks are
+    the left module's span, so the same blocks answer module
+    coordinates.
     """
 
     def __init__(self, window: int) -> None:

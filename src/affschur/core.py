@@ -40,10 +40,8 @@ Conventions used throughout the package:
   by k*n multiplies its basis element by the k-th power x2^k of that
   shift.  ``PeriodicMatrix.translation_class`` splits a matrix into the
   shape it shares with all its moves and the number of periods it is
-  moved by; ``AlgebraElement.translated`` moves an element.  Each
-  matrix keeps its two one-period neighbours (``period_up`` and
-  ``period_down``), linked both ways between interned objects on first
-  use, so a move by one period is a slot read.
+  moved by; ``AlgebraElement.translated`` moves an element, every
+  matrix through ``columns_moved``.
 """
 
 from __future__ import annotations
@@ -181,12 +179,8 @@ class PeriodicMatrix:
 
     Instances are slotted and compute their hash once, when built;
     equality stays by value, so a matrix built directly equals and
-    hashes like the interned one with its entries.  The transpose, the
-    translation class and the two one-period neighbours are computed on
-    first use and kept in slots.  The neighbour slots join interned
-    objects both ways: ``m.period_up().period_down() is m`` for an
-    interned ``m``, and a directly built matrix reaches the interned
-    neighbour, whose link back is the interned matrix.
+    hashes like the interned one with its entries.  The transpose and
+    the translation class are computed on first use and kept in slots.
     """
 
     n: int
@@ -200,12 +194,6 @@ class PeriodicMatrix:
     )
     _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
     _translation: "tuple[tuple[int, ...], int] | None" = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
-    _up: "PeriodicMatrix | None" = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
-    _down: "PeriodicMatrix | None" = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
 
@@ -317,29 +305,6 @@ class PeriodicMatrix:
         return _interned(
             self.n, tuple((i, j + shift, a) for i, j, a in self.entries)
         )
-
-    def period_up(self) -> "PeriodicMatrix":
-        """``columns_moved(n)``, kept in a slot after the first call."""
-        if self._up is None:
-            self._link_neighbour(1)
-        return self._up
-
-    def period_down(self) -> "PeriodicMatrix":
-        """``columns_moved(-n)``, kept in a slot after the first call."""
-        if self._down is None:
-            self._link_neighbour(-1)
-        return self._down
-
-    def _link_neighbour(self, step: int) -> None:
-        """Link the interned matrix with these entries and its neighbour
-        one period up (step 1) or down (step -1), both ways, and give
-        this matrix the same link."""
-        me = _interned(self.n, self.entries)
-        other = me.columns_moved(step * self.n)
-        low, high = (me, other) if step > 0 else (other, me)
-        object.__setattr__(low, "_up", high)
-        object.__setattr__(high, "_down", low)
-        object.__setattr__(self, "_up" if step > 0 else "_down", other)
 
     def shifted_by(
         self, deltas: Iterable[tuple[int, int, int]]
@@ -597,24 +562,16 @@ class AlgebraElement(LinearCombination):
         """This element times the central x2^periods: every column moved
         by periods * n, onto interned matrices.
 
-        A move by one period reads each matrix's neighbour slot; any
-        other move builds through ``columns_moved``.  Moving columns
-        changes no coefficient, so the term dict is built once and taken
-        as it is.
+        Moving columns changes no coefficient, so the term dict is built
+        once and taken as it is.
         """
         if not periods:
             return self
-        if periods == 1:
-            terms = {m.period_up(): c for m, c in self.terms.items()}
-        elif periods == -1:
-            terms = {m.period_down(): c for m, c in self.terms.items()}
-        else:
-            shift = periods * self.n
-            terms = {m.columns_moved(shift): c for m, c in self.terms.items()}
+        shift = periods * self.n
         moved = object.__new__(type(self))
         moved.n = self.n
         moved.r = self.r
-        moved.terms = terms
+        moved.terms = {m.columns_moved(shift): c for m, c in self.terms.items()}
         return moved
 
     def supported_on(self, row: Composition | None, col: Composition | None) -> bool:

@@ -8,8 +8,9 @@ quotient-map homomorphism properties and the vector-space decomposition —
 and returns a machine-readable report.  Every check is exact; checks that
 need more column support than the run's window report "undecided" rather
 than failing.  A check that finds a block underdetermined, or a
-certificate that does not contract back, fails with that finding as its
-detail; the report is still returned.
+certificate that does not contract back, fails with that finding in its
+detail, after the failures it had found before; the report is still
+returned.
 
 The window parameter is both the starting and the maximal window of the
 run: a certification at window W is a fixed-budget statement about
@@ -20,12 +21,13 @@ that needs it; the freeness check's module system is the three
 row-(2,0) blocks, whose coordinates it reads without certificates.
 Where x2, the central shift by one period, carries a statement from one
 element to its translates, a check makes it once per stem or base pair
-and argues the move next to the check: the freeness round trips move
-by whole periods, and the transpose check compares the stems' transposes
-only, since transposing turns a move by b periods into one by -b.  The
-transpose and corner-involution maps can be overridden, which is used
-by negative-control tests to show that the battery actually rejects
-wrong structure maps.
+and argues the move next to the check: the freeness check contracts
+each base pair once and moves its round trips by whole periods, and the
+transpose check compares the stems' transposes only, since transposing
+turns a move by b periods into one by -b.  The transpose and
+corner-involution maps can be overridden, which is used by
+negative-control tests to show that the battery actually rejects wrong
+structure maps.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .cellular import (
     SIGNATURE_BLOCKS,
     WEIGHT_20,
     WindowBlocks,
+    _window_labels,
     corner_involution,
     decompose_left,
     decompose_right,
@@ -164,13 +167,13 @@ def _membership_detail(name: str, result: MembershipResult) -> str:
     return f"{name}: {result.status} (window {result.window})"
 
 
-def _next_round_trips(
-    trips: tuple[AlgebraElement, AlgebraElement]
+def _moved_round_trips(
+    trips: tuple[AlgebraElement, AlgebraElement], k: int
 ) -> tuple[AlgebraElement, AlgebraElement]:
-    """A base pair's left and right round trips one visit on, one period
-    further: the left moved up by one period, the right down by one."""
+    """A base pair's left and right round trips for the pair k periods
+    on: the left moved up by k periods, the right down by k."""
     left, right = trips
-    return left.translated(1), right.translated(-1)
+    return left.translated(k), right.translated(-k)
 
 
 def verify_cell_chain(
@@ -197,14 +200,17 @@ def verify_cell_chain(
     )
     start_total = time.perf_counter()
 
-    def run(name: str, fn: Callable[[], tuple[str, str]]) -> None:
+    def run(name: str, fn: Callable[[list[str]], tuple[str, str]]) -> None:
         start = time.perf_counter()
+        # the check's failures, kept here so that an error raised late in
+        # the check does not erase those found before it
+        failures: list[str] = []
         try:
-            status, detail = fn()
+            status, detail = fn(failures)
         except ArithmeticError as exc:
             # an underdetermined block or a certificate that does not
             # contract back: the structure is wrong, so the check fails
-            status, detail = FAIL, str(exc)
+            status, detail = FAIL, "; ".join(failures[:5] + [str(exc)])
         report.checks.append(
             CheckResult(name, status, detail, (time.perf_counter() - start) * 1e3)
         )
@@ -224,8 +230,7 @@ def verify_cell_chain(
     # factored once for every check that asks about them
     blocks = WindowBlocks(window)
 
-    def check_generator_certificates() -> tuple[str, str]:
-        failures: list[str] = []
+    def check_generator_certificates(failures: list[str]) -> tuple[str, str]:
         undecided: list[str] = []
         identities = [
             (
@@ -274,7 +279,7 @@ def verify_cell_chain(
                 undecided.append(_membership_detail(label, result))
         return _status_merge(failures, undecided)
 
-    def check_transpose_stability() -> tuple[str, str]:
+    def check_transpose_stability(failures: list[str]) -> tuple[str, str]:
         # On the stems.  T, the move of every column by one period n,
         # sends the entry (i, j) to (i, j + n), which periodicity stores
         # as (i - n, j); transposed, that is (j, i - n), the transposed
@@ -291,16 +296,10 @@ def verify_cell_chain(
         # members, built as translates, and solves for their coordinates,
         # so a transpose or a translate that broke the commutation shows
         # there as a failed solve.
-        failures: list[str] = []
         undecided: list[str] = []
-        # every spanning element's label in the order of its cell (l, m)
-        labels = sorted(
-            (
-                label
-                for signature in SIGNATURE_BLOCKS
-                for label in blocks.factorization(signature).cols
-            ),
-            key=lambda label: label[:2],
+        # every spanning element's label, by cell (l, m), then b, then a
+        labels = list(
+            _window_labels(window, [(l, m) for l in range(4) for m in range(4)])
         )
         # stem -> column extent of its transpose, None when that is zero
         extents: dict[tuple[int, int, int], tuple[int, int] | None] = {}
@@ -341,7 +340,7 @@ def verify_cell_chain(
     def pair(i: int, j: int) -> AlgebraElement:
         return basis((1, i, 2)) if i == j else basis((1, i, 1), (1, j, 1))
 
-    def check_freeness() -> tuple[str, str]:
+    def check_freeness(failures: list[str]) -> tuple[str, str]:
         # Round trips per base pair.  The pair {i, j} (i <= j) is its base
         # pair {i - 2k, j - 2k}, smaller column in {1, 2}, moved by
         # k = (i - 1) // 2 periods, that is times the central x2^k.
@@ -353,38 +352,33 @@ def verify_cell_chain(
         # columns into moved rows, which row normalization turns back into
         # columns moved by -k periods: the right round trip of the
         # transpose is the base one moved by -k.  Each base pair is
-        # contracted once and every pair compared with its moved base
-        # result; successive visits of one base pair come one period
-        # apart (k rises by 1 as i rises by 2), so the moved results are
-        # kept and stepped by one period.  The premise is not taken on
+        # contracted once and every pair compared with its base round
+        # trips moved by k and -k periods.  The premise is not taken on
         # trust: the solver cross-check below decomposes every pair
         # inside its margin itself and solves against module elements,
         # whose x2^b members are translates too, so a decomposition or
         # module element that broke the translation shows there as a
         # disagreement.
-        failures: list[str] = []
         count = 0
-        moved_trips: dict[
+        base_trips: dict[
             tuple[int, int], tuple[AlgebraElement, AlgebraElement]
         ] = {}
         for i in range(-window, window + 1):
             k = (i - 1) // 2
             for j in range(i, window + 1):
                 base = (i - 2 * k, j - 2 * k)
-                trips = moved_trips.get(base)
+                trips = base_trips.get(base)
                 if trips is None:
                     x0 = pair(*base)
-                    trips = (
-                        decompose_left(x0).to_element().translated(k),
-                        decompose_right(x0.transpose()).to_element().translated(-k),
+                    trips = base_trips[base] = (
+                        decompose_left(x0).to_element(),
+                        decompose_right(x0.transpose()).to_element(),
                     )
-                else:
-                    trips = _next_round_trips(trips)
-                moved_trips[base] = trips
+                left, right = _moved_round_trips(trips, k)
                 x = pair(i, j)
-                if trips[0] != x:
+                if left != x:
                     failures.append(f"left round trip failed at ({i},{j})")
-                if trips[1] != x.transpose():
+                if right != x.transpose():
                     failures.append(f"right round trip failed at ({i},{j})")
                 count += 1
         # independent solver route plus uniqueness, within a margin that
@@ -429,8 +423,7 @@ def verify_cell_chain(
             )
         return status, detail
 
-    def check_independence() -> tuple[str, str]:
-        failures: list[str] = []
+    def check_independence(failures: list[str]) -> tuple[str, str]:
         block_dims = []
         for signature in sorted(
             SIGNATURE_BLOCKS, key=lambda sig: (sig[0].parts, sig[1].parts)
@@ -452,8 +445,7 @@ def verify_cell_chain(
             )
         return status, detail
 
-    def check_diagram() -> tuple[str, str]:
-        failures: list[str] = []
+    def check_diagram(failures: list[str]) -> tuple[str, str]:
         for index in range(samples):
             cells = random_tensor_cells(rng)
             tensor = CellTensor.zero()
@@ -474,8 +466,7 @@ def verify_cell_chain(
             detail = f"transpose commutes with the swap on {samples} tensors"
         return status, detail
 
-    def check_quotient() -> tuple[str, str]:
-        failures: list[str] = []
+    def check_quotient(failures: list[str]) -> tuple[str, str]:
         for index in range(samples):
             x = random_element(rng, 2, 2, col_lo=-3, col_hi=4)
             y = random_element(rng, 2, 2, col_lo=-3, col_hi=4)
@@ -504,8 +495,7 @@ def verify_cell_chain(
             detail = f"homomorphism, kernel, section and inversion on {samples} samples"
         return status, detail
 
-    def check_direct_sum() -> tuple[str, str]:
-        failures: list[str] = []
+    def check_direct_sum(failures: list[str]) -> tuple[str, str]:
         undecided: list[str] = []
         lo = -max(2, window // 4)
         hi = max(3, window // 4)

@@ -119,6 +119,57 @@ class TestCornerRing:
         with pytest.raises(UndecidedError):
             corner_to_laurent(x, window=10, max_window=2)
 
+    def test_polynomial_equals_the_solver_route(self):
+        """The polynomial read off the left-module recurrences is the one
+        the windowed solve over the monomial block gives, on random corner
+        elements that fit the window, which is also the cap."""
+        rng = random.Random(11)
+        compared = 0
+        for window in [*range(1, 25), 48, 64]:
+            odd = [j for j in range(-window, window + 1) if j % 2]
+            elements = []
+            for _ in range(10 if window <= 24 else 5):
+                terms = {}
+                for _ in range(rng.randint(1, 4)):
+                    i, j = sorted(rng.choice(odd) for _ in range(2))
+                    terms[mat(2, (1, i, 1), (1, j, 1))] = Fraction(
+                        rng.choice([-7, -2, -1, 1, 3, 12]), rng.randint(1, 3)
+                    )
+                elements.append(AlgebraElement(2, 2, terms))
+            if window in (24, 48):
+                # every corner matrix of the window at once
+                elements.append(
+                    AlgebraElement(
+                        2,
+                        2,
+                        {
+                            mat(2, (1, i, 1), (1, j, 1)): rng.randint(1, 9)
+                            for i in odd
+                            for j in odd
+                            if i <= j
+                        },
+                    )
+                )
+            solved = WindowBlocks(window).coordinates(elements)
+            for x, coords in zip(elements, solved):
+                assert coords is not None, (window, x)
+                expected = LaurentPoly2(
+                    {(a, b): value for (_, _, a, b), value in coords.items()}
+                )
+                assert corner_to_laurent(x, max_window=window) == expected, x
+                compared += 1
+        assert compared >= 200
+
+    def test_polynomial_needs_no_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("corner_to_laurent built a Factorization")
+
+        monkeypatch.setattr(cellular.Factorization, "__init__", refuse)
+        p = LaurentPoly2({(3, -2): 5, (0, 4): Fraction(1, 2), (1, -9): -1})
+        assert corner_to_laurent(laurent_to_corner(p)) == p
+        wide = basis(2, (1, -63, 1), (1, 63, 1))
+        assert laurent_to_corner(corner_to_laurent(wide)) == wide
+
 
     def test_monomial_images_need_no_recursion(self):
         """monomial_image fills its cache bottom-up: exponents far above a
@@ -446,8 +497,8 @@ def _reference_corner_grid(window):
 
 
 class TestX2Families:
-    """Members with b != 0 are filled from a neighbour by one period step,
-    or by one jump from b = 0."""
+    """Members with b != 0 are filled by one move of their b = 0 member,
+    in any order."""
 
     FAMILIES = [
         ("monomial", lambda a, b: monomial_image(a, b)),

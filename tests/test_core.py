@@ -20,7 +20,6 @@ from affschur import (
     row_vector,
     unit_matrix,
 )
-from affschur import core
 from affschur.cellular import _combination
 from affschur.core import parse_fraction
 
@@ -355,31 +354,6 @@ class TestTransposeOfATranslate:
     def test_elements(self, x):
         for k in self.PERIODS:
             assert x.translated(k).transpose() == x.transpose().translated(-k)
-
-
-class TestPeriodNeighbours:
-    @given(basis_matrices())
-    @settings(max_examples=60)
-    def test_neighbours_are_interned_and_linked(self, a):
-        up, down = a.period_up(), a.period_down()
-        assert up is a.columns_moved(a.n) and down is a.columns_moved(-a.n)
-        assert up.period_down() is a and down.period_up() is a
-        for matrix in (up, down):
-            assert core._MATRICES[(matrix.n, matrix.entries)] is matrix
-
-    @given(basis_matrices(), st.integers(1, 6), st.booleans())
-    @settings(max_examples=60)
-    def test_steps_equal_columns_moved(self, a, steps, direct):
-        """Walking n neighbours gives ``columns_moved(+-n periods)``, also
-        from a matrix built directly, which reaches the interned chain."""
-        start = PeriodicMatrix(a.n, a.entries) if direct else a
-        up = down = start
-        for k in range(1, steps + 1):
-            up, down = up.period_up(), down.period_down()
-            assert up is a.columns_moved(k * a.n)
-            assert down is a.columns_moved(-k * a.n)
-        assert start.period_up().period_down() is a
-        assert start.period_down().period_up() is a
 
 
 class TestJson:

@@ -6,7 +6,7 @@ import pytest
 from affschur import cellular, multiplication, verify_cell_chain
 from affschur import verify as verify_module
 from affschur.cellular import SIGNATURE_BLOCKS, omega_candidates
-from affschur.core import AlgebraElement, PeriodicMatrix
+from affschur.core import AlgebraElement
 from affschur.linalg import Factorization
 from affschur.multiplication import StructureTable
 
@@ -93,7 +93,7 @@ class TestShortcutControls:
         report = verify_cell_chain(window=12, seed=0, samples=20)
         assert report.exit_code() == 1
         assert any(c.status == "fail" and c.detail for c in report.checks)
-        return {c.name: c.status for c in report.checks}
+        return {c.name: c for c in report.checks}
 
     def test_structure_table_moves_a_class_by_its_offset(
         self, monkeypatch, fresh_caches
@@ -114,31 +114,25 @@ class TestShortcutControls:
         self.failing_run()
 
     def test_translated_moves_by_whole_periods(self, monkeypatch, fresh_caches):
-        """Premise: ``translated(k)`` is the central x2^k for every k, not
-        only for the one-period steps.  The freeness round trips move base
-        pairs by k periods, and the transpose check's target cells are
-        filled by one jump from b = 0; both rest on it."""
+        """Premise: ``translated(k)`` is the central x2^k for every k.  The
+        freeness round trips move base pairs by k periods, and the
+        transpose check's target cells are filled by one move from b = 0;
+        both rest on it.  The transpose check's certificate then fails to
+        contract back, an error raised after its stem comparisons have
+        failed: its detail keeps those failures and ends with the error."""
         translated = AlgebraElement.translated
 
         def off_far_out(element, periods):
             return translated(element, periods + 1 if abs(periods) >= 4 else periods)
 
         monkeypatch.setattr(AlgebraElement, "translated", off_far_out)
-        statuses = self.failing_run()
-        assert statuses["module-basis-freeness"] == "fail"
-        assert statuses["transpose-ideal-stability"] == "fail"
-
-    def test_neighbour_slot_is_one_period_up(self, monkeypatch, fresh_caches):
-        """Premise: a matrix's upper neighbour is its columns moved by
-        exactly one period.  The freeness round trips of a base pair step
-        by one period from visit to visit, and the omega cells that the
-        transpose check compares with are filled by such steps."""
-        monkeypatch.setattr(
-            PeriodicMatrix, "period_up", lambda m: m.columns_moved(2 * m.n)
-        )
-        statuses = self.failing_run()
-        assert statuses["module-basis-freeness"] == "fail"
-        assert statuses["transpose-ideal-stability"] == "fail"
+        checks = self.failing_run()
+        assert checks["module-basis-freeness"].status == "fail"
+        transpose = checks["transpose-ideal-stability"]
+        assert transpose.status == "fail"
+        *stems, last = transpose.detail.split("; ")
+        assert last == "solved tensor fails to reproduce its element"
+        assert stems and all(f.startswith("transpose of cell (") for f in stems)
 
     def test_block_row_of_a_translate_is_its_stem_row_moved(
         self, monkeypatch, fresh_caches
@@ -151,18 +145,18 @@ class TestShortcutControls:
             return moved_rows(stem_rows, b + 1 if abs(b) >= 4 else b)
 
         monkeypatch.setattr(cellular, "_moved_rows", off_far_out)
-        assert self.failing_run()["coordinate-independence"] == "fail"
+        assert self.failing_run()["coordinate-independence"].status == "fail"
 
     def test_right_round_trip_steps_down(self, monkeypatch, fresh_caches):
         """Premise: transposing turns columns moved up into columns moved
-        down, so the right round trip of a base pair steps by -1 period
-        from visit to visit."""
+        down, so the right round trip of the pair k periods from its base
+        pair is the base one moved by -k periods."""
         monkeypatch.setattr(
             verify_module,
-            "_next_round_trips",
-            lambda trips: (trips[0].translated(1), trips[1].translated(1)),
+            "_moved_round_trips",
+            lambda trips, k: (trips[0].translated(k), trips[1].translated(k)),
         )
-        assert self.failing_run()["module-basis-freeness"] == "fail"
+        assert self.failing_run()["module-basis-freeness"].status == "fail"
 
 
 class TestWindowStarvation:
