@@ -351,22 +351,26 @@ def _moved_rows(
 
 def stem_system(
     window: int, pairs: Iterable[tuple[int, int]]
-) -> tuple[list[Label], dict[tuple[int, ...], int], dict[Row, dict[int, Scalar]]]:
+) -> tuple[
+    list[Label], dict[tuple[int, ...], int], list[Row], list[list[tuple[int, Scalar]]]
+]:
     """The system of the members of the cells in ``pairs`` that fit the
     window, built from their stems: no translate is built.
 
     Returns the column labels, in the order of :func:`omega_candidates`;
     the shape ids, numbering the translation-class shapes in the order
-    met; and the rows, {(shape id, k): {column index: value}}.  Each
-    stem's terms are read through ``translation_class`` once, and the
-    column of its translate b holds them in the rows
+    met; the rows, (shape id, k) in the order met; and per column its
+    values as [(row index, value)], the columns :class:`Factorization`
+    takes.  Each stem's terms are read through ``translation_class``
+    once, and the column of its translate b holds them in the rows
     :func:`_moved_rows` gives.  Distinct matrices have distinct classes,
     so the rows of one column are distinct.
     """
     cols: list[Label] = []
     shape_ids: dict[tuple[int, ...], int] = {}
     stems: dict[tuple[int, int, int], list[tuple[Row, Scalar]]] = {}
-    rows: dict[Row, dict[int, Scalar]] = {}
+    row_index: dict[Row, int] = {}
+    columns: list[list[tuple[int, Scalar]]] = []
     for label in _window_labels(window, pairs):
         l, m, a, b = label
         stem_rows = stems.get((l, m, a))
@@ -376,11 +380,14 @@ def stem_system(
                 for matrix, coeff in omega_element(l, m, a, 0).terms.items()
                 for shape, k in [matrix.translation_class()]
             ]
-        col = len(cols)
         cols.append(label)
-        for row, coeff in _moved_rows(stem_rows, b):
-            rows.setdefault(row, {})[col] = coeff
-    return cols, shape_ids, rows
+        columns.append(
+            [
+                (row_index.setdefault(row, len(row_index)), coeff)
+                for row, coeff in _moved_rows(stem_rows, b)
+            ]
+        )
+    return cols, shape_ids, list(row_index), columns
 
 
 # ---------------------------------------------------------------------------
@@ -750,10 +757,10 @@ class WindowBlocks:
     ) -> tuple[dict[tuple[int, ...], int], Factorization]:
         found = self._blocks.get(signature)
         if found is None:
-            cols, shape_ids, rows = stem_system(
+            cols, shape_ids, rows, columns = stem_system(
                 self.window, SIGNATURE_BLOCKS[signature]
             )
-            found = (shape_ids, Factorization(cols, list(rows), list(rows.values())))
+            found = (shape_ids, Factorization(cols, rows, columns))
             self._blocks[signature] = found
         return found
 

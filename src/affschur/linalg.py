@@ -1,35 +1,39 @@
 """
 Exact sparse rational linear algebra.
 
-Systems are kept sparse as dict-of-dict rows over arbitrary hashable row
-and column labels.  A :class:`Factorization` eliminates one coefficient
-matrix once and is then asked about any number of right-hand sides, in
-any number of batches.  It takes its rows in index space; ``factorize``
-builds one from {(row, column): value} entries, and ``solve_many``,
-``solve_unique`` and ``rank`` are thin calls to that.
+A :class:`Factorization` eliminates one coefficient matrix once and is
+then asked about any number of right-hand sides, in any number of
+batches.  It takes its matrix by columns in index space; ``factorize``
+builds one from {(row, column): value} entries over arbitrary hashable
+row and column labels, and ``solve_many``, ``solve_unique`` and ``rank``
+are thin calls to that.
 
 Values are exact scalars: an ``int`` when integral, else a ``Fraction``.
-Elimination runs over Q with unit pivots: a chosen pivot row is divided
-by its pivot value, and every other row meeting the pivot column drops
-``factor`` times it.  Each cleared row is updated in place, touching only
-the pivot row's columns, so a step costs its arithmetic; on integral
-systems whose pivots are all 1 every row stays in ``int``s.  Pivots are
-chosen by a Markowitz-style sparsity count, and each pivot row is kept
-as a compact copy.  The right-hand sides stay out of the elimination:
-every row operation is logged and replayed on a batch of right-hand
-sides when it is solved.  Back-substitution is sparse, in the style of a
-Gilbert–Peierls triangular solve: each right-hand side visits only the
-pivots its nonzero entries reach, in decreasing pivot order, so work is
-done only for nonzero solution values.  Everything is exact; verdicts
-distinguish a unique solution from inconsistent and underdetermined
-systems.
+Elimination runs over Q with unit pivots, in two phases, as sparse
+direct solvers do (Davis & Palamadai Natarajan, "Algorithm 907: KLU",
+ACM TOMS 2010).  First the row singletons are peeled: each row keeps
+the count and the sum of the indices of its live columns, so a row
+whose count reaches 1 names its column and becomes its pivot with no
+search, and the column leaves every other row with no arithmetic on the
+matrix.  The certifier's systems are triangular and peel whole.  What
+peeling leaves is built as row dicts and eliminated with Markowitz-style
+pivots (sparsest row, then its smallest coefficient): a chosen pivot
+row is divided by its pivot value and every other row meeting the pivot
+column drops ``factor`` times it, in place.  The right-hand sides stay
+out of the elimination: every row operation is logged (a peeled step
+names its column's own list) and replayed on a batch of right-hand
+sides when it is solved.  Back-substitution is sparse, in the style of
+a Gilbert–Peierls triangular solve: each right-hand side visits only
+the pivots its nonzero entries reach, in decreasing pivot order, so
+work is done only for nonzero solution values.  Everything is exact;
+verdicts distinguish a unique solution from inconsistent and
+underdetermined systems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 import heapq
 from math import lcm
 from typing import Hashable, Sequence
@@ -80,40 +84,95 @@ def _divided(value: int | Fraction, divisor: int | Fraction) -> int | Fraction:
 
 
 # one elimination step: the pivot row, its pivot value (the row was
-# divided by it) and the rows it cleared, each with its own factor
+# divided by it) and the rows it cleared, each with its own factor.  A
+# peeled step names its pivot column's own list, which holds the pivot
+# row too.
 _Step = tuple[int, int | Fraction, list[tuple[int, int | Fraction]]]
 
 
-def _eliminate(
-    rows_in: list[dict[int, int | Fraction]],
-) -> tuple[list[tuple[int, int, dict[int, int | Fraction]]], list[_Step]]:
-    """Forward elimination over Q (the input rows are consumed).
+def _peel(
+    columns: list[list[tuple[int, int | Fraction]]], nrows: int
+) -> tuple[list[tuple[int, int]], list[_Step], dict[int, dict[int, int | Fraction]]]:
+    """Peel the row singletons off a matrix given by columns.
 
-    Returns the (row, pivot column, pivot row) triples in pivot order,
-    each pivot row divided by its pivot value so that it holds 1 in its
-    pivot column, and the log of every row operation.  Pivots take the
-    sparsest available row (lazy heap, stale entries skipped) and its
-    smallest coefficient; a column index limits each step to the rows
-    actually meeting the pivot column.  Rows that end up zero take no
-    part any more.
+    Each row keeps the number of its live columns and the sum of their
+    indices.  A row whose count is 1 holds a single live entry, in the
+    column that sum names: it becomes that column's pivot row, and the
+    column leaves every row it meets.  So a peeled pivot row holds only
+    its pivot column, the rows it clears lose only that entry, and no
+    value of the matrix changes.  Rows whose count reaches 0 without a
+    pivot are zero rows.  The lowest-numbered singleton goes first (a
+    heap of row numbers), the row a Markowitz order would take, so a
+    triangular matrix gets the pivots that :func:`_eliminate` would give.
+
+    Returns the (row, column) pivots in order, their steps, and the rows
+    left over the columns left, {row: {column: value}}, for
+    :func:`_eliminate`; empty when the matrix peels whole.
+    """
+    count = [0] * nrows
+    colsum = [0] * nrows
+    for col, column in enumerate(columns):
+        for rid, _ in column:
+            count[rid] += 1
+            colsum[rid] += col
+    # in increasing order, so already a heap
+    singles = [rid for rid, k in enumerate(count) if k == 1]
+    pivots: list[tuple[int, int]] = []
+    steps: list[_Step] = []
+    while singles:
+        rid = heapq.heappop(singles)
+        if count[rid] != 1:
+            continue
+        col = colsum[rid]
+        column = columns[col]
+        for other, value in column:
+            if other == rid:
+                pivot_val = value
+                continue
+            k = count[other] - 1
+            count[other] = k
+            colsum[other] -= col
+            if k == 1:
+                heapq.heappush(singles, other)
+        count[rid] = 0
+        pivots.append((rid, col))
+        steps.append((rid, pivot_val, column))
+    rest: dict[int, dict[int, int | Fraction]] = {}
+    if len(pivots) < len(columns):
+        peeled = {col for _, col in pivots}
+        for col, column in enumerate(columns):
+            if col not in peeled:
+                for rid, value in column:
+                    rest.setdefault(rid, {})[col] = value
+    return pivots, steps, rest
+
+
+def _eliminate(
+    rows: dict[int, dict[int, int | Fraction]],
+) -> tuple[list[tuple[int, int, list[tuple[int, int | Fraction]]]], list[_Step]]:
+    """Forward elimination over Q of the rows peeling leaves (they are
+    consumed).
+
+    Returns the (row, pivot column, rest of the pivot row) triples in
+    pivot order, each pivot row divided by its pivot value so that it
+    holds 1 in its pivot column, and the log of every row operation.
+    Pivots take the sparsest available row (lazy heap, stale entries
+    skipped) and its smallest coefficient; a column index limits each
+    step to the rows actually meeting the pivot column.  Rows that end
+    up zero take no part any more.
 
     A cleared row is updated in place, ``row -= factor * pivot_row``, at
     the cost of its arithmetic: only the pivot row's columns are
-    touched.  The pivot column leaves the column index in one step, only
-    fill entries are added to it, and each pivot row is kept as a
-    compact copy.
+    touched.  The pivot column leaves the column index in one step, and
+    only fill entries are added to it.
     """
-    rows: dict[int, dict[int, int | Fraction]] = {}
     colmap: dict[int, set[int]] = {}
-    heap: list[tuple[int, int]] = []
-    for rid, row in enumerate(rows_in):
-        if row:
-            rows[rid] = row
-            for c in row:
-                colmap.setdefault(c, set()).add(rid)
-            heap.append((len(row), rid))
+    for rid, row in rows.items():
+        for c in row:
+            colmap.setdefault(c, set()).add(rid)
+    heap = [(len(row), rid) for rid, row in rows.items()]
     heapq.heapify(heap)
-    pivots: list[tuple[int, int, dict[int, int | Fraction]]] = []
+    pivots: list[tuple[int, int, list[tuple[int, int | Fraction]]]] = []
     steps: list[_Step] = []
     while heap:
         count, rid = heapq.heappop(heap)
@@ -125,8 +184,8 @@ def _eliminate(
         if pivot_val != 1:
             for c, v in pivot_row.items():
                 pivot_row[c] = _divided(v, pivot_val)
-        pivots.append((rid, col, dict(pivot_row)))
         rest = [(c, v) for c, v in pivot_row.items() if c != col]
+        pivots.append((rid, col, rest))
         for c, _ in rest:
             colmap[c].discard(rid)
         targets = colmap.pop(col)
@@ -159,13 +218,16 @@ def _eliminate(
 class Factorization:
     """The elimination of one coefficient matrix, solvable many times.
 
-    The matrix comes in index space: ``rows`` labels the rows and
-    ``entries`` holds, per row in that order, its nonzero values as
-    {column index: value}, an index into ``cols``; the rows are consumed.
-    Values are ``int``s or ``Fraction``s, and the matrix is eliminated
-    over Q with unit pivots.  ``rank`` is the pivot count.  :meth:`solve`
-    takes a batch of right-hand sides ({row label: value}), clears each
-    of its denominators, replays the logged row operations on them and
+    The matrix comes by columns in index space: ``rows`` labels the rows
+    and ``columns`` holds, per label of ``cols`` in that order, its
+    nonzero values as [(row index, value)], an index into ``rows``, each
+    row at most once.  The lists are kept, not copied: the log of a
+    peeled step is its column's list.  Values are ``int``s or
+    ``Fraction``s, and the matrix is eliminated over Q with unit pivots,
+    the row singletons peeled first and the rest by Markowitz pivots.
+    ``rank`` is the pivot count.  :meth:`solve` takes a batch of
+    right-hand sides ({row label: value}), clears each of its
+    denominators, replays the logged row operations on them and
     back-substitutes each one; a rhs entry on a row not in ``rows`` is
     an equation 0 = value of its own.
     """
@@ -174,14 +236,25 @@ class Factorization:
         self,
         cols: Sequence[Hashable],
         rows: Sequence[Hashable],
-        entries: list[dict[int, int | Fraction]],
+        columns: list[list[tuple[int, int | Fraction]]],
     ) -> None:
         self.cols = list(cols)
         self._row_index = {label: rid for rid, label in enumerate(rows)}
-        self._pivots, self._steps = _eliminate(entries)
+        self._pivots, self._steps, rest = _peel(columns, len(rows))
+        # column -> [(pivot, coefficient)] over the pivot rows meeting it
+        # off their own pivot column; a peeled pivot row meets none
+        self._col_users: dict[int, list[tuple[int, int | Fraction]]] = {}
+        if rest:
+            more, steps = _eliminate(rest)
+            self._steps += steps
+            for rid, col, row_rest in more:
+                for c, value in row_rest:
+                    self._col_users.setdefault(c, []).append(
+                        (len(self._pivots), value)
+                    )
+                self._pivots.append((rid, col))
         self.rank = len(self._pivots)
-        self._pivot_of = {rid: p for p, (rid, _, _) in enumerate(self._pivots)}
-
+        self._pivot_of = {rid: p for p, (rid, _) in enumerate(self._pivots)}
     def solve(
         self, rhs_list: Sequence[dict[Hashable, int | Fraction]]
     ) -> list[SolveResult]:
@@ -229,9 +302,10 @@ class Factorization:
 
         At its step a pivot row's values are divided by the pivot value,
         as the row was, and each cleared row drops its factor times
-        them.  A step whose pivot row holds no rhs value changes nothing
-        and is skipped whole, so a solve pays only for the steps its
-        values reach.
+        them; a peeled step's list holds the pivot row itself, which is
+        passed over.  A step whose pivot row holds no rhs value changes
+        nothing and is skipped whole, so a solve pays only for the steps
+        its values reach.
         """
         for pid, pivot_val, cleared in self._steps:
             source = values.get(pid)
@@ -242,6 +316,8 @@ class Factorization:
                     k: _divided(v, pivot_val) for k, v in source.items()
                 }
             for other, factor in cleared:
+                if other == pid:
+                    continue
                 target = values.get(other)
                 if target is None:
                     values[other] = {k: -factor * v for k, v in source.items()}
@@ -254,17 +330,6 @@ class Factorization:
                         del target[k]
                 if not target:
                     del values[other]
-
-    @cached_property
-    def _col_users(self) -> dict[int, list[tuple[int, int | Fraction]]]:
-        """Column -> [(pivot, coefficient)] over the pivot rows meeting it
-        off their own pivot column."""
-        users: dict[int, list[tuple[int, int | Fraction]]] = {}
-        for p, (_, col, row) in enumerate(self._pivots):
-            for c, value in row.items():
-                if c != col:
-                    users.setdefault(c, []).append((p, value))
-        return users
 
     def _back_substitute(
         self, starts: Sequence[tuple[int, int | Fraction]], scale: int
@@ -309,11 +374,11 @@ def factorize(
     """The factorization of a system given by {(row, column): value}."""
     row_index = {label: rid for rid, label in enumerate(rows)}
     col_index = {label: idx for idx, label in enumerate(cols)}
-    sparse: list[dict[int, int | Fraction]] = [{} for _ in rows]
+    columns: list[list[tuple[int, int | Fraction]]] = [[] for _ in cols]
     for (row_label, col_label), value in entries.items():
         if value:
-            sparse[row_index[row_label]][col_index[col_label]] = value
-    return Factorization(cols, rows, sparse)
+            columns[col_index[col_label]].append((row_index[row_label], value))
+    return Factorization(cols, rows, columns)
 
 
 def solve_many(

@@ -39,7 +39,7 @@ from affschur import (
     tensor_involution,
     tensor_to_ideal,
 )
-from affschur import cellular, core
+from affschur import cellular, core, linalg
 from affschur.cellular import (
     SIGNATURE_BLOCKS,
     WEIGHT_11,
@@ -905,20 +905,43 @@ class TestMembership:
         for window in range(1, 13):
             for pairs in SIGNATURE_BLOCKS.values():
                 candidates = omega_candidates(window, pairs)
-                cols, shape_ids, rows = stem_system(window, pairs)
+                cols, shape_ids, rows, columns = stem_system(window, pairs)
                 assert cols == [label for label, _ in candidates], window
                 assert sorted(shape_ids.values()) == list(range(len(shape_ids)))
-                by_column = [{} for _ in cols]
-                for row, values in rows.items():
-                    assert values, row
-                    for col, value in values.items():
-                        by_column[col][row] = value
-                for (label, element), got in zip(candidates, by_column):
+                # the rows are distinct and each is met by some column
+                assert len(set(rows)) == len(rows)
+                met = {rid for column in columns for rid, _ in column}
+                assert met == set(range(len(rows)))
+                by_column = []
+                for column in columns:
+                    got = {rows[rid]: value for rid, value in column}
+                    assert len(got) == len(column), window
+                    by_column.append(got)
+                for (label, element), got in zip(candidates, by_column, strict=True):
                     expected = {}
                     for matrix, coeff in element.terms.items():
                         shape, k = matrix.translation_class()
                         expected[(shape_ids[shape], k)] = coeff
                     assert got == expected, (window, label)
+
+    def test_production_blocks_peel_whole(self, monkeypatch):
+        """Every signature block is triangular: peeling takes all of its
+        columns and the Markowitz phase is never entered.  A block that
+        stopped being triangular would still be solved correctly, only
+        far more slowly, so no other test would notice."""
+
+        def refuse(rows):
+            raise AssertionError(f"{len(rows)} rows left for the Markowitz phase")
+
+        monkeypatch.setattr(linalg, "_eliminate", refuse)
+        for window in [*range(1, 25), 48]:
+            blocks = WindowBlocks(window)
+            for signature in SIGNATURE_BLOCKS:
+                factorization = blocks.factorization(signature)
+                assert factorization.rank == len(factorization.cols), (
+                    window,
+                    signature,
+                )
 
     def test_blocks_build_no_translate(self, monkeypatch):
         """Factoring every block of a window builds only stems: every

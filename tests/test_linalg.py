@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affschur import SolveResult, SparseSystem, rank, solve_many, solve_unique
+from affschur import linalg
 from affschur.linalg import factorize
 
 
@@ -300,6 +302,84 @@ def sparse_systems(draw):
     return matrix, rhs_dense
 
 
+@st.composite
+def peelable_systems(draw):
+    """A planted triangular part joined to a dense rest, with rows and
+    columns shuffled, and 1-4 right-hand sides as in :func:`sparse_systems`.
+
+    Triangular row i holds a nonzero pivot, some of them non-unit or
+    rational, in triangular column i and otherwise entries in earlier
+    triangular columns only, so peeling takes every triangular column.
+    Echo rows hold triangular entries only: each of them, or a planted
+    row whose column it takes, peels down to zero.  A rest
+    row holds a nonzero value in each of the two or more rest columns,
+    some rows as rescaled copies of earlier ones, so no rest column ever
+    peels.  Returns the matrix, the right-hand sides and the indices of
+    the rest columns."""
+    nrest = draw(st.sampled_from([0, 0, 2, 3, 4]))
+    ntri = draw(st.integers(min_value=0 if nrest else 1, max_value=6))
+    nonzero = st.integers(min_value=-4, max_value=4).filter(bool)
+    denominator = st.sampled_from([1, 1, 2, 3])
+
+    def scalar():
+        return Fraction(draw(nonzero), draw(denominator))
+
+    def maybe():
+        return scalar() if draw(st.booleans()) else 0
+
+    matrix = [
+        [maybe() for _ in range(i)] + [scalar()] + [0] * (ntri - i - 1 + nrest)
+        for i in range(ntri)
+    ]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        matrix.append([maybe() for _ in range(ntri)] + [0] * nrest)
+    rest_rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=nrest + 2)) if nrest else 0):
+        if rest_rows and draw(st.booleans()):
+            factor = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+            rest = [v * factor for v in draw(st.sampled_from(rest_rows))]
+        else:
+            rest = [scalar() for _ in range(nrest)]
+        rest_rows.append(rest)
+        matrix.append([maybe() for _ in range(ntri)] + rest)
+    row_order = draw(st.permutations(range(len(matrix))))
+    col_order = draw(st.permutations(range(ntri + nrest)))
+    matrix = [[matrix[i][c] for c in col_order] for i in row_order]
+    rest_cols = {j for j, c in enumerate(col_order) if c >= ntri}
+    rhs_dense = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["consistent", "arbitrary", "zero"]))
+        if kind == "consistent":
+            x = [draw(st.integers(min_value=-3, max_value=3)) for _ in col_order]
+            rhs_dense.append([sum(a * b for a, b in zip(row, x)) for row in matrix])
+        elif kind == "arbitrary":
+            rhs_dense.append(
+                [draw(st.integers(min_value=-2, max_value=2)) for _ in matrix]
+            )
+        else:
+            rhs_dense.append([0] * len(matrix))
+    return matrix, rhs_dense, rest_cols
+
+
+def assert_matches_gauss_jordan(matrix, rhs_dense):
+    """Factor the matrix and solve every right-hand side; rank, verdicts
+    and unique solutions (values and column order) must be those of
+    :func:`gauss_jordan`."""
+    systems = [system(matrix, rhs) for rhs in rhs_dense]
+    first = systems[0]
+    factorization = factorize(first.cols, first.rows, first.entries)
+    expected_rank, expected = gauss_jordan(matrix, rhs_dense)
+    assert factorization.rank == expected_rank
+    got = factorization.solve([s.rhs for s in systems])
+    for result, (status, solution) in zip(got, expected, strict=True):
+        assert result.status == status
+        if status == SolveResult.UNIQUE:
+            assert result.solution == {f"c{c}": v for c, v in solution.items()}
+            assert list(result.solution) == [f"c{c}" for c in solution]
+        else:
+            assert result.solution is None
+
+
 class TestFactorizationReference:
     """``Factorization`` against a dense Gauss–Jordan reference, on small
     systems dense enough for non-unit pivots, pivot rows of several
@@ -313,16 +393,42 @@ class TestFactorizationReference:
     @settings(max_examples=300, deadline=None)
     def test_matches_dense_gauss_jordan(self, drawn):
         matrix, rhs_dense = drawn
-        systems = [system(matrix, rhs) for rhs in rhs_dense]
-        first = systems[0]
-        factorization = factorize(first.cols, first.rows, first.entries)
-        expected_rank, expected = gauss_jordan(matrix, rhs_dense)
-        assert factorization.rank == expected_rank
-        got = factorization.solve([s.rhs for s in systems])
-        for result, (status, solution) in zip(got, expected, strict=True):
-            assert result.status == status
-            if status == SolveResult.UNIQUE:
-                assert result.solution == {f"c{c}": v for c, v in solution.items()}
-                assert list(result.solution) == [f"c{c}" for c in solution]
-            else:
-                assert result.solution is None
+        assert_matches_gauss_jordan(matrix, rhs_dense)
+
+    @given(peelable_systems())
+    # r0 and r3 are singletons in c0 (pivots 2/3 and -2): one peels and
+    # takes the other down to zero, where the first rhs is left nonzero
+    # (inconsistent) and the second 0; r1 and r2 reach the Markowitz
+    # phase, which gives the second rhs c1 = 1/3, c2 = 4/3
+    @example(
+        (
+            [[Fraction(2, 3), 0, 0], [1, 1, 2], [5, 2, 1], [-2, 0, 0]],
+            [[1, 0, 0, 1], [Fraction(2, 3), 4, 7, -2]],
+            {1, 2},
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_peeling_then_markowitz_matches_dense_gauss_jordan(self, drawn):
+        """Peeling takes exactly the planted triangular columns, the
+        Markowitz phase gets the rest columns and nothing else, and the
+        two phases together solve as the dense reference does."""
+        matrix, rhs_dense, rest_cols = drawn
+        seen = []
+        eliminate = linalg._eliminate
+
+        def recording(rows):
+            seen.append({c for row in rows.values() for c in row})
+            return eliminate(rows)
+
+        with patch.object(linalg, "_eliminate", recording):
+            assert_matches_gauss_jordan(matrix, rhs_dense)
+        assert seen == ([rest_cols] if rest_cols else [])
+        if not rest_cols:
+            # a matrix that peels whole gets the pivots, in order, that the
+            # Markowitz phase alone would choose for it
+            first = system(matrix)
+            rows = {}
+            for (row, col), value in first.entries.items():
+                rows.setdefault(first.rows.index(row), {})[first.cols.index(col)] = value
+            markowitz = [(rid, col) for rid, col, _ in linalg._eliminate(rows)[0]]
+            assert factorize(first.cols, first.rows, first.entries)._pivots == markowitz
