@@ -40,10 +40,12 @@ each block into one sparse system and factors it once, on first use,
 for every question asked of it.  The system is built from the b = 0
 members, the *stems* (:func:`stem_system`): a member's columns are its
 stem's plus 2b, so the stem's column extent says which translates fit,
-and a matrix is read as its translation class (shape, k), so the
-matrix of a stem term moved by b periods is the row (shape id, k + b).
-No translate is built to assemble a system; a right-hand side reaches
-the rows through its matrices' classes.  Its
+and a matrix is read as its translation class (shape, k), so a stem
+term moved by b periods has class (shape, k + b).  The rows of one
+shape are numbered consecutively in k, so the column of translate b is
+its stem's integer rows plus b.  No translate is built to assemble a
+system; a right-hand side reaches the rows through its matrices'
+classes.  Its
 :meth:`~WindowBlocks.coordinates` solves; its
 :meth:`~WindowBlocks.membership` adds the certificate tensor, re-verified
 by contraction.  :func:`ideal_membership` is the window ladder
@@ -336,58 +338,82 @@ def omega_candidates(
     return [(label, omega_element(*label)) for label in _window_labels(window, pairs)]
 
 
-# a matrix's row in a block system: (shape id, k) for translation class (shape, k)
-Row = tuple[int, int]
+def _translate_shift(b: int) -> int:
+    """How far the block rows of translate b lie past its stem's.
+
+    A matrix of class (shape, k) moved by b periods has class
+    (shape, k + b), moving columns keeps every coefficient, and the rows
+    of one shape are numbered consecutively in k: so the column of
+    translate b is its stem's rows, each moved by b, with the stem's
+    values.  :func:`stem_system` derives each shape's k-range from this
+    map too, so every moved row lies in its own shape's range.
+    """
+    return b
 
 
-def _moved_rows(
-    stem_rows: list[tuple[Row, Scalar]], b: int
-) -> list[tuple[Row, Scalar]]:
-    """The rows and values of the member b periods from a stem, from the
-    stem's: a matrix of class (shape, k) moved by b periods has class
-    (shape, k + b), and moving columns keeps every coefficient."""
-    return [((shape_id, k + b), coeff) for (shape_id, k), coeff in stem_rows]
+# shape -> (offset, k_lo, k_hi): the matrix of class (shape, k) is block
+# row offset + k, for k_lo <= k <= k_hi
+ShapeRows = dict[tuple[int, ...], tuple[int, int, int]]
 
 
 def stem_system(
     window: int, pairs: Iterable[tuple[int, int]]
-) -> tuple[
-    list[Label], dict[tuple[int, ...], int], list[Row], list[list[tuple[int, Scalar]]]
-]:
+) -> tuple[list[Label], ShapeRows, int, list[list[tuple[int, Scalar]]]]:
     """The system of the members of the cells in ``pairs`` that fit the
     window, built from their stems: no translate is built.
 
     Returns the column labels, in the order of :func:`omega_candidates`;
-    the shape ids, numbering the translation-class shapes in the order
-    met; the rows, (shape id, k) in the order met; and per column its
+    the rows of each translation-class shape (``ShapeRows``), the shapes
+    numbered in the order met; the number of rows; and per column its
     values as [(row index, value)], the columns :class:`Factorization`
-    takes.  Each stem's terms are read through ``translation_class``
-    once, and the column of its translate b holds them in the rows
-    :func:`_moved_rows` gives.  Distinct matrices have distinct classes,
-    so the rows of one column are distinct.
+    takes.
+
+    Each stem's terms are read through ``translation_class`` once.  A
+    shape's k-range spans its stem terms' classes moved by the shifts
+    that :func:`_translate_shift` gives the translates that fit, so the
+    rows are numbered by integer arithmetic alone: the column of
+    translate b holds its stem's rows, offset + k, moved by that shift.
+    Distinct matrices have distinct classes, so the rows of one column
+    are distinct.
     """
-    cols: list[Label] = []
-    shape_ids: dict[tuple[int, ...], int] = {}
-    stems: dict[tuple[int, int, int], list[tuple[Row, Scalar]]] = {}
-    row_index: dict[Row, int] = {}
-    columns: list[list[tuple[int, Scalar]]] = []
-    for label in _window_labels(window, pairs):
-        l, m, a, b = label
-        stem_rows = stems.get((l, m, a))
-        if stem_rows is None:
-            stem_rows = stems[(l, m, a)] = [
-                ((shape_ids.setdefault(shape, len(shape_ids)), k), coeff)
-                for matrix, coeff in omega_element(l, m, a, 0).terms.items()
-                for shape, k in [matrix.translation_class()]
-            ]
-        cols.append(label)
-        columns.append(
-            [
-                (row_index.setdefault(row, len(row_index)), coeff)
-                for row, coeff in _moved_rows(stem_rows, b)
-            ]
-        )
-    return cols, shape_ids, list(row_index), columns
+    labels = list(_window_labels(window, pairs))
+    shifts = [_translate_shift(b) for *_, b in labels]
+    # stem (l, m, a) -> the least and greatest shift of its translates
+    reach: dict[tuple[int, int, int], list[int]] = {}
+    for (l, m, a, _), shift in zip(labels, shifts):
+        extent = reach.setdefault((l, m, a), [shift, shift])
+        extent[0], extent[1] = min(extent[0], shift), max(extent[1], shift)
+    # stem -> its terms as (shape, k, value)
+    stem_terms = {
+        stem: [
+            (*matrix.translation_class(), coeff)
+            for matrix, coeff in omega_element(*stem, 0).terms.items()
+        ]
+        for stem in reach
+    }
+    k_range: dict[tuple[int, ...], list[int]] = {}
+    for stem, terms in stem_terms.items():
+        low, high = reach[stem]
+        for shape, k, _ in terms:
+            found = k_range.setdefault(shape, [k + low, k + high])
+            found[0], found[1] = min(found[0], k + low), max(found[1], k + high)
+    shape_rows: ShapeRows = {}
+    nrows = 0
+    for shape, (k_lo, k_hi) in k_range.items():
+        shape_rows[shape] = (nrows - k_lo, k_lo, k_hi)
+        nrows += k_hi - k_lo + 1
+    # one int object per row, shared by every entry in it: a fresh sum per
+    # entry would cost each of the Theta(W^3) entries an object
+    row_ids = list(range(nrows))
+    stem_rows = {
+        stem: [(shape_rows[shape][0] + k, coeff) for shape, k, coeff in terms]
+        for stem, terms in stem_terms.items()
+    }
+    columns = [
+        [(row_ids[row + shift], coeff) for row, coeff in stem_rows[(l, m, a)]]
+        for (l, m, a, _), shift in zip(labels, shifts)
+    ]
+    return labels, shape_rows, nrows, columns
 
 
 # ---------------------------------------------------------------------------
@@ -719,19 +745,21 @@ class MembershipResult:
 
 
 def _rhs_rows(
-    part: dict[PeriodicMatrix, Scalar], shape_ids: dict[tuple[int, ...], int]
-) -> dict[tuple, Scalar]:
+    part: dict[PeriodicMatrix, Scalar], shape_rows: ShapeRows
+) -> dict[int | tuple, Scalar]:
     """A right-hand side {matrix: value} on the rows of a block system.
 
-    A matrix of class (shape, k) is the row (shape id, k).  A shape the
-    block lacks keeps the shape itself in place of an id: that is no row
-    of the system, so its value is an equation 0 = value that refutes
-    the right-hand side, and distinct matrices still stay apart.
+    A matrix of class (shape, k) is row offset + k when the block's rows
+    of that shape cover k.  A class the block has no row for keeps the
+    class itself in place of a row: that is no row of the system, so its
+    value is an equation 0 = value that refutes the right-hand side, and
+    distinct matrices still stay apart.
     """
-    rhs: dict[tuple, Scalar] = {}
+    rhs: dict[int | tuple, Scalar] = {}
     for matrix, value in part.items():
         shape, k = matrix.translation_class()
-        rhs[(shape_ids.get(shape, shape), k)] = value
+        offset, k_lo, k_hi = shape_rows.get(shape, (None, 0, -1))
+        rhs[offset + k if k_lo <= k <= k_hi else (shape, k)] = value
     return rhs
 
 
@@ -749,18 +777,18 @@ class WindowBlocks:
 
     def __init__(self, window: int) -> None:
         self.window = window
-        # signature -> (shape ids, factorization)
-        self._blocks: dict[tuple, tuple[dict, Factorization]] = {}
+        # signature -> (rows of each shape, factorization)
+        self._blocks: dict[tuple, tuple[ShapeRows, Factorization]] = {}
 
     def _block(
         self, signature: tuple[Composition, Composition]
-    ) -> tuple[dict[tuple[int, ...], int], Factorization]:
+    ) -> tuple[ShapeRows, Factorization]:
         found = self._blocks.get(signature)
         if found is None:
-            cols, shape_ids, rows, columns = stem_system(
+            cols, shape_rows, nrows, columns = stem_system(
                 self.window, SIGNATURE_BLOCKS[signature]
             )
-            found = (shape_ids, Factorization(cols, rows, columns))
+            found = (shape_rows, Factorization(cols, range(nrows), columns))
             self._blocks[signature] = found
         return found
 
@@ -791,9 +819,9 @@ class WindowBlocks:
             owners = [idx for idx in parts if solved[idx] is not None]
             if not owners:
                 continue
-            shape_ids, factorization = self._block(signature)
+            shape_rows, factorization = self._block(signature)
             block_results = factorization.solve(
-                [_rhs_rows(parts[idx], shape_ids) for idx in owners]
+                [_rhs_rows(parts[idx], shape_rows) for idx in owners]
             )
             for idx, result in zip(owners, block_results):
                 if result.status == SolveResult.UNDERDETERMINED:

@@ -33,8 +33,10 @@ Conventions used throughout the package:
 
 * Matrices are interned: every matrix that ``from_entries``,
   ``shifted_by``, ``columns_moved`` or ``transpose`` returns is the one
-  canonical object with its entries, built and validated once, and a
-  lookup by entries builds nothing.
+  canonical object with its entries, built once and unvalidated, since
+  those methods produce canonical entries; a lookup by entries builds
+  nothing.  A matrix built directly, ``PeriodicMatrix(n, entries)``, is
+  validated.
 
 * The shift by one period is central: moving every column of a matrix
   by k*n multiplies its basis element by the k-th power x2^k of that
@@ -179,14 +181,15 @@ class PeriodicMatrix:
 
     Instances are slotted and compute their hash once, when built;
     equality stays by value, so a matrix built directly equals and
-    hashes like the interned one with its entries.  The transpose and
-    the translation class are computed on first use and kept in slots.
+    hashes like the interned one with its entries.  The position dict,
+    the row and column weights, the transpose and the translation class
+    are computed on first use and kept in slots.
     """
 
     n: int
     entries: tuple[tuple[int, int, int], ...]
-    _lookup: dict[tuple[int, int], int] = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    _lookup: "dict[tuple[int, int], int] | None" = field(
+        init=False, repr=False, compare=False, hash=False, default=None
     )
     r: int = field(init=False, repr=False, compare=False, hash=False, default=0)
     _transposed: "PeriodicMatrix | None" = field(
@@ -194,6 +197,12 @@ class PeriodicMatrix:
     )
     _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
     _translation: "tuple[tuple[int, ...], int] | None" = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
+    _row_vector: "Composition | None" = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
+    _col_vector: "Composition | None" = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
 
@@ -230,9 +239,17 @@ class PeriodicMatrix:
         """
         return _interned(n, canonical_entries(n, entries))
 
+    def _positions(self) -> dict[tuple[int, int], int]:
+        """{(row, column): value} of the stored entries, built once."""
+        if self._lookup is None:
+            object.__setattr__(
+                self, "_lookup", {(i, j): a for i, j, a in self.entries}
+            )
+        return self._lookup
+
     def entry(self, i: int, j: int) -> int:
         """The matrix entry a_{i,j} for arbitrary integers i, j."""
-        return self._lookup.get(_normalize_row(self.n, i, j), 0)
+        return self._positions().get(_normalize_row(self.n, i, j), 0)
 
     def row_entries(self, i: int) -> dict[int, int]:
         """Nonzero entries {j: a_{i,j}} of row i, for any integer i."""
@@ -254,16 +271,22 @@ class PeriodicMatrix:
         return out
 
     def row_vector(self) -> Composition:
-        parts = [0] * self.n
-        for i, _, a in self.entries:
-            parts[i - 1] += a
-        return Composition(self.n, tuple(parts))
+        """The row sums, computed once."""
+        if self._row_vector is None:
+            parts = [0] * self.n
+            for i, _, a in self.entries:
+                parts[i - 1] += a
+            object.__setattr__(self, "_row_vector", Composition(self.n, tuple(parts)))
+        return self._row_vector
 
     def col_vector(self) -> Composition:
-        parts = [0] * self.n
-        for _, j, a in self.entries:
-            parts[(j - 1) % self.n] += a
-        return Composition(self.n, tuple(parts))
+        """The column sums, reduced mod n into 1..n, computed once."""
+        if self._col_vector is None:
+            parts = [0] * self.n
+            for _, j, a in self.entries:
+                parts[(j - 1) % self.n] += a
+            object.__setattr__(self, "_col_vector", Composition(self.n, tuple(parts)))
+        return self._col_vector
 
     def transpose(self) -> "PeriodicMatrix":
         """The transposed matrix, built once per matrix."""
@@ -313,7 +336,7 @@ class PeriodicMatrix:
 
         Raises if any resulting entry would be negative.
         """
-        acc: dict[tuple[int, int], int] = dict(self._lookup)
+        acc: dict[tuple[int, int], int] = dict(self._positions())
         for i, j, d in deltas:
             key = _normalize_row(self.n, i, j)
             acc[key] = acc.get(key, 0) + d
@@ -342,15 +365,32 @@ class PeriodicMatrix:
 # (n, entries) so that a lookup builds nothing.
 _MATRICES: dict[tuple[int, tuple[tuple[int, int, int], ...]], PeriodicMatrix] = {}
 
+# the slots of a matrix that are filled on first use, empty when it is built
+_ON_FIRST_USE = ("_lookup", "_transposed", "_translation", "_row_vector", "_col_vector")
+
 
 def _interned(
     n: int, entries: tuple[tuple[int, int, int], ...]
 ) -> PeriodicMatrix:
-    """The interned matrix with these canonical entries."""
+    """The interned matrix with these canonical entries.
+
+    Every caller passes entries that are canonical by construction (rows
+    in 1..n, values at least 1, positions distinct and sorted), so a new
+    matrix is built without ``__post_init__``: nothing is validated, its
+    hash is the hash of the table key, which is the hash ``__post_init__``
+    would give, and the slots computed on first use start empty.
+    """
     key = (n, entries)
     found = _MATRICES.get(key)
     if found is None:
-        found = _MATRICES[key] = PeriodicMatrix(n, entries)
+        found = _MATRICES[key] = object.__new__(PeriodicMatrix)
+        put = object.__setattr__
+        put(found, "n", n)
+        put(found, "entries", entries)
+        put(found, "r", sum([a for _, _, a in entries]))
+        put(found, "_hash", hash(key))
+        for name in _ON_FIRST_USE:
+            put(found, name, None)
     return found
 
 

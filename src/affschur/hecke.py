@@ -16,6 +16,9 @@ A group element w corresponds to the basis matrix of the tuple pair
 so the group algebra here composes words in reverse; the embedding is
 then a genuine algebra homomorphism, which the tests check against the
 orbit-counting product.
+
+The quotient map compresses an element into the corner by keeping its
+terms of row and column weight (1, 1), with no product.
 """
 
 from __future__ import annotations
@@ -25,12 +28,10 @@ from .core import (
     Composition,
     LinearCombination,
     Scalar,
-    diag_matrix,
     format_fraction,
     parse_fraction,
 )
 from .laurent import LaurentPoly1
-from .multiplication import multiply
 from .weyl import WeylElement, act, matrix_to_pair, pair_to_matrix, transporter
 
 __all__ = [
@@ -57,7 +58,8 @@ T2 = WeylElement((2, 1), (-1, 1))
 TRHO = WeylElement((2, 1), (0, 1))
 TRHO_INV = TRHO.inverse()
 
-IDEMPOTENT_11 = diag_matrix(Composition(2, (1, 1)))
+# the weight of the corner idempotent, the unity of the quotient
+WEIGHT_11 = Composition(2, (1, 1))
 
 
 class HeckeElement(LinearCombination):
@@ -180,13 +182,30 @@ def _monomial_image(w: WeylElement) -> tuple[int, int]:
 def quotient_image(x: AlgebraElement) -> LaurentPoly1:
     """Image of an element in the Laurent quotient ring.
 
-    The quotient has the corner idempotent as its unity, so an arbitrary
-    element is first compressed into the corner, then each group word is
-    sent to a signed power of x.
+    The quotient has the corner idempotent e_nu, nu = (1, 1), as its
+    unity, so an arbitrary element x is first compressed into the corner,
+    e_nu x e_nu, then each group word is sent to a signed power of x.
+
+    The compression is a filter on the terms, with no product.  The
+    diagonal idempotents e_lam are orthogonal, and for a basis matrix M
+    the product e_lam M is M when lam = ro(M) and 0 otherwise; likewise
+    M e_mu is M when mu = co(M) and 0 otherwise.  So e_nu M e_nu is M
+    when ro(M) = co(M) = nu and 0 otherwise, and e_nu x e_nu keeps the
+    terms of x of row and column weight nu.  The products are defined
+    only for x in S(2, 2), where e_nu lies, so the filter refuses any
+    other element as they did.
     """
-    e_nu = AlgebraElement.basis(IDEMPOTENT_11)
-    compressed = multiply(multiply(e_nu, x), e_nu)
-    h = hecke_preimage(compressed)
+    if x.n != N or x.r != R:
+        raise ValueError("elements live in different algebras")
+    h = hecke_preimage(
+        x._like(
+            {
+                matrix: coeff
+                for matrix, coeff in x.terms.items()
+                if matrix.row_vector() == WEIGHT_11 == matrix.col_vector()
+            }
+        )
+    )
     acc: dict[int, Scalar] = {}
     for w, coeff in h.terms.items():
         a, sign = _monomial_image(w)

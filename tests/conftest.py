@@ -87,7 +87,7 @@ def index_tuples(draw, r=None, lo=-5, hi=6):
 
 
 @st.composite
-def basis_matrices(draw, nr=None):
+def basis_matrices(draw, nr=None, col_lo=-4, col_hi=5):
     if nr is None:
         n, r = draw(small_nr)
     else:
@@ -96,17 +96,17 @@ def basis_matrices(draw, nr=None):
         sorted(draw(st.integers(min_value=1, max_value=n)) for _ in range(r))
     )
     cols = tuple(
-        draw(st.integers(min_value=-4, max_value=5)) for _ in range(r)
+        draw(st.integers(min_value=col_lo, max_value=col_hi)) for _ in range(r)
     )
     return pair_to_matrix(rows, cols, n)
 
 
 @st.composite
-def algebra_elements(draw, nr=(2, 2)):
+def algebra_elements(draw, nr=(2, 2), col_lo=-4, col_hi=5):
     n, r = nr
     terms = {}
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        matrix = draw(basis_matrices(nr=nr))
+        matrix = draw(basis_matrices(nr=nr, col_lo=col_lo, col_hi=col_hi))
         coeff = Fraction(
             draw(st.integers(min_value=-4, max_value=4)),
             draw(st.integers(min_value=1, max_value=3)),

@@ -813,6 +813,18 @@ def solve_calls(monkeypatch):
     return calls
 
 
+def _row_classes(shape_rows, nrows):
+    """The translation class (shape, k) of each row of a block system, in
+    row order; the shapes' ranges must tile the rows without overlap."""
+    rows = [None] * nrows
+    for shape, (offset, k_lo, k_hi) in shape_rows.items():
+        for k in range(k_lo, k_hi + 1):
+            assert rows[offset + k] is None
+            rows[offset + k] = (shape, k)
+    assert None not in rows
+    return rows
+
+
 class TestMembership:
     def test_column_idempotent_member(self, e_mu):
         result = ideal_membership(e_mu, window=6, max_window=6)
@@ -905,24 +917,44 @@ class TestMembership:
         for window in range(1, 13):
             for pairs in SIGNATURE_BLOCKS.values():
                 candidates = omega_candidates(window, pairs)
-                cols, shape_ids, rows, columns = stem_system(window, pairs)
+                cols, shape_rows, nrows, columns = stem_system(window, pairs)
                 assert cols == [label for label, _ in candidates], window
-                assert sorted(shape_ids.values()) == list(range(len(shape_ids)))
-                # the rows are distinct and each is met by some column
-                assert len(set(rows)) == len(rows)
+                rows = _row_classes(shape_rows, nrows)
+                # each row is met by some column
                 met = {rid for column in columns for rid, _ in column}
-                assert met == set(range(len(rows)))
+                assert met == set(range(nrows))
                 by_column = []
                 for column in columns:
                     got = {rows[rid]: value for rid, value in column}
                     assert len(got) == len(column), window
                     by_column.append(got)
                 for (label, element), got in zip(candidates, by_column, strict=True):
-                    expected = {}
-                    for matrix, coeff in element.terms.items():
-                        shape, k = matrix.translation_class()
-                        expected[(shape_ids[shape], k)] = coeff
+                    expected = {
+                        matrix.translation_class(): coeff
+                        for matrix, coeff in element.terms.items()
+                    }
                     assert got == expected, (window, label)
+
+    def test_moved_rows_stay_in_their_shape(self, monkeypatch):
+        """Whatever shift a translate's rows get, each lands in the range
+        of its own shape: the ranges are derived from the same shifts, so
+        no row falls off the system or onto another shape's row."""
+        moves = {
+            "one period too far": lambda b: b + 1 if abs(b) >= 4 else b,
+            "reversed": lambda b: -b,
+            "far out": lambda b: 3 * b + 7,
+        }
+        for name, move in moves.items():
+            monkeypatch.setattr(cellular, "_translate_shift", move)
+            for pairs in SIGNATURE_BLOCKS.values():
+                cols, shape_rows, nrows, columns = stem_system(12, pairs)
+                rows = _row_classes(shape_rows, nrows)
+                for (l, m, a, b), column in zip(cols, columns, strict=True):
+                    expected = set()
+                    for matrix in omega_element(l, m, a, 0).terms:
+                        shape, k = matrix.translation_class()
+                        expected.add((shape, k + move(b)))
+                    assert {rows[rid] for rid, _ in column} == expected, name
 
     def test_production_blocks_peel_whole(self, monkeypatch):
         """Every signature block is triangular: peeling takes all of its

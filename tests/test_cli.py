@@ -226,6 +226,22 @@ class TestPsiAndQuotient:
         assert code == 0
         assert json.loads(out) == {"poly": {}}
 
+    @pytest.mark.parametrize(
+        "elt",
+        [
+            {"n": 3, "r": 3, "terms": [{"coeff": "1", "entries": [[1, 1, 1], [2, 2, 1], [3, 3, 1]]}]},
+            {"n": 2, "r": 3, "terms": [{"coeff": "1", "entries": [[1, 1, 2], [2, 2, 1]]}]},
+        ],
+        ids=["S(3,3)", "S(2,3)"],
+    )
+    def test_quotient_refuses_other_algebras(self, capsys, tmp_path, elt):
+        """phi is defined on S(2, 2) only; an element of another algebra is
+        invalid input, not an element that phi sends to 0."""
+        code, out, err = invoke(capsys, ["quotient"], json.dumps(elt), tmp_path=tmp_path)
+        assert code == 2
+        assert out == ""
+        assert err == "error: elements live in different algebras\n"
+
 
 class TestHeckeEmbed:
     def test_rotation_generator(self, capsys, tmp_path):

@@ -94,6 +94,78 @@ class TestMatrixCanonicalization:
         assert direct.transpose().transpose() is interned
 
 
+class TestTrustedInterning:
+    """Interned matrices are built without validation, so every route that
+    interns one must give the matrix a validated direct build gives."""
+
+    @staticmethod
+    def assert_like_direct(got):
+        direct = PeriodicMatrix(got.n, got.entries)
+        assert got == direct and hash(got) == hash(direct)
+        assert got.r == direct.r
+        n = got.n
+        row_sums, col_sums = [0] * n, [0] * n
+        for i, j, value in got.entries:
+            row_sums[i - 1] += value
+            col_sums[(j - 1) % n] += value
+        assert got.row_vector() == direct.row_vector() == Composition(n, tuple(row_sums))
+        assert got.col_vector() == direct.col_vector() == Composition(n, tuple(col_sums))
+        for i, j, _ in got.entries:
+            for s in (-n, 0, 2 * n):
+                for dj in (-1, 0, 1):
+                    position = (i + s, j + s + dj)
+                    assert got.entry(*position) == direct.entry(*position)
+
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-3, max_value=6),
+                st.integers(min_value=-6, max_value=6),
+                st.integers(min_value=0, max_value=3),
+            ),
+            max_size=5,
+        ),
+        st.integers(min_value=-9, max_value=9),
+        st.data(),
+    )
+    @settings(max_examples=80)
+    def test_every_route_gives_the_validated_matrix(self, n, triples, shift, data):
+        a = PeriodicMatrix.from_entries(n, triples)
+        # unit shifts that add, and that remove a stored entry whole
+        deltas = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=-3, max_value=6),
+                    st.integers(min_value=-6, max_value=6),
+                    st.integers(min_value=1, max_value=2),
+                ),
+                max_size=3,
+            )
+        )
+        if a.entries:
+            i, j, value = data.draw(st.sampled_from(a.entries))
+            deltas.append((i, j, -value))
+        for got in (
+            a,
+            a.columns_moved(shift),
+            a.transpose(),
+            a.shifted_by(deltas),
+            a.shifted_by(deltas).transpose().columns_moved(shift),
+        ):
+            self.assert_like_direct(got)
+
+    def test_direct_build_validates(self):
+        with pytest.raises(ValueError):
+            PeriodicMatrix(2, ((3, 1, 1),))
+        with pytest.raises(ValueError):
+            PeriodicMatrix(2, ((0, 1, 1),))
+        with pytest.raises(ValueError):
+            PeriodicMatrix(2, ((1, 1, 0),))
+        with pytest.raises(ValueError):
+            PeriodicMatrix(2, ((1, 1, 1), (1, 1, 2)))
+
+
 class TestRowCol:
     def test_row_antidiagonal(self):
         # the weight-(1,1) reflection matrix

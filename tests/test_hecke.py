@@ -20,9 +20,11 @@ from affschur import (
     multiply,
     quotient_image,
 )
+from affschur.core import Composition, diag_matrix
+from affschur.hecke import _monomial_image
 from affschur.sampling import random_element, random_hecke, random_poly1
 
-from conftest import assert_canonical_exact, basis, weyl_elements
+from conftest import algebra_elements, assert_canonical_exact, basis, weyl_elements
 
 ONE = HeckeElement.one()
 H_T1 = HeckeElement.group(T1)
@@ -150,6 +152,20 @@ class TestQuotient:
             u = random_element(rng, 2, 2, col_lo=-3, col_hi=4)
             v = random_element(rng, 2, 2, col_lo=-3, col_hi=4)
             assert quotient_image(multiply(multiply(u, e_lam), v)).is_zero()
+
+    @given(algebra_elements(col_lo=-8, col_hi=9))
+    @settings(max_examples=60)
+    def test_filter_is_the_compression_by_products(self, x):
+        """The second route of phi: compress by the two products with the
+        corner idempotent, which is the weight filter quotient_image
+        takes, and send the corner words to signed powers of x."""
+        e_nu = AlgebraElement.basis(diag_matrix(Composition(2, (1, 1))))
+        compressed = multiply(multiply(e_nu, x), e_nu)
+        acc = {}
+        for w, coeff in hecke_preimage(compressed).terms.items():
+            a, sign = _monomial_image(w)
+            acc[a] = acc.get(a, 0) + sign * coeff
+        assert quotient_image(x) == LaurentPoly1(acc)
 
     def test_transpose_inverts_variable_on_group_images(self, rng):
         for _ in range(50):

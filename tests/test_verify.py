@@ -139,12 +139,12 @@ class TestShortcutControls:
     ):
         """Premise: the stem term of class (shape, k) lies in translate b
         at class (shape, k + b), so a block system needs no translate."""
-        moved_rows = cellular._moved_rows
+        shift = cellular._translate_shift
 
-        def off_far_out(stem_rows, b):
-            return moved_rows(stem_rows, b + 1 if abs(b) >= 4 else b)
+        def off_far_out(b):
+            return shift(b + 1 if abs(b) >= 4 else b)
 
-        monkeypatch.setattr(cellular, "_moved_rows", off_far_out)
+        monkeypatch.setattr(cellular, "_translate_shift", off_far_out)
         assert self.failing_run()["coordinate-independence"].status == "fail"
 
     def test_right_round_trip_steps_down(self, monkeypatch, fresh_caches):
