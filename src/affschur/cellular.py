@@ -43,9 +43,10 @@ stem's plus 2b, so the stem's column extent says which translates fit,
 and a matrix is read as its translation class (shape, k), so a stem
 term moved by b periods has class (shape, k + b).  The rows of one
 shape are numbered consecutively in k, so the column of translate b is
-its stem's integer rows plus b.  No translate is built to assemble a
-system; a right-hand side reaches the rows through its matrices'
-classes.  Its
+its stem's integer rows plus b, and a block holds each stem's rows once
+and each column as that list and its shift.  No translate is built to
+assemble a system; a right-hand side reaches the rows through its
+matrices' classes.  Its
 :meth:`~WindowBlocks.coordinates` solves; its
 :meth:`~WindowBlocks.membership` adds the certificate tensor, re-verified
 by contraction.  :func:`ideal_membership` is the window ladder
@@ -64,7 +65,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import AlgebraElement, Composition, PeriodicMatrix, Scalar, diag_matrix
 from .laurent import LaurentPoly2
-from .linalg import Factorization, SolveResult
+from .linalg import Factorization, Placement, SolveResult
 from .multiplication import multiply
 
 __all__ = [
@@ -358,23 +359,25 @@ ShapeRows = dict[tuple[int, ...], tuple[int, int, int]]
 
 def stem_system(
     window: int, pairs: Iterable[tuple[int, int]]
-) -> tuple[list[Label], ShapeRows, int, list[list[tuple[int, Scalar]]]]:
+) -> tuple[list[Label], ShapeRows, int, list[Placement]]:
     """The system of the members of the cells in ``pairs`` that fit the
     window, built from their stems: no translate is built.
 
     Returns the column labels, in the order of :func:`omega_candidates`;
     the rows of each translation-class shape (``ShapeRows``), the shapes
     numbered in the order met; the number of rows; and per column its
-    values as [(row index, value)], the columns :class:`Factorization`
+    placement (stem rows, shift), the columns :class:`Factorization`
     takes.
 
-    Each stem's terms are read through ``translation_class`` once.  A
-    shape's k-range spans its stem terms' classes moved by the shifts
-    that :func:`_translate_shift` gives the translates that fit, so the
-    rows are numbered by integer arithmetic alone: the column of
-    translate b holds its stem's rows, offset + k, moved by that shift.
-    Distinct matrices have distinct classes, so the rows of one column
-    are distinct.
+    Each stem's terms are read through ``translation_class`` once and
+    kept once, as its integer rows [(offset + k, value)]: the column of
+    translate b is that list, shared by every translate of the stem, and
+    the shift :func:`_translate_shift` gives b, so the block holds
+    Theta(W^2) entries for its Theta(W^3) nonzeros.  A shape's k-range
+    spans its stem terms' classes moved by the shifts of the translates
+    that fit, so every moved row is a row of the system, and distinct
+    matrices have distinct classes, so the rows of one column are
+    distinct.
     """
     labels = list(_window_labels(window, pairs))
     shifts = [_translate_shift(b) for *_, b in labels]
@@ -402,18 +405,14 @@ def stem_system(
     for shape, (k_lo, k_hi) in k_range.items():
         shape_rows[shape] = (nrows - k_lo, k_lo, k_hi)
         nrows += k_hi - k_lo + 1
-    # one int object per row, shared by every entry in it: a fresh sum per
-    # entry would cost each of the Theta(W^3) entries an object
-    row_ids = list(range(nrows))
     stem_rows = {
         stem: [(shape_rows[shape][0] + k, coeff) for shape, k, coeff in terms]
         for stem, terms in stem_terms.items()
     }
-    columns = [
-        [(row_ids[row + shift], coeff) for row, coeff in stem_rows[(l, m, a)]]
-        for (l, m, a, _), shift in zip(labels, shifts)
+    placements = [
+        (stem_rows[(l, m, a)], shift) for (l, m, a, _), shift in zip(labels, shifts)
     ]
-    return labels, shape_rows, nrows, columns
+    return labels, shape_rows, nrows, placements
 
 
 # ---------------------------------------------------------------------------
@@ -768,11 +767,11 @@ class WindowBlocks:
 
     Each block's system is built from the stems of its cells
     (:func:`stem_system`; its columns are the labels of
-    :func:`omega_candidates`) and factored on first use, and kept as
-    long as this object, so every question asked of one object
-    eliminates a block at most once.  The three row-(2,0) blocks are
-    the left module's span, so the same blocks answer module
-    coordinates.
+    :func:`omega_candidates`, each held as its stem's rows and a shift)
+    and factored on first use, and kept as long as this object, so
+    every question asked of one object eliminates a block at most once.
+    The three row-(2,0) blocks are the left module's span, so the same
+    blocks answer module coordinates.
     """
 
     def __init__(self, window: int) -> None:
@@ -785,10 +784,10 @@ class WindowBlocks:
     ) -> tuple[ShapeRows, Factorization]:
         found = self._blocks.get(signature)
         if found is None:
-            cols, shape_rows, nrows, columns = stem_system(
+            cols, shape_rows, nrows, placements = stem_system(
                 self.window, SIGNATURE_BLOCKS[signature]
             )
-            found = (shape_rows, Factorization(cols, range(nrows), columns))
+            found = (shape_rows, Factorization(cols, nrows, placements))
             self._blocks[signature] = found
         return found
 

@@ -3,10 +3,12 @@ Exact sparse rational linear algebra.
 
 A :class:`Factorization` eliminates one coefficient matrix once and is
 then asked about any number of right-hand sides, in any number of
-batches.  It takes its matrix by columns in index space; ``factorize``
-builds one from {(row, column): value} entries over arbitrary hashable
-row and column labels, and ``solve_many``, ``solve_unique`` and ``rank``
-are thin calls to that.
+batches.  It takes its matrix by columns, each a placement: a stem
+[(row index, value)], which any number of columns may share, and the
+shift that moves the stem's rows to the column's.  ``factorize`` builds
+one from {(row, column): value} entries over arbitrary hashable row and
+column labels, each column its own stem at shift 0, and ``solve_many``,
+``solve_unique`` and ``rank`` are thin calls to that.
 
 Values are exact scalars: an ``int`` when integral, else a ``Fraction``.
 Elimination runs over Q with unit pivots, in two phases, as sparse
@@ -20,14 +22,17 @@ peeling leaves is built as row dicts and eliminated with Markowitz-style
 pivots (sparsest row, then its smallest coefficient): a chosen pivot
 row is divided by its pivot value and every other row meeting the pivot
 column drops ``factor`` times it, in place.  The right-hand sides stay
-out of the elimination: every row operation is logged (a peeled step
-names its column's own list) and replayed on a batch of right-hand
-sides when it is solved.  Back-substitution is sparse, in the style of
-a Gilbert–Peierls triangular solve: each right-hand side visits only
-the pivots its nonzero entries reach, in decreasing pivot order, so
-work is done only for nonzero solution values.  Everything is exact;
-verdicts distinguish a unique solution from inconsistent and
-underdetermined systems.
+out of the elimination: every step is logged, a peeled one as its pivot
+row, pivot value and column placement, so the log holds no entry of its
+own.  A solve is a forward sweep over that log driven by a heap of step
+indices, in the style of a Gilbert–Peierls triangular solve: it visits
+only the steps whose pivot rows its values reach, in step order, since
+a step clears only the rows of later steps and rows that are no pivot
+row.  Back-substitution is sparse in the same style: each right-hand
+side visits only the pivots its nonzero entries reach, in decreasing
+pivot order, so work is done only for nonzero solution values.
+Everything is exact; verdicts distinguish a unique solution from
+inconsistent and underdetermined systems.
 """
 
 from __future__ import annotations
@@ -83,17 +88,23 @@ def _divided(value: int | Fraction, divisor: int | Fraction) -> int | Fraction:
     return quotient.numerator if quotient.denominator == 1 else quotient
 
 
+# A column as a placement: a stem, [(row index, value)] that any number
+# of columns share, and the shift that moves the stem's rows to the
+# column's.
+Placement = tuple[list[tuple[int, int | Fraction]], int]
+
 # one elimination step: the pivot row, its pivot value (the row was
-# divided by it) and the rows it cleared, each with its own factor.  A
-# peeled step names its pivot column's own list, which holds the pivot
-# row too.
-_Step = tuple[int, int | Fraction, list[tuple[int, int | Fraction]]]
+# divided by it) and the rows it cleared with their factors, as a
+# placement.  A peeled step logs its pivot column's placement, which
+# holds the pivot row too; a Markowitz step the rows it cleared, at
+# shift 0.
+_Step = tuple[int, int | Fraction, Placement]
 
 
 def _peel(
-    columns: list[list[tuple[int, int | Fraction]]], nrows: int
-) -> tuple[list[tuple[int, int]], list[_Step], dict[int, dict[int, int | Fraction]]]:
-    """Peel the row singletons off a matrix given by columns.
+    placements: Sequence[Placement], nrows: int
+) -> tuple[list[int], list[_Step], dict[int, dict[int, int | Fraction]]]:
+    """Peel the row singletons off a matrix given by placements.
 
     Each row keeps the number of its live columns and the sum of their
     indices.  A row whose count is 1 holds a single live entry, in the
@@ -104,28 +115,33 @@ def _peel(
     pivot are zero rows.  The lowest-numbered singleton goes first (a
     heap of row numbers), the row a Markowitz order would take, so a
     triangular matrix gets the pivots that :func:`_eliminate` would give.
+    A column's entries are generated from its placement as they are
+    walked; none is stored per column.
 
-    Returns the (row, column) pivots in order, their steps, and the rows
-    left over the columns left, {row: {column: value}}, for
+    Returns the pivot columns in order, their steps, and the rows left
+    over the columns left, {row: {column: value}}, for
     :func:`_eliminate`; empty when the matrix peels whole.
     """
     count = [0] * nrows
     colsum = [0] * nrows
-    for col, column in enumerate(columns):
-        for rid, _ in column:
+    for col, (stem, shift) in enumerate(placements):
+        for base, _ in stem:
+            rid = base + shift
             count[rid] += 1
             colsum[rid] += col
     # in increasing order, so already a heap
     singles = [rid for rid, k in enumerate(count) if k == 1]
-    pivots: list[tuple[int, int]] = []
+    pivot_cols: list[int] = []
     steps: list[_Step] = []
     while singles:
         rid = heapq.heappop(singles)
         if count[rid] != 1:
             continue
         col = colsum[rid]
-        column = columns[col]
-        for other, value in column:
+        placement = placements[col]
+        stem, shift = placement
+        for base, value in stem:
+            other = base + shift
             if other == rid:
                 pivot_val = value
                 continue
@@ -135,16 +151,16 @@ def _peel(
             if k == 1:
                 heapq.heappush(singles, other)
         count[rid] = 0
-        pivots.append((rid, col))
-        steps.append((rid, pivot_val, column))
+        pivot_cols.append(col)
+        steps.append((rid, pivot_val, placement))
     rest: dict[int, dict[int, int | Fraction]] = {}
-    if len(pivots) < len(columns):
-        peeled = {col for _, col in pivots}
-        for col, column in enumerate(columns):
+    if len(steps) < len(placements):
+        peeled = set(pivot_cols)
+        for col, (stem, shift) in enumerate(placements):
             if col not in peeled:
-                for rid, value in column:
-                    rest.setdefault(rid, {})[col] = value
-    return pivots, steps, rest
+                for base, value in stem:
+                    rest.setdefault(base + shift, {})[col] = value
+    return pivot_cols, steps, rest
 
 
 def _eliminate(
@@ -211,36 +227,36 @@ def _eliminate(
                 heapq.heappush(heap, (len(row), other))
             else:
                 del rows[other]
-        steps.append((rid, pivot_val, cleared))
+        steps.append((rid, pivot_val, (cleared, 0)))
     return pivots, steps
 
 
 class Factorization:
     """The elimination of one coefficient matrix, solvable many times.
 
-    The matrix comes by columns in index space: ``rows`` labels the rows
-    and ``columns`` holds, per label of ``cols`` in that order, its
-    nonzero values as [(row index, value)], an index into ``rows``, each
-    row at most once.  The lists are kept, not copied: the log of a
-    peeled step is its column's list.  Values are ``int``s or
+    The matrix has ``nrows`` rows, numbered from 0, and comes by columns
+    as placements: per label of ``cols``, in that order, a stem
+    [(row index, value)] and a shift, the column holding each value of
+    the stem at its row plus the shift, each row at most once.  Columns
+    may share a stem, which is kept, not copied: a peeled step logs only
+    its pivot row, its pivot value and its column's placement, so the
+    factorization holds no entry per column.  Values are ``int``s or
     ``Fraction``s, and the matrix is eliminated over Q with unit pivots,
     the row singletons peeled first and the rest by Markowitz pivots.
     ``rank`` is the pivot count.  :meth:`solve` takes a batch of
-    right-hand sides ({row label: value}), clears each of its
-    denominators, replays the logged row operations on them and
-    back-substitutes each one; a rhs entry on a row not in ``rows`` is
-    an equation 0 = value of its own.
+    right-hand sides ({row index: value}), clears each of its
+    denominators, sweeps the logged steps its values reach and
+    back-substitutes each one; a rhs key that is not a row index is an
+    equation 0 = value of its own.
     """
 
     def __init__(
-        self,
-        cols: Sequence[Hashable],
-        rows: Sequence[Hashable],
-        columns: list[list[tuple[int, int | Fraction]]],
+        self, cols: Sequence[Hashable], nrows: int, placements: Sequence[Placement]
     ) -> None:
         self.cols = list(cols)
-        self._row_index = {label: rid for rid, label in enumerate(rows)}
-        self._pivots, self._steps, rest = _peel(columns, len(rows))
+        self.nrows = nrows
+        self._pivot_cols, self._steps, rest = _peel(placements, nrows)
+        self._peeled = len(self._steps)
         # column -> [(pivot, coefficient)] over the pivot rows meeting it
         # off their own pivot column; a peeled pivot row meets none
         self._col_users: dict[int, list[tuple[int, int | Fraction]]] = {}
@@ -250,11 +266,15 @@ class Factorization:
             for rid, col, row_rest in more:
                 for c, value in row_rest:
                     self._col_users.setdefault(c, []).append(
-                        (len(self._pivots), value)
+                        (len(self._pivot_cols), value)
                     )
-                self._pivots.append((rid, col))
-        self.rank = len(self._pivots)
-        self._pivot_of = {rid: p for p, (rid, _) in enumerate(self._pivots)}
+                self._pivot_cols.append(col)
+        self.rank = len(self._steps)
+        # row -> the index of the step pivoting on it, None for no pivot row
+        self._step_of: list[int | None] = [None] * nrows
+        for s, (rid, _, _) in enumerate(self._steps):
+            self._step_of[rid] = s
+
     def solve(
         self, rhs_list: Sequence[dict[Hashable, int | Fraction]]
     ) -> list[SolveResult]:
@@ -264,22 +284,22 @@ class Factorization:
         inconsistent: set[int] = set()
         # row -> {rhs: value}, each rhs cleared of its denominators
         values: dict[int, dict[int, int | Fraction]] = {}
+        nrows = self.nrows
         for k, (rhs, scale) in enumerate(zip(rhs_list, scales)):
-            for row_label, value in rhs.items():
+            for rid, value in rhs.items():
                 if not value:
                     continue
-                rid = self._row_index.get(row_label)
-                if rid is None:
-                    inconsistent.add(k)
-                else:
+                if type(rid) is int and 0 <= rid < nrows:
                     values.setdefault(rid, {})[k] = value.numerator * (
                         scale // value.denominator
                     )
-        self._replay(values)
+                else:
+                    inconsistent.add(k)
+        self._sweep(values)
         # a value left on a row that is not a pivot row is a failed equation
         starts: dict[int, list[tuple[int, int | Fraction]]] = {}
         for rid, row_values in values.items():
-            p = self._pivot_of.get(rid)
+            p = self._step_of[rid]
             for k, value in row_values.items():
                 if p is None:
                     inconsistent.add(k)
@@ -297,32 +317,58 @@ class Factorization:
             for k, scale in enumerate(scales)
         ]
 
-    def _replay(self, values: dict[int, dict[int, int | Fraction]]) -> None:
-        """Apply the logged row operations to the rhs values in place.
+    def _sweep(self, values: dict[int, dict[int, int | Fraction]]) -> None:
+        """Apply the logged steps to the rhs values in place, visiting only
+        the steps whose pivot rows the values reach, in step order.
 
-        At its step a pivot row's values are divided by the pivot value,
-        as the row was, and each cleared row drops its factor times
-        them; a peeled step's list holds the pivot row itself, which is
-        passed over.  A step whose pivot row holds no rhs value changes
-        nothing and is skipped whole, so a solve pays only for the steps
-        its values reach.
+        A heap holds the steps of the pivot rows that hold values.  At its
+        step a pivot row's values are divided by the pivot value, as the
+        row was, and each row the step cleared drops its factor times
+        them; a peeled step's placement holds the pivot row itself, which
+        is passed over.  A row that gains values puts its step on the
+        heap.  The order is sound because a step clears only the pivot
+        rows of later steps and rows that are no pivot row: a peeled
+        column was live in every row it meets when its pivot row was
+        chosen, so none of them had been a singleton before, and a
+        Markowitz step clears only rows not yet pivoted.  So every step
+        that changes a row comes off the heap before that row's own step.
+        A step is pushed twice only when its row lost its values and
+        gained new ones; its copies come off the heap one after the
+        other, and the second is passed over.
         """
-        for pid, pivot_val, cleared in self._steps:
-            source = values.get(pid)
+        steps = self._steps
+        step_of = self._step_of
+        get = values.get
+        heappush, heappop = heapq.heappush, heapq.heappop
+        heap = [s for rid in values if (s := step_of[rid]) is not None]
+        heapq.heapify(heap)
+        last = -1
+        while heap:
+            s = heappop(heap)
+            if s == last:
+                continue
+            last = s
+            pid, pivot_val, (stem, shift) = steps[s]
+            source = get(pid)
             if source is None:
                 continue
             if pivot_val != 1:
                 source = values[pid] = {
                     k: _divided(v, pivot_val) for k, v in source.items()
                 }
-            for other, factor in cleared:
+            items = source.items()
+            for base, factor in stem:
+                other = base + shift
                 if other == pid:
                     continue
-                target = values.get(other)
+                target = get(other)
                 if target is None:
-                    values[other] = {k: -factor * v for k, v in source.items()}
+                    values[other] = {k: -factor * v for k, v in items}
+                    t = step_of[other]
+                    if t is not None:
+                        heappush(heap, t)
                     continue
-                for k, v in source.items():
+                for k, v in items:
                     value = target.get(k, 0) - factor * v
                     if value:
                         target[k] = value
@@ -337,25 +383,32 @@ class Factorization:
         """The nonzero solution values of one rhs, divided by its scale,
         in column order.
 
-        Pivot row p holds 1 in its own column and otherwise only columns
-        of later pivots, so the value at pivot p depends only on values at
-        pivots q > p.  The rhs starts from the pivot rows it meets and
-        pushes every nonzero value it finds into the rows of earlier
-        pivots that meet its column; a heap hands out the reached pivots
-        in decreasing order, so each is settled after everything it
-        depends on.
+        A peeled pivot row meets no other column, so its value is final
+        after the sweep.  A Markowitz pivot row p holds 1 in its own
+        column and otherwise only columns of later pivots, so the value
+        at pivot p depends only on values at pivots q > p.  The rhs
+        starts from the Markowitz pivot rows it meets and pushes every
+        nonzero value it finds into the rows of earlier pivots that meet
+        its column; a heap hands out the reached pivots in decreasing
+        order, so each is settled after everything it depends on.
         """
         col_users = self._col_users
-        residual: dict[int, int | Fraction] = dict(starts)
+        pivot_cols = self._pivot_cols
+        solution: dict[int, int | Fraction] = {}
+        residual: dict[int, int | Fraction] = {}
+        for p, value in starts:
+            if p < self._peeled:
+                solution[pivot_cols[p]] = value
+            else:
+                residual[p] = value
         heap = [-p for p in residual]
         heapq.heapify(heap)
-        solution: dict[int, int | Fraction] = {}
         while heap:
             p = -heapq.heappop(heap)
             total = residual[p]
             if not total:
                 continue
-            col = self._pivots[p][1]
+            col = pivot_cols[p]
             solution[col] = total
             for q, coef in col_users.get(col, ()):
                 if q in residual:
@@ -371,14 +424,16 @@ def factorize(
     rows: Sequence[Hashable],
     entries: dict[tuple[Hashable, Hashable], int | Fraction],
 ) -> Factorization:
-    """The factorization of a system given by {(row, column): value}."""
+    """The factorization of a system given by {(row, column): value},
+    each column its own stem at shift 0.  Its right-hand sides are keyed
+    by row index, a label's position in ``rows``."""
     row_index = {label: rid for rid, label in enumerate(rows)}
     col_index = {label: idx for idx, label in enumerate(cols)}
     columns: list[list[tuple[int, int | Fraction]]] = [[] for _ in cols]
     for (row_label, col_label), value in entries.items():
         if value:
             columns[col_index[col_label]].append((row_index[row_label], value))
-    return Factorization(cols, rows, columns)
+    return Factorization(cols, len(rows), [(column, 0) for column in columns])
 
 
 def solve_many(
@@ -390,9 +445,16 @@ def solve_many(
     """Solve one coefficient matrix against many right-hand sides.
 
     One factorization serves every rhs, and each gets its own verdict.  A
-    unique solution lists every column, zeros included.
+    unique solution lists every column, zeros included.  A rhs label not
+    in ``rows`` is an equation 0 = value of its own.
     """
-    results = factorize(cols, rows, entries).solve(rhs_list)
+    row_index = {label: rid for rid, label in enumerate(rows)}
+    # (label,) is no row index, so a label not in rows keys no row
+    indexed = [
+        {row_index.get(label, (label,)): value for label, value in rhs.items()}
+        for rhs in rhs_list
+    ]
+    results = factorize(cols, rows, entries).solve(indexed)
     for result in results:
         if result.status == SolveResult.UNIQUE:
             solution = dict.fromkeys(cols, 0)

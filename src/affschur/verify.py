@@ -79,6 +79,11 @@ PASS = "pass"
 FAIL = "fail"
 UNDECIDED = "undecided"
 
+# pairs solved together in the freeness check's solver cross-check: one
+# batch's right-hand sides and solutions are held at a time, and each
+# batch sweeps only the factorization steps its values reach
+_FREENESS_BATCH = 4096
+
 
 @dataclass
 class CheckResult:
@@ -394,27 +399,27 @@ def verify_cell_chain(
                 f"module coordinate system rank {system_rank} < {columns}"
             )
         bound = max(window - margin, 1)
-        pairs = [
-            pair(i, j)
-            for i in range(-bound, bound + 1)
-            for j in range(i, bound + 1)
+        indices = [
+            (i, j) for i in range(-bound, bound + 1) for j in range(i, bound + 1)
         ]
         solver_checked = 0
-        for x, coords in zip(pairs, blocks.coordinates(pairs)):
-            if coords is None:
-                failures.append("solver cross-check status inconsistent")
-                continue
-            solved: dict[tuple[int, int], dict] = {}
-            for (l, m, a, b), value in coords.items():
-                solved.setdefault((l, m), {})[(a, b)] = value
-            expected = {
-                (2, m): poly.terms
-                for m, poly in enumerate(decompose_left(x).coords)
-                if not poly.is_zero()
-            }
-            if solved != expected:
-                failures.append("solver and recurrence coordinates disagree")
-            solver_checked += 1
+        for start in range(0, len(indices), _FREENESS_BATCH):
+            pairs = [pair(i, j) for i, j in indices[start : start + _FREENESS_BATCH]]
+            for x, coords in zip(pairs, blocks.coordinates(pairs)):
+                if coords is None:
+                    failures.append("solver cross-check status inconsistent")
+                    continue
+                solved: dict[tuple[int, int], dict] = {}
+                for (l, m, a, b), value in coords.items():
+                    solved.setdefault((l, m), {})[(a, b)] = value
+                expected = {
+                    (2, m): poly.terms
+                    for m, poly in enumerate(decompose_left(x).coords)
+                    if not poly.is_zero()
+                }
+                if solved != expected:
+                    failures.append("solver and recurrence coordinates disagree")
+                solver_checked += 1
         status, detail = _status_merge(failures, [])
         if status == PASS:
             detail = (

@@ -813,6 +813,15 @@ def solve_calls(monkeypatch):
     return calls
 
 
+def _columns(placements):
+    """Each column of a block system as the [(row index, value)] list its
+    placement generates: its stem's values at the stem's rows plus the
+    shift."""
+    return [
+        [(row + shift, value) for row, value in stem] for stem, shift in placements
+    ]
+
+
 def _row_classes(shape_rows, nrows):
     """The translation class (shape, k) of each row of a block system, in
     row order; the shapes' ranges must tile the rows without overlap."""
@@ -893,9 +902,9 @@ class TestMembership:
         factored = []
         init = cellular.Factorization.__init__
 
-        def recording(self, cols, rows, entries):
+        def recording(self, cols, nrows, placements):
             factored.append(tuple(cols))
-            init(self, cols, rows, entries)
+            init(self, cols, nrows, placements)
 
         monkeypatch.setattr(cellular.Factorization, "__init__", recording)
         blocks = WindowBlocks(8)
@@ -917,7 +926,8 @@ class TestMembership:
         for window in range(1, 13):
             for pairs in SIGNATURE_BLOCKS.values():
                 candidates = omega_candidates(window, pairs)
-                cols, shape_rows, nrows, columns = stem_system(window, pairs)
+                cols, shape_rows, nrows, placements = stem_system(window, pairs)
+                columns = _columns(placements)
                 assert cols == [label for label, _ in candidates], window
                 rows = _row_classes(shape_rows, nrows)
                 # each row is met by some column
@@ -947,8 +957,9 @@ class TestMembership:
         for name, move in moves.items():
             monkeypatch.setattr(cellular, "_translate_shift", move)
             for pairs in SIGNATURE_BLOCKS.values():
-                cols, shape_rows, nrows, columns = stem_system(12, pairs)
+                cols, shape_rows, nrows, placements = stem_system(12, pairs)
                 rows = _row_classes(shape_rows, nrows)
+                columns = _columns(placements)
                 for (l, m, a, b), column in zip(cols, columns, strict=True):
                     expected = set()
                     for matrix in omega_element(l, m, a, 0).terms:
@@ -986,6 +997,65 @@ class TestMembership:
             )
         assert cellular._OMEGA_CACHE
         assert all(b == 0 for _, _, _, b in cellular._OMEGA_CACHE)
+
+    def test_blocks_hold_each_stem_once(self):
+        """A block keeps one row list per stem, shared by all of the
+        stem's translates, and per column nothing but its (stem, shift)
+        placement: the entries it stores total its stems' term counts,
+        not its columns'."""
+        for window in (24, 48):
+            blocks = WindowBlocks(window)
+            for signature in SIGNATURE_BLOCKS:
+                factorization = blocks.factorization(signature)
+                placements = [placement for *_, placement in factorization._steps]
+                assert len(placements) == len(factorization.cols)
+                assert all(type(shift) is int for _, shift in placements)
+                stored = {id(stem): stem for stem, _ in placements}
+                stems = {(l, m, a) for l, m, a, _ in factorization.cols}
+                assert len(stored) == len(stems), (window, signature)
+                assert sum(map(len, stored.values())) == sum(
+                    len(omega_element(*stem, 0).terms) for stem in stems
+                )
+
+    def test_solve_of_one_column_sweeps_few_steps(self):
+        """A right-hand side that is one column of a block reaches only
+        the steps of that column's rows: the sweep visits at most as many
+        steps as the column has entries, far fewer than the block logs."""
+
+        class CountingSteps(list):
+            visits = 0
+
+            def __getitem__(self, index):
+                self.visits += 1
+                return super().__getitem__(index)
+
+        blocks = WindowBlocks(24)
+        factorization = blocks.factorization((WEIGHT_20, WEIGHT_20))
+        steps = factorization._steps = CountingSteps(factorization._steps)
+        # a translate of the widest stem, the column with the most entries
+        label = max(factorization.cols, key=lambda label: label[2])
+        column = omega_element(*label)
+        assert blocks.coordinates([column]) == [{label: 1}]
+        assert 0 < steps.visits <= len(column.terms)
+        assert 20 * steps.visits < len(steps)
+
+    def test_coordinates_split_in_two_match_the_whole(self, rng, e_lam, e_mu, e_nu):
+        """Solving a list in two parts, at any cut, gives the coordinates
+        of solving it whole: each batch sweeps from its own values."""
+        t1 = hecke_embed(HeckeElement.group(T1))
+        elements = [e_mu, e_nu, e_lam + e_nu.scaled(2), t1 + e_nu, e_lam]
+        for _ in range(5):
+            u = random_element(rng, 2, 2, terms=2, col_lo=-2, col_hi=3)
+            elements.append(multiply(multiply(u, e_lam), u))
+        whole = WindowBlocks(8).coordinates(elements)
+        assert any(coords is None for coords in whole)
+        assert sum(coords is not None for coords in whole) >= 7
+        blocks = WindowBlocks(8)
+        for cut in range(len(elements) + 1):
+            parts = blocks.coordinates(elements[:cut]) + blocks.coordinates(
+                elements[cut:]
+            )
+            assert parts == whole, cut
 
     def test_shape_the_block_lacks_refutes(self, e_lam):
         """A right-hand side meeting a shape no member of the block has is

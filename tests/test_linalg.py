@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from affschur import SolveResult, SparseSystem, rank, solve_many, solve_unique
 from affschur import linalg
-from affschur.linalg import factorize
+from affschur.linalg import Factorization, factorize
 
 
 def system(rows_data, rhs=None):
@@ -27,6 +27,12 @@ def system(rows_data, rhs=None):
             if value:
                 rhs_map[f"r{i}"] = Fraction(value)
     return SparseSystem(cols, rows, entries, rhs_map)
+
+
+def by_index(sys_):
+    """The system's right-hand side keyed by row index, the keys a
+    ``Factorization`` solves."""
+    return {sys_.rows.index(label): value for label, value in sys_.rhs.items()}
 
 
 class TestSolveUnique:
@@ -121,6 +127,17 @@ class TestSolveMany:
         assert fitting.status == SolveResult.UNIQUE
         assert fitting.solution == {"a": 3}
 
+    def test_rhs_key_that_is_no_row_index_is_inconsistent(self):
+        # a Factorization numbers its rows 0..nrows-1; any other key, a
+        # negative or too large int included, is an equation 0 = value
+        stem = [(0, 1)]
+        factorization = Factorization(["a", "b"], 3, [(stem, 0), (stem, 1)])
+        keys = [-1, 3, "r0", (0,), 2]
+        results = factorization.solve([{key: Fraction(1)} for key in keys])
+        assert [r.status for r in results] == [SolveResult.INCONSISTENT] * 5
+        good = factorization.solve([{0: Fraction(2), 1: Fraction(1, 2)}])[0]
+        assert good.solution == {"a": 2, "b": Fraction(1, 2)}
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_equals_separate_solves(self, data):
@@ -151,7 +168,9 @@ class TestSolveMany:
         start = 0
         for end in range(1, len(systems) + 1):
             if end == len(systems) or data.draw(st.booleans()):
-                batched += factorization.solve([s.rhs for s in systems[start:end]])
+                batched += factorization.solve(
+                    [by_index(s) for s in systems[start:end]]
+                )
                 start = end
         assert factorization.rank == rank(first)
         assert len(many) == len(batched) == len(systems)
@@ -362,22 +381,79 @@ def peelable_systems(draw):
 
 
 def assert_matches_gauss_jordan(matrix, rhs_dense):
-    """Factor the matrix and solve every right-hand side; rank, verdicts
+    """Factor the matrix by :func:`factorize` and check it with
+    :func:`assert_solves_as_gauss_jordan`."""
+    first = system(matrix)
+    assert_solves_as_gauss_jordan(
+        factorize(first.cols, first.rows, first.entries), matrix, rhs_dense
+    )
+
+
+def assert_solves_as_gauss_jordan(factorization, matrix, rhs_dense):
+    """Solve every right-hand side, keyed by row index; rank, verdicts
     and unique solutions (values and column order) must be those of
-    :func:`gauss_jordan`."""
-    systems = [system(matrix, rhs) for rhs in rhs_dense]
-    first = systems[0]
-    factorization = factorize(first.cols, first.rows, first.entries)
+    :func:`gauss_jordan`.  The factorization's columns are the matrix's,
+    in order."""
     expected_rank, expected = gauss_jordan(matrix, rhs_dense)
     assert factorization.rank == expected_rank
-    got = factorization.solve([s.rhs for s in systems])
+    got = factorization.solve(
+        [{i: Fraction(v) for i, v in enumerate(rhs) if v} for rhs in rhs_dense]
+    )
+    cols = factorization.cols
     for result, (status, solution) in zip(got, expected, strict=True):
         assert result.status == status
         if status == SolveResult.UNIQUE:
-            assert result.solution == {f"c{c}": v for c, v in solution.items()}
-            assert list(result.solution) == [f"c{c}" for c in solution]
+            assert list(result.solution.items()) == [
+                (cols[c], v) for c, v in solution.items()
+            ]
         else:
             assert result.solution is None
+
+
+@st.composite
+def shifted_stem_systems(draw):
+    """Columns that share stems at different shifts, as the translates
+    of a window block do: 1-3 stems of 1-4 entries, some non-unit or
+    rational, each placed at 1-4 distinct shifts inside up to 10 rows,
+    the columns shuffled, and 1-4 right-hand sides as in
+    :func:`sparse_systems`.  Returns the row count, the placements and
+    the dense matrix they generate, and the right-hand sides."""
+    nrows = draw(st.integers(min_value=1, max_value=10))
+    nonzero = st.integers(min_value=-4, max_value=4).filter(bool)
+    denominator = st.sampled_from([1, 1, 2, 3])
+    placements = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        rows = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=nrows - 1),
+                min_size=1,
+                max_size=4,
+                unique=True,
+            )
+        )
+        stem = [(row, Fraction(draw(nonzero), draw(denominator))) for row in rows]
+        shifts = st.integers(min_value=0, max_value=nrows - 1 - max(rows))
+        for shift in draw(st.lists(shifts, min_size=1, max_size=4, unique=True)):
+            placements.append((stem, shift))
+    order = draw(st.permutations(range(len(placements))))
+    placements = [placements[i] for i in order]
+    matrix = [[0] * len(placements) for _ in range(nrows)]
+    for col, (stem, shift) in enumerate(placements):
+        for row, value in stem:
+            matrix[row + shift][col] = value
+    rhs_dense = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["consistent", "arbitrary", "zero"]))
+        if kind == "consistent":
+            x = [draw(st.integers(min_value=-3, max_value=3)) for _ in placements]
+            rhs_dense.append([sum(a * b for a, b in zip(row, x)) for row in matrix])
+        elif kind == "arbitrary":
+            rhs_dense.append(
+                [draw(st.integers(min_value=-2, max_value=2)) for _ in matrix]
+            )
+        else:
+            rhs_dense.append([0] * nrows)
+    return nrows, placements, matrix, rhs_dense
 
 
 class TestFactorizationReference:
@@ -387,13 +463,51 @@ class TestFactorizationReference:
 
     @given(sparse_systems())
     # the first pivot (2 at r0, c0) holds no rhs value, yet its step must
-    # scale the row it clears: a replay that skipped it would solve
+    # scale the row it clears: an elimination that skipped it would solve
     # 2 c0 + 3 c1 = 0, c0 + c1 = 1 wrongly
     @example(([[2, 3], [1, 1]], [[0, 1]]))
     @settings(max_examples=300, deadline=None)
     def test_matches_dense_gauss_jordan(self, drawn):
         matrix, rhs_dense = drawn
         assert_matches_gauss_jordan(matrix, rhs_dense)
+
+    @given(shifted_stem_systems())
+    # one stem [(0, 1), (1, 1)] at shifts 0 and 1: the column at shift 0
+    # peels on row 0 and clears row 1, the pivot row of the column at
+    # shift 1, whose step only the first one's reaches; the first rhs
+    # (x = (1, -1)) holds -1 on row 2, which only that step cancels
+    @example(
+        (
+            3,
+            [([(0, 1), (1, 1)], 0), ([(0, 1), (1, 1)], 1)],
+            [[1, 0], [1, 1], [0, 1]],
+            [[1, 0, -1], [0, 1, 0]],
+        )
+    )
+    # row 2 gains a value at the first step, loses it at the second and
+    # gains one again at the third, so the step of row 2 (pivot 2) is
+    # pushed twice; solving it twice would halve its value twice
+    @example(
+        (
+            4,
+            [
+                ([(0, 1), (2, 1)], 0),
+                ([(1, 1), (2, 1)], 0),
+                ([(2, 1), (3, 1)], 0),
+                ([(2, 2)], 0),
+            ],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 2], [0, 0, 1, 0]],
+            [[1, -1, 0, 1]],
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_shared_stems_match_dense_gauss_jordan(self, drawn):
+        """Columns generated from shared stems moved by shifts, peeled
+        and swept without a list of their own, solve as the dense
+        reference does."""
+        nrows, placements, matrix, rhs_dense = drawn
+        factorization = Factorization(range(len(placements)), nrows, placements)
+        assert_solves_as_gauss_jordan(factorization, matrix, rhs_dense)
 
     @given(peelable_systems())
     # r0 and r3 are singletons in c0 (pivots 2/3 and -2): one peels and
@@ -431,4 +545,9 @@ class TestFactorizationReference:
             for (row, col), value in first.entries.items():
                 rows.setdefault(first.rows.index(row), {})[first.cols.index(col)] = value
             markowitz = [(rid, col) for rid, col, _ in linalg._eliminate(rows)[0]]
-            assert factorize(first.cols, first.rows, first.entries)._pivots == markowitz
+            peeled = factorize(first.cols, first.rows, first.entries)
+            pivots = [
+                (rid, col)
+                for (rid, _, _), col in zip(peeled._steps, peeled._pivot_cols)
+            ]
+            assert pivots == markowitz

@@ -45,9 +45,9 @@ def test_each_block_factored_once_per_run(monkeypatch):
     factored = []
     init = Factorization.__init__
 
-    def recording(self, cols, rows, entries):
+    def recording(self, cols, nrows, placements):
         factored.append(tuple(cols))
-        init(self, cols, rows, entries)
+        init(self, cols, nrows, placements)
 
     monkeypatch.setattr(Factorization, "__init__", recording)
     assert verify_cell_chain(window=12, seed=0, samples=20).passed
@@ -56,6 +56,28 @@ def test_each_block_factored_once_per_run(monkeypatch):
         for pairs in SIGNATURE_BLOCKS.values()
     ]
     assert sorted(factored) == sorted(cols for cols in blocks if cols)
+
+
+def test_freeness_batches_keep_the_report(monkeypatch):
+    """The freeness cross-check solves its 190 pairs at window 12 in
+    batches of at most ``_FREENESS_BATCH``; the batch size changes
+    neither a verdict nor a detail string."""
+    whole = verify_cell_chain(window=12, seed=0, samples=5)
+    sizes = []
+    solve = Factorization.solve
+
+    def recording(self, rhs_list):
+        sizes.append(len(rhs_list))
+        return solve(self, rhs_list)
+
+    monkeypatch.setattr(verify_module, "_FREENESS_BATCH", 10)
+    monkeypatch.setattr(Factorization, "solve", recording)
+    batched = verify_cell_chain(window=12, seed=0, samples=5)
+    assert [(c.name, c.status, c.detail) for c in batched.checks] == [
+        (c.name, c.status, c.detail) for c in whole.checks
+    ]
+    assert "190 solver cross-checks" in batched.checks[2].detail
+    assert max(sizes) <= 10
 
 
 class TestNegativeControls:
