@@ -82,7 +82,7 @@ from .cellular import (
     tensor_involution,
     tensor_to_ideal,
 )
-from .linalg import SolveResult, SparseSystem, rank, solve_many, solve_unique
+from .linalg import SolveResult, SparseSystem, rank, solve_many
 from .verify import CellReport, CheckResult, verify_cell_chain
 
 __version__ = "0.1.0"

@@ -101,7 +101,6 @@ __all__ = [
     "omega_element",
     "omega_candidates",
     "max_window_cap",
-    "fits_window",
     "stem_system",
 ]
 
@@ -177,12 +176,6 @@ class NotInWindowError(RuntimeError):
 
 def _column_support(x: AlgebraElement) -> list[int]:
     return [j for matrix in x.terms for _, j, _ in matrix.entries]
-
-
-def fits_window(x: AlgebraElement, window: int) -> bool:
-    """Whether x is nonzero with its column support inside [-window, window]."""
-    support = _column_support(x)
-    return bool(support) and all(-window <= j <= window for j in support)
 
 
 def _window_ladder(x: AlgebraElement, window: int | None, cap: int) -> list[int]:
@@ -806,7 +799,10 @@ class WindowBlocks:
 
         Each signature block is solved once for all inputs, in order of
         first use; an element refuted by one block takes no part in
-        later ones, and a block left with no element is not solved.
+        later ones, and a block left with no element is not solved.  A
+        block that does not peel whole decides no element it does not
+        refute: that raises ``ArithmeticError`` when its rank bound
+        proves it deficient, else :class:`UndecidedError`.
         """
         solved: list[dict | None] = [{} for _ in elements]
         # signature -> {element index: its part in that block}
@@ -823,9 +819,15 @@ class WindowBlocks:
                 [_rhs_rows(parts[idx], shape_rows) for idx in owners]
             )
             for idx, result in zip(owners, block_results):
-                if result.status == SolveResult.UNDERDETERMINED:
-                    raise ArithmeticError(
-                        "window tensor system is underdetermined; independence broken"
+                if result.status == SolveResult.UNDECIDED:
+                    if factorization.max_rank < len(factorization.cols):
+                        raise ArithmeticError(
+                            "window tensor system is rank deficient; "
+                            "independence broken"
+                        )
+                    raise UndecidedError(
+                        "window tensor system does not peel whole; "
+                        "its rank is undecided"
                     )
                 if result.status == SolveResult.INCONSISTENT:
                     solved[idx] = None

@@ -7,10 +7,11 @@ module bases, independence of the coordinate system, the swap diagram,
 quotient-map homomorphism properties and the vector-space decomposition —
 and returns a machine-readable report.  Every check is exact; checks that
 need more column support than the run's window report "undecided" rather
-than failing.  A check that finds a block underdetermined, or a
+than failing.  A check that finds a block rank deficient, or a
 certificate that does not contract back, fails with that finding in its
 detail, after the failures it had found before; the report is still
-returned.
+returned.  A check that needs a block whose rank peeling leaves
+undecided reports "undecided": never a pass, never a failure.
 
 The window parameter is both the starting and the maximal window of the
 run: a certification at window W is a fixed-budget statement about
@@ -54,6 +55,7 @@ from .cellular import (
     CellTensor,
     MembershipResult,
     SIGNATURE_BLOCKS,
+    UndecidedError,
     WEIGHT_20,
     WindowBlocks,
     _window_labels,
@@ -213,9 +215,12 @@ def verify_cell_chain(
         try:
             status, detail = fn(failures)
         except ArithmeticError as exc:
-            # an underdetermined block or a certificate that does not
+            # a rank-deficient block or a certificate that does not
             # contract back: the structure is wrong, so the check fails
             status, detail = FAIL, "; ".join(failures[:5] + [str(exc)])
+        except UndecidedError as exc:
+            # a block whose rank peeling does not decide
+            status, detail = _status_merge(failures, [str(exc)])
         report.checks.append(
             CheckResult(name, status, detail, (time.perf_counter() - start) * 1e3)
         )
@@ -391,13 +396,18 @@ def verify_cell_chain(
         # of the right basis is the corner unit, so the left module's span
         # is the ideal's row-(2,0) blocks, cells (2, m)
         margin = 3
-        module_blocks = [sig for sig in SIGNATURE_BLOCKS if sig[0] == WEIGHT_20]
-        columns = sum(len(blocks.factorization(sig).cols) for sig in module_blocks)
-        system_rank = sum(blocks.factorization(sig).rank for sig in module_blocks)
-        if system_rank != columns:
+        module = [
+            blocks.factorization(sig) for sig in SIGNATURE_BLOCKS if sig[0] == WEIGHT_20
+        ]
+        columns = sum(len(f.cols) for f in module)
+        system_rank = sum(f.max_rank for f in module)
+        undecided: list[str] = []
+        if system_rank < columns:
             failures.append(
-                f"module coordinate system rank {system_rank} < {columns}"
+                f"module coordinate system rank at most {system_rank} < {columns}"
             )
+        elif any(f.rank != len(f.cols) for f in module):
+            undecided.append("module coordinate system rank undecided")
         bound = max(window - margin, 1)
         indices = [
             (i, j) for i in range(-bound, bound + 1) for j in range(i, bound + 1)
@@ -420,7 +430,7 @@ def verify_cell_chain(
                 if solved != expected:
                     failures.append("solver and recurrence coordinates disagree")
                 solver_checked += 1
-        status, detail = _status_merge(failures, [])
+        status, detail = _status_merge(failures, undecided)
         if status == PASS:
             detail = (
                 f"{count} round trips, {solver_checked} solver cross-checks, "
@@ -429,6 +439,7 @@ def verify_cell_chain(
         return status, detail
 
     def check_independence(failures: list[str]) -> tuple[str, str]:
+        undecided: list[str] = []
         block_dims = []
         for signature in sorted(
             SIGNATURE_BLOCKS, key=lambda sig: (sig[0].parts, sig[1].parts)
@@ -438,12 +449,14 @@ def verify_cell_chain(
             if not columns:
                 continue
             block_dims.append(f"{columns}")
-            if factorization.rank != columns:
+            block = f"block {signature[0].parts}/{signature[1].parts}"
+            if factorization.max_rank < columns:
                 failures.append(
-                    f"block {signature[0].parts}/{signature[1].parts}: "
-                    f"rank {factorization.rank} < {columns}"
+                    f"{block}: rank at most {factorization.max_rank} < {columns}"
                 )
-        status, detail = _status_merge(failures, [])
+            elif factorization.rank != columns:
+                undecided.append(f"{block}: does not peel whole, rank undecided")
+        status, detail = _status_merge(failures, undecided)
         if status == PASS:
             detail = "full column rank on blocks of sizes " + ", ".join(
                 block_dims

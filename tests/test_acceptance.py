@@ -282,7 +282,7 @@ def test_criterion_6_freeness_round_trip():
             inputs.append(((i, j), x))
             if decompose_left(x).to_element() != x:
                 failures.append(f"round trip ({i},{j})")
-    # solver route: unique solutions, never underdetermined
+    # solver route: unique solutions, never undecided
     cols = []
     entries = {}
     rows = set()

@@ -1,12 +1,10 @@
 import random
 from fractions import Fraction
-from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affschur import SolveResult, SparseSystem, rank, solve_many, solve_unique
-from affschur import linalg
+from affschur import SolveResult, SparseSystem, rank, solve_many
 from affschur.linalg import Factorization, factorize
 
 
@@ -29,6 +27,11 @@ def system(rows_data, rhs=None):
     return SparseSystem(cols, rows, entries, rhs_map)
 
 
+def solve_one(sys_):
+    """The verdict on the system's own right-hand side."""
+    return solve_many(sys_.cols, sys_.rows, sys_.entries, [sys_.rhs])[0]
+
+
 def by_index(sys_):
     """The system's right-hand side keyed by row index, the keys a
     ``Factorization`` solves."""
@@ -38,39 +41,66 @@ def by_index(sys_):
 class TestSolveUnique:
     def test_identity_system(self):
         sys_ = system([[1, 0], [0, 1]], [3, Fraction(-5, 2)])
-        result = solve_unique(sys_)
+        result = solve_one(sys_)
         assert result.status == SolveResult.UNIQUE
         assert result.solution == {"c0": 3, "c1": Fraction(-5, 2)}
 
     def test_underdetermined(self):
-        result = solve_unique(system([[1, 1]], [1]))
-        assert result.status == SolveResult.UNDERDETERMINED
+        # no row is a singleton: peeling takes no column, and its bound,
+        # one row for two columns, proves the rank deficient
+        sys_ = system([[1, 1]], [1])
+        assert solve_one(sys_).status == SolveResult.UNDECIDED
+        factorization = factorize(sys_.cols, sys_.rows, sys_.entries)
+        assert (factorization.rank, factorization.max_rank) == (None, 1)
 
     def test_inconsistent(self):
-        result = solve_unique(system([[1, 1], [1, 1]], [1, 2]))
+        # c0 and c1 peel on r0 and r1, and r2 is left with 3 - 1 - 1
+        result = solve_one(system([[1, 0], [0, 1], [1, 1]], [1, 1, 3]))
         assert result.status == SolveResult.INCONSISTENT
 
     def test_rectangular_consistent(self):
-        sys_ = system([[2, 1], [1, 1], [3, 2]], [5, 3, 8])
-        result = solve_unique(sys_)
+        sys_ = system([[2, 0], [1, 1], [3, 2]], [4, 3, 8])
+        result = solve_one(sys_)
         assert result.status == SolveResult.UNIQUE
         assert result.solution == {"c0": 2, "c1": 1}
+
+    def test_value_left_where_an_unpeeled_column_reaches_is_undecided(self):
+        """c0 peels on r0 and moves the rhs value onto r1, no pivot row.
+        That would refute the rhs if the matrix peeled whole, but c1 and
+        c2, which never peel, reach r1 and cancel it: the solution is
+        unique, c1 = c2 = -1/2, and peeling can only call it undecided."""
+        matrix = [[1, 0, 0], [1, 1, 1], [0, 1, -1]]
+        result = solve_one(system(matrix, [1, 0, 0]))
+        assert result.status == SolveResult.UNDECIDED
+        # a key that is no row index still refutes its rhs
+        sys_ = system(matrix)
+        factorization = factorize(sys_.cols, sys_.rows, sys_.entries)
+        assert [r.status for r in factorization.solve([{0: 1}, {0: 1, 3: 1}])] == [
+            SolveResult.UNDECIDED,
+            SolveResult.INCONSISTENT,
+        ]
+        assert gauss_jordan(matrix, [[1, 0, 0]]) == (
+            3,
+            [(SolveResult.UNIQUE, {0: 1, 1: Fraction(-1, 2), 2: Fraction(-1, 2)})],
+        )
 
     def test_rational_entries(self):
         sys_ = system(
             [[Fraction(1, 2), 0], [0, Fraction(2, 3)]], [1, Fraction(1, 3)]
         )
-        result = solve_unique(sys_)
+        result = solve_one(sys_)
         assert result.solution == {"c0": 2, "c1": Fraction(1, 2)}
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_substituting_back_reproduces_rhs(self, data):
         n = data.draw(st.integers(min_value=1, max_value=5))
+        # half of the numerators zero, so that many systems peel whole
+        numerators = st.one_of(st.just(0), st.integers(min_value=-4, max_value=4))
         entries = [
             [
                 Fraction(
-                    data.draw(st.integers(min_value=-4, max_value=4)),
+                    data.draw(numerators),
                     data.draw(st.integers(min_value=1, max_value=3)),
                 )
                 for _ in range(n)
@@ -87,11 +117,8 @@ class TestSolveUnique:
         rhs = [
             sum(row[j] * solution[j] for j in range(n)) for row in entries
         ]
-        result = solve_unique(system(entries, rhs))
-        assert result.status in (
-            SolveResult.UNIQUE,
-            SolveResult.UNDERDETERMINED,
-        )
+        result = solve_one(system(entries, rhs))
+        assert result.status in (SolveResult.UNIQUE, SolveResult.UNDECIDED)
         if result.status == SolveResult.UNIQUE:
             got = [result.solution[f"c{j}"] for j in range(n)]
             for row, value in zip(entries, rhs):
@@ -141,9 +168,12 @@ class TestSolveMany:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_equals_separate_solves(self, data):
+        # half of the numerators zero, so that many matrices peel whole
+        numerators = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+
         def fraction():
             return Fraction(
-                data.draw(st.integers(min_value=-3, max_value=3)),
+                data.draw(numerators),
                 data.draw(st.integers(min_value=1, max_value=3)),
             )
 
@@ -175,7 +205,7 @@ class TestSolveMany:
         assert factorization.rank == rank(first)
         assert len(many) == len(batched) == len(systems)
         for got, part, sys_, rhs in zip(many, batched, systems, rhs_dense):
-            single = solve_unique(sys_)
+            single = solve_one(sys_)
             assert got.status == part.status == single.status
             assert got.solution == single.solution
             if part.status == SolveResult.UNIQUE:
@@ -189,28 +219,31 @@ class TestSolveMany:
                     assert sum(a * v for a, v in zip(row, values)) == value
 
     def test_long_pivot_chain_reaches_every_column(self):
-        # rows x_i + x_{i+1} (i < n-1) and x_{n-1} + 2 x_0: every row has two
-        # entries, so the pivots form a chain and a rhs on the last row alone
-        # makes every column nonzero: x_i = (-1)^(n-i) for even n
+        # rows 2 x_0 and x_{i-1} + x_i (0 < i < n): each row is a singleton
+        # once the column before it has peeled, so the steps form a chain,
+        # and a rhs on the first row alone makes every column nonzero:
+        # x_i = (-1)^i
         n = 40
         dense = [[0] * n for _ in range(n)]
-        for i in range(n - 1):
-            dense[i][i] = dense[i][i + 1] = 1
-        dense[n - 1][n - 1] = 1
-        dense[n - 1][0] = 2
+        dense[0][0] = 2
+        for i in range(1, n):
+            dense[i][i - 1] = dense[i][i] = 1
         chain = system(dense)
-        far = {f"r{n - 1}": Fraction(1)}
-        near = {"r0": Fraction(1, 3), f"r{n - 1}": Fraction(2, 3)}
+        far = {"r0": Fraction(2)}
+        near = {f"r{n - 2}": Fraction(1, 3), f"r{n - 1}": Fraction(2, 3)}
         zero = {}
         solved = solve_many(chain.cols, chain.rows, chain.entries, [far, near, zero])
         assert [r.status for r in solved] == [SolveResult.UNIQUE] * 3
-        assert solved[0].solution == {
-            f"c{i}": Fraction((-1) ** (n - i)) for i in range(n)
-        }
+        assert solved[0].solution == {f"c{i}": Fraction((-1) ** i) for i in range(n)}
         assert solved[1].solution == dict(
-            {f"c{i}": Fraction(0) for i in range(n)}, c0=Fraction(1, 3)
+            {f"c{i}": Fraction(0) for i in range(n)},
+            **{f"c{n - 2}": Fraction(1, 3), f"c{n - 1}": Fraction(1, 3)},
         )
         assert solved[2].solution == {f"c{i}": Fraction(0) for i in range(n)}
+
+
+def max_rank(sys_):
+    return factorize(sys_.cols, sys_.rows, sys_.entries).max_rank
 
 
 class TestRank:
@@ -221,18 +254,24 @@ class TestRank:
         assert rank(system([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
 
     def test_rank_deficient(self):
-        assert rank(system([[1, 2], [2, 4]])) == 1
+        # c0 peels and c1 is zero: no live row is left, so the rank is decided
+        assert rank(system([[1, 0], [2, 0]])) == 1
+        # no row is a singleton: the bound, two rows, proves three columns
+        # deficient, but not two
+        wide = system([[1, 2, 3], [2, 4, 6]])
+        assert (rank(wide), max_rank(wide)) == (None, 2)
+        square = system([[1, 2], [2, 4]])
+        assert (rank(square), max_rank(square)) == (None, 2)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_invariant_under_row_permutation_and_scaling(self, data):
         nrows = data.draw(st.integers(min_value=1, max_value=4))
         ncols = data.draw(st.integers(min_value=1, max_value=4))
-        entries = [
-            [data.draw(st.integers(min_value=-3, max_value=3)) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
-        base = rank(system(entries))
+        # half of the values zero, so that many matrices peel
+        values = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+        entries = [[data.draw(values) for _ in range(ncols)] for _ in range(nrows)]
+        base = rank(system(entries)), max_rank(system(entries))
         seed = data.draw(st.integers(min_value=0, max_value=10**6))
         rng = random.Random(seed)
         shuffled = entries[:]
@@ -241,13 +280,17 @@ class TestRank:
         for row in shuffled:
             factor = rng.choice([1, 2, 3, Fraction(1, 2), -1])
             scaled.append([v * factor for v in row])
-        assert rank(system(scaled)) == base
+        assert (rank(system(scaled)), max_rank(system(scaled))) == base
+
+
+UNDERDETERMINED = "underdetermined"
 
 
 def gauss_jordan(matrix, rhs_list):
     """Dense reference: reduce [matrix | rhs...] over Fraction to reduced
-    row echelon form; returns the rank and, per rhs, its verdict and (for
-    a unique solution) the nonzero values by column index."""
+    row echelon form; returns the rank and, per rhs, its verdict (unique,
+    inconsistent or ``UNDERDETERMINED``) and (for a unique solution) the
+    nonzero values by column index."""
     ncols = len(matrix[0])
     rows = [
         [Fraction(v) for v in row] + [Fraction(rhs[i]) for rhs in rhs_list]
@@ -271,7 +314,7 @@ def gauss_jordan(matrix, rhs_list):
         if any(row[ncols + k] for row in rows[rank_:]):
             verdicts.append((SolveResult.INCONSISTENT, None))
         elif rank_ < ncols:
-            verdicts.append((SolveResult.UNDERDETERMINED, None))
+            verdicts.append((UNDERDETERMINED, None))
         else:
             solution = {c: rows[i][ncols + k] for i, c in enumerate(pivot_cols)}
             verdicts.append(
@@ -390,24 +433,37 @@ def assert_matches_gauss_jordan(matrix, rhs_dense):
 
 
 def assert_solves_as_gauss_jordan(factorization, matrix, rhs_dense):
-    """Solve every right-hand side, keyed by row index; rank, verdicts
-    and unique solutions (values and column order) must be those of
-    :func:`gauss_jordan`.  The factorization's columns are the matrix's,
-    in order."""
+    """Solve every right-hand side, keyed by row index, and hold the
+    factorization to :func:`gauss_jordan`.  When the matrix peels whole,
+    rank, verdicts and unique solutions (values and column order) must
+    be the reference's.  Otherwise the pivots are independent and the
+    bound holds (pivots <= rank <= ``max_rank``, so a deficiency is
+    claimed only for a deficient matrix), a decided rank is exact, and
+    no solve claims a unique solution or a refutation the reference
+    does not make.  The factorization's columns are the matrix's, in
+    order.  Returns whether the matrix peeled whole."""
     expected_rank, expected = gauss_jordan(matrix, rhs_dense)
-    assert factorization.rank == expected_rank
+    cols = factorization.cols
+    whole = factorization.rank == len(cols)
+    assert len(factorization._steps) <= expected_rank <= factorization.max_rank
+    assert factorization.rank in (None, expected_rank)
     got = factorization.solve(
         [{i: Fraction(v) for i, v in enumerate(rhs) if v} for rhs in rhs_dense]
     )
-    cols = factorization.cols
     for result, (status, solution) in zip(got, expected, strict=True):
-        assert result.status == status
-        if status == SolveResult.UNIQUE:
+        if whole:
+            assert result.status == status
+        elif result.status == SolveResult.INCONSISTENT:
+            assert status == SolveResult.INCONSISTENT
+        else:
+            assert result.status == SolveResult.UNDECIDED
+        if result.status == SolveResult.UNIQUE:
             assert list(result.solution.items()) == [
                 (cols[c], v) for c, v in solution.items()
             ]
         else:
             assert result.solution is None
+    return whole
 
 
 @st.composite
@@ -458,14 +514,16 @@ def shifted_stem_systems(draw):
 
 class TestFactorizationReference:
     """``Factorization`` against a dense Gauss–Jordan reference, on small
-    systems dense enough for non-unit pivots, pivot rows of several
-    entries and fill, none of which the certifier's systems reach."""
+    systems, some of them triangular and others dense enough that
+    peeling stops short."""
 
     @given(sparse_systems())
-    # the first pivot (2 at r0, c0) holds no rhs value, yet its step must
-    # scale the row it clears: an elimination that skipped it would solve
-    # 2 c0 + 3 c1 = 0, c0 + c1 = 1 wrongly
+    # invertible, but no row is a singleton: peeling takes no column, its
+    # bound (two rows) decides nothing, and the solve is undecided
     @example(([[2, 3], [1, 1]], [[0, 1]]))
+    # c1 peels on r1 and moves its value onto r0, whose pivot 2 (c0) held
+    # none before: the step must still divide it, c0 = -3/2
+    @example(([[2, 3], [0, 1]], [[0, 1]]))
     @settings(max_examples=300, deadline=None)
     def test_matches_dense_gauss_jordan(self, drawn):
         matrix, rhs_dense = drawn
@@ -512,8 +570,9 @@ class TestFactorizationReference:
     @given(peelable_systems())
     # r0 and r3 are singletons in c0 (pivots 2/3 and -2): one peels and
     # takes the other down to zero, where the first rhs is left nonzero
-    # (inconsistent) and the second 0; r1 and r2 reach the Markowitz
-    # phase, which gives the second rhs c1 = 1/3, c2 = 4/3
+    # and the second 0; r1 and r2 keep the rest columns c1 and c2, so
+    # both solves are undecided, the first though it is inconsistent and
+    # the second though it has the unique solution c1 = 1/3, c2 = 4/3
     @example(
         (
             [[Fraction(2, 3), 0, 0], [1, 1, 2], [5, 2, 1], [-2, 0, 0]],
@@ -522,32 +581,14 @@ class TestFactorizationReference:
         )
     )
     @settings(max_examples=300, deadline=None)
-    def test_peeling_then_markowitz_matches_dense_gauss_jordan(self, drawn):
-        """Peeling takes exactly the planted triangular columns, the
-        Markowitz phase gets the rest columns and nothing else, and the
-        two phases together solve as the dense reference does."""
+    def test_planted_triangle_is_peeled_or_undecided(self, drawn):
+        """Peeling takes exactly the planted triangular columns.  With no
+        rest columns the matrix peels whole and solves as the dense
+        reference does; with them, its rank and every solve that no key
+        refutes are undecided, under a bound that holds."""
         matrix, rhs_dense, rest_cols = drawn
-        seen = []
-        eliminate = linalg._eliminate
-
-        def recording(rows):
-            seen.append({c for row in rows.values() for c in row})
-            return eliminate(rows)
-
-        with patch.object(linalg, "_eliminate", recording):
-            assert_matches_gauss_jordan(matrix, rhs_dense)
-        assert seen == ([rest_cols] if rest_cols else [])
-        if not rest_cols:
-            # a matrix that peels whole gets the pivots, in order, that the
-            # Markowitz phase alone would choose for it
-            first = system(matrix)
-            rows = {}
-            for (row, col), value in first.entries.items():
-                rows.setdefault(first.rows.index(row), {})[first.cols.index(col)] = value
-            markowitz = [(rid, col) for rid, col, _ in linalg._eliminate(rows)[0]]
-            peeled = factorize(first.cols, first.rows, first.entries)
-            pivots = [
-                (rid, col)
-                for (rid, _, _), col in zip(peeled._steps, peeled._pivot_cols)
-            ]
-            assert pivots == markowitz
+        first = system(matrix)
+        factorization = factorize(first.cols, first.rows, first.entries)
+        whole = assert_solves_as_gauss_jordan(factorization, matrix, rhs_dense)
+        assert set(factorization._pivot_cols) == set(range(len(matrix[0]))) - rest_cols
+        assert whole == (not rest_cols)

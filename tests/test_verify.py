@@ -5,7 +5,13 @@ import pytest
 
 from affschur import cellular, multiplication, verify_cell_chain
 from affschur import verify as verify_module
-from affschur.cellular import SIGNATURE_BLOCKS, omega_candidates
+from affschur.cellular import (
+    SIGNATURE_BLOCKS,
+    WEIGHT_11,
+    WEIGHT_20,
+    WindowBlocks,
+    omega_candidates,
+)
 from affschur.core import AlgebraElement
 from affschur.linalg import Factorization
 from affschur.multiplication import StructureTable
@@ -179,6 +185,59 @@ class TestShortcutControls:
             lambda trips, k: (trips[0].translated(k), trips[1].translated(k)),
         )
         assert self.failing_run()["module-basis-freeness"].status == "fail"
+
+
+def _tangled(placements):
+    """The first and the last column replaced by their sum and their
+    difference, which must have disjoint rows."""
+    first, last = (
+        {base + shift: value for base, value in stem}
+        for stem, shift in (placements[0], placements[-1])
+    )
+    assert not first.keys() & last.keys()
+    total = [*first.items(), *last.items()]
+    difference = [*first.items(), *((rid, -value) for rid, value in last.items())]
+    return [(total, 0), *placements[1:-1], (difference, 0)]
+
+
+class TestUndecidedBlock:
+    @pytest.mark.parametrize(
+        "signature, module",
+        [((WEIGHT_11, WEIGHT_11), False), ((WEIGHT_20, WEIGHT_20), True)],
+        ids=["(1,1)/(1,1)", "module block (2,0)/(2,0)"],
+    )
+    def test_block_that_does_not_peel_whole_is_undecided(
+        self, monkeypatch, signature, module
+    ):
+        """One block tangled: its first and last columns, which meet
+        disjoint rows, replaced by their sum and their difference.  That
+        is an invertible column operation, so the block keeps full column
+        rank, but every row meeting either new column meets both, so
+        neither ever peels, and the peeling's bound cannot prove the
+        block deficient.  Independence is then undecided, and so is the
+        run: never a pass, never a failure.  A module block leaves the
+        freeness check's coordinate rank undecided too."""
+        stem_system = cellular.stem_system
+
+        def tangled(window, pairs):
+            cols, shape_rows, nrows, placements = stem_system(window, pairs)
+            if pairs is SIGNATURE_BLOCKS[signature]:
+                placements = _tangled(placements)
+            return cols, shape_rows, nrows, placements
+
+        whole = WindowBlocks(12).factorization(signature)
+        assert whole.rank == len(whole.cols)
+        monkeypatch.setattr(cellular, "stem_system", tangled)
+        block = WindowBlocks(12).factorization(signature)
+        assert block.rank is None and block.max_rank == len(block.cols)
+        report = verify_cell_chain(window=12, seed=0, samples=20)
+        statuses = {c.name: c.status for c in report.checks}
+        assert statuses["coordinate-independence"] == "undecided"
+        if module:
+            assert statuses["module-basis-freeness"] == "undecided"
+        assert "fail" not in statuses.values()
+        assert not report.passed and not report.failed
+        assert report.exit_code() == 3
 
 
 class TestWindowStarvation:
