@@ -64,7 +64,6 @@ from .cellular import (
     GEN_X2_INV,
     LEFT_BASIS,
     MembershipResult,
-    NotInWindowError,
     RIGHT_BASIS,
     UndecidedError,
     batch_ideal_membership,
@@ -73,7 +72,6 @@ from .cellular import (
     decompose_left,
     decompose_right,
     ideal_membership,
-    ideal_to_tensor,
     idempotent_02,
     idempotent_11,
     idempotent_20,

@@ -49,11 +49,10 @@ assemble a system; a right-hand side reaches the rows through its
 matrices' classes.  Its
 :meth:`~WindowBlocks.coordinates` solves; its
 :meth:`~WindowBlocks.membership` adds the certificate tensor, re-verified
-by contraction.  :func:`ideal_membership` is the window ladder
-(:func:`_window_ladder`, growing geometrically up to a cap) over a
-fresh :class:`WindowBlocks` per rung.  It and :func:`corner_to_laurent`
-answer a question that does not fit the cap "undecided" rather than
-guess.
+by contraction.  :func:`ideal_membership` is the window ladder, growing
+geometrically up to a cap, over a fresh :class:`WindowBlocks` per rung.
+It and :func:`corner_to_laurent` answer a question that does not fit
+the cap "undecided" rather than guess.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ __all__ = [
     "CellTensor",
     "MembershipResult",
     "UndecidedError",
-    "NotInWindowError",
     "WEIGHT_20",
     "WEIGHT_02",
     "WEIGHT_11",
@@ -93,7 +91,6 @@ __all__ = [
     "decompose_right",
     "tensor_to_ideal",
     "tensor_involution",
-    "ideal_to_tensor",
     "ideal_membership",
     "batch_ideal_membership",
     "WindowBlocks",
@@ -166,37 +163,12 @@ class UndecidedError(RuntimeError):
     """The question does not fit inside the allowed window."""
 
 
-class NotInWindowError(RuntimeError):
-    """No solution exists within the maximal window tried."""
-
-
 # ---------------------------------------------------------------------------
 # windowed systems
 
 
 def _column_support(x: AlgebraElement) -> list[int]:
     return [j for matrix in x.terms for _, j, _ in matrix.entries]
-
-
-def _window_ladder(x: AlgebraElement, window: int | None, cap: int) -> list[int]:
-    """The windows to try for x, in order: those its support fits.
-
-    The ladder starts at the given window, else at the extent of the
-    support, lowered to the cap, and doubles up to the cap; it is empty
-    when the support exceeds the cap.  It never grows from a window
-    below 1, which is rejected.
-    """
-    if window is not None and window < 1:
-        raise ValueError("window must be positive")
-    needed = max((abs(j) for j in _column_support(x)), default=0)
-    w = min(window if window is not None else max(needed, 1), cap)
-    rungs = []
-    while True:
-        if needed <= w:
-            rungs.append(w)
-        if w >= cap:
-            return rungs
-        w = min(2 * w, cap)
 
 
 _ZERO = AlgebraElement.zero(N, R)
@@ -428,14 +400,17 @@ def corner_to_laurent(
 
     The corner element p(x1, x2) * e is p times the left basis element
     of index 2, the corner unit e, so p is its index-2 coordinate in
-    :func:`decompose_left`, read off the recurrences with no solve.  The
-    window rules are those of the ladder: a window below 1 is rejected,
-    and support beyond the cap raises :class:`UndecidedError`.
+    :func:`decompose_left`, read off the recurrences with no solve, so
+    no window is grown.  The window rules are those of
+    :func:`ideal_membership`: a window below 1 is rejected, and support
+    beyond the cap raises :class:`UndecidedError`.
     """
     if not x.supported_on(WEIGHT_20, WEIGHT_20):
         raise ValueError("element does not lie in the corner algebra")
     cap = max_window if max_window is not None else max_window_cap()
-    if not _window_ladder(x, window, cap):
+    if window is not None and window < 1:
+        raise ValueError("window must be positive")
+    if max(map(abs, _column_support(x)), default=0) > cap:
         raise UndecidedError(f"no polynomial preimage within window {cap}")
     return decompose_left(x).coords[2]
 
@@ -890,37 +865,27 @@ def ideal_membership(
     """Windowed membership test for the two-sided ideal: the window
     ladder over :func:`batch_ideal_membership`.
 
-    A member verdict carries the certificate tensor, already re-verified
-    by contracting it back to the element, and the window that decided
-    it; the other verdicts carry the cap, the last window tried.
+    The ladder starts at the given window (at least 1), else at the
+    extent of the support, lowered to the cap, and doubles up to the cap,
+    trying each window the support fits.  A member verdict carries the
+    certificate tensor, already re-verified by contracting it back to
+    the element, and the window that decided it; the other verdicts,
+    undecided when the support exceeds the cap, carry the cap.
     """
     if x.n != N or x.r != R:
         raise ValueError("ideal elements live at n = r = 2")
     cap = max_window if max_window is not None else max_window_cap()
-    rungs = _window_ladder(x, window, cap)
-    for w in rungs:
-        result = batch_ideal_membership([x], w)[0]
-        if result.is_member:
-            return result
-    status = MembershipResult.NOT_MEMBER if rungs else MembershipResult.UNDECIDED
-    return MembershipResult(status, None, cap)
-
-
-def ideal_to_tensor(
-    x: AlgebraElement,
-    window: int | None = None,
-    max_window: int | None = None,
-) -> CellTensor:
-    """Tensor coordinates of an ideal element: the certificate of
-    :func:`ideal_membership`.
-
-    Raises :class:`NotInWindowError` when the element is not an ideal
-    member at the final window and :class:`UndecidedError` when the
-    question never fit the window.
-    """
-    result = ideal_membership(x, window, max_window)
-    if result.status == MembershipResult.NOT_MEMBER:
-        raise NotInWindowError(f"not an ideal member within window {result.window}")
-    if result.status == MembershipResult.UNDECIDED:
-        raise UndecidedError(f"element support exceeds the window cap {result.window}")
-    return result.tensor
+    if window is not None and window < 1:
+        raise ValueError("window must be positive")
+    needed = max(map(abs, _column_support(x)), default=0)
+    if needed > cap:
+        return MembershipResult(MembershipResult.UNDECIDED, None, cap)
+    w = min(window if window is not None else max(needed, 1), cap)
+    while True:
+        if needed <= w:
+            result = batch_ideal_membership([x], w)[0]
+            if result.is_member:
+                return result
+        if w >= cap:
+            return MembershipResult(MembershipResult.NOT_MEMBER, None, cap)
+        w = min(2 * w, cap)

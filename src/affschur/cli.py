@@ -7,7 +7,8 @@ draws random samples, from its ``--seed``; the other subcommands are
 deterministic functions of their input and flags.
 
 Exit codes: 0 success, 1 verification failure / non-membership,
-2 invalid input, 3 undecided (window exhausted).
+2 invalid input, 3 undecided (window exhausted, or a block whose rank
+peeling leaves it undecided); :func:`run` alone maps errors to them.
 """
 
 from __future__ import annotations
@@ -112,13 +113,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_psi(args: argparse.Namespace) -> int:
     x = element_from_json(_read_payload(args))
-    try:
-        poly = corner_to_laurent(
-            x, window=args.window, max_window=max_window_cap()
-        )
-    except UndecidedError as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
+    poly = corner_to_laurent(x, window=args.window, max_window=max_window_cap())
     _emit(poly.to_json(), args.pretty)
     return EXIT_OK
 
@@ -223,9 +218,17 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.handler(args)
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except UndecidedError as exc:
+        # support beyond the window cap, or a block that does not peel whole
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
+    except ArithmeticError as exc:
+        # a rank-deficient block or a certificate that does not contract back
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 def main() -> None:

@@ -5,13 +5,15 @@ Machine certification of the ideal-chain structure at n = r = 2.
 generator certificates, transpose stability of the ideal, freeness of the
 module bases, independence of the coordinate system, the swap diagram,
 quotient-map homomorphism properties and the vector-space decomposition —
-and returns a machine-readable report.  Every check is exact; checks that
-need more column support than the run's window report "undecided" rather
-than failing.  A check that finds a block rank deficient, or a
+and returns a machine-readable report.  Every check is exact.  A check
+appends its findings to the runner's lists of failures and undecided
+findings and returns only its detail for a pass; the runner alone makes
+each status from the lists.  Checks that need more column support than
+the run's window are undecided rather than failing.  A check that finds a block rank deficient, or a
 certificate that does not contract back, fails with that finding in its
 detail, after the failures it had found before; the report is still
 returned.  A check that needs a block whose rank peeling leaves
-undecided reports "undecided": never a pass, never a failure.
+undecided is undecided: never a pass, never a failure.
 
 The window parameter is both the starting and the maximal window of the
 run: a certification at window W is a fixed-budget statement about
@@ -111,25 +113,28 @@ class CellReport:
     total_millis: float = 0.0
 
     @property
+    def status(self) -> str:
+        """The run's verdict: fail when a check failed, else undecided
+        when a check is undecided, else pass."""
+        statuses = {check.status for check in self.checks}
+        if FAIL in statuses:
+            return FAIL
+        return UNDECIDED if UNDECIDED in statuses else PASS
+
+    @property
     def passed(self) -> bool:
-        return all(check.status == PASS for check in self.checks)
+        return self.status == PASS
 
     @property
     def failed(self) -> bool:
-        return any(check.status == FAIL for check in self.checks)
+        return self.status == FAIL
 
     @property
     def undecided(self) -> bool:
-        return not self.failed and any(
-            check.status == UNDECIDED for check in self.checks
-        )
+        return self.status == UNDECIDED
 
     def exit_code(self) -> int:
-        if self.failed:
-            return 1
-        if self.undecided:
-            return 3
-        return 0
+        return {PASS: 0, FAIL: 1, UNDECIDED: 3}[self.status]
 
     def to_json(self) -> dict:
         return {
@@ -141,37 +146,20 @@ class CellReport:
     def render_text(self) -> str:
         lines = []
         for check in self.checks:
-            mark = {PASS: "PASS", FAIL: "FAIL", UNDECIDED: "UNDECIDED"}[
-                check.status
-            ]
             lines.append(
-                f"[{mark:9s}] {check.name} ({check.millis:.0f} ms): {check.detail}"
+                f"[{check.status.upper():9s}] {check.name} "
+                f"({check.millis:.0f} ms): {check.detail}"
             )
-        verdict = (
-            "PASS" if self.passed else ("UNDECIDED" if self.undecided else "FAIL")
-        )
         lines.append(
-            f"overall: {verdict} "
+            f"overall: {self.status.upper()} "
             f"(window={self.params.get('window')}, seed={self.params.get('seed')}, "
             f"samples={self.params.get('samples')}, {self.total_millis:.0f} ms)"
         )
         return "\n".join(lines)
 
 
-def _status_merge(failures: list[str], undecided: list[str]) -> tuple[str, str]:
-    if failures:
-        return FAIL, "; ".join(failures[:5])
-    if undecided:
-        return UNDECIDED, "; ".join(undecided[:5])
-    return PASS, "ok"
-
-
 TransposeFn = Callable[[AlgebraElement], AlgebraElement]
 InvolutionFn = Callable[[LaurentPoly2], LaurentPoly2]
-
-
-def _membership_detail(name: str, result: MembershipResult) -> str:
-    return f"{name}: {result.status} (window {result.window})"
 
 
 def _moved_round_trips(
@@ -207,20 +195,29 @@ def verify_cell_chain(
     )
     start_total = time.perf_counter()
 
-    def run(name: str, fn: Callable[[list[str]], tuple[str, str]]) -> None:
-        start = time.perf_counter()
-        # the check's failures, kept here so that an error raised late in
+    def run(name: str, fn: Callable[[list[str], list[str]], str]) -> None:
+        # the check's findings, kept here so that an error raised late in
         # the check does not erase those found before it
+        start = time.perf_counter()
         failures: list[str] = []
+        undecided: list[str] = []
+        error: list[str] = []
         try:
-            status, detail = fn(failures)
+            detail = fn(failures, undecided)
         except ArithmeticError as exc:
             # a rank-deficient block or a certificate that does not
             # contract back: the structure is wrong, so the check fails
-            status, detail = FAIL, "; ".join(failures[:5] + [str(exc)])
+            error = [str(exc)]
         except UndecidedError as exc:
-            # a block whose rank peeling does not decide
-            status, detail = _status_merge(failures, [str(exc)])
+            # a block whose rank peeling does not decide ends the check,
+            # reported in place of its earlier undecided findings
+            undecided = [str(exc)]
+        if failures or error:
+            status, detail = FAIL, "; ".join(failures[:5] + error)
+        elif undecided:
+            status, detail = UNDECIDED, "; ".join(undecided[:5])
+        else:
+            status = PASS
         report.checks.append(
             CheckResult(name, status, detail, (time.perf_counter() - start) * 1e3)
         )
@@ -240,8 +237,7 @@ def verify_cell_chain(
     # factored once for every check that asks about them
     blocks = WindowBlocks(window)
 
-    def check_generator_certificates(failures: list[str]) -> tuple[str, str]:
-        undecided: list[str] = []
+    def check_generator_certificates(failures: list[str], undecided: list[str]) -> str:
         identities = [
             (
                 "column idempotent factors through the ideal",
@@ -283,13 +279,14 @@ def verify_cell_chain(
         ]
         batch = blocks.membership([element for _, element in members])
         for (label, _), result in zip(members, batch):
+            finding = f"{label}: {result.status} (window {result.window})"
             if result.status == MembershipResult.NOT_MEMBER:
-                failures.append(_membership_detail(label, result))
+                failures.append(finding)
             elif result.status == MembershipResult.UNDECIDED:
-                undecided.append(_membership_detail(label, result))
-        return _status_merge(failures, undecided)
+                undecided.append(finding)
+        return "ok"
 
-    def check_transpose_stability(failures: list[str]) -> tuple[str, str]:
+    def check_transpose_stability(failures: list[str], undecided: list[str]) -> str:
         # On the stems.  T, the move of every column by one period n,
         # sends the entry (i, j) to (i, j + n), which periodicity stores
         # as (i - n, j); transposed, that is (j, i - n), the transposed
@@ -306,7 +303,6 @@ def verify_cell_chain(
         # members, built as translates, and solves for their coordinates,
         # so a transpose or a translate that broke the commutation shows
         # there as a failed solve.
-        undecided: list[str] = []
         # every spanning element's label, by cell (l, m), then b, then a
         labels = list(
             _window_labels(window, [(l, m) for l in range(4) for m in range(4)])
@@ -340,17 +336,15 @@ def verify_cell_chain(
                     failures.append(f"transposed cell {label}: {result.status}")
                 elif result.status == MembershipResult.UNDECIDED:
                     undecided.append(f"transposed cell {label}: undecided")
-        detail_ok = (
+        return (
             f"{len(labels)} spanning elements transposed back; "
             f"{len(subsample)} re-solved"
         )
-        status, detail = _status_merge(failures, undecided)
-        return status, detail_ok if status == PASS else detail
 
     def pair(i: int, j: int) -> AlgebraElement:
         return basis((1, i, 2)) if i == j else basis((1, i, 1), (1, j, 1))
 
-    def check_freeness(failures: list[str]) -> tuple[str, str]:
+    def check_freeness(failures: list[str], undecided: list[str]) -> str:
         # Round trips per base pair.  The pair {i, j} (i <= j) is its base
         # pair {i - 2k, j - 2k}, smaller column in {1, 2}, moved by
         # k = (i - 1) // 2 periods, that is times the central x2^k.
@@ -401,7 +395,6 @@ def verify_cell_chain(
         ]
         columns = sum(len(f.cols) for f in module)
         system_rank = sum(f.max_rank for f in module)
-        undecided: list[str] = []
         if system_rank < columns:
             failures.append(
                 f"module coordinate system rank at most {system_rank} < {columns}"
@@ -430,16 +423,12 @@ def verify_cell_chain(
                 if solved != expected:
                     failures.append("solver and recurrence coordinates disagree")
                 solver_checked += 1
-        status, detail = _status_merge(failures, undecided)
-        if status == PASS:
-            detail = (
-                f"{count} round trips, {solver_checked} solver cross-checks, "
-                f"coordinate rank {system_rank}/{columns}"
-            )
-        return status, detail
+        return (
+            f"{count} round trips, {solver_checked} solver cross-checks, "
+            f"coordinate rank {system_rank}/{columns}"
+        )
 
-    def check_independence(failures: list[str]) -> tuple[str, str]:
-        undecided: list[str] = []
+    def check_independence(failures: list[str], undecided: list[str]) -> str:
         block_dims = []
         for signature in sorted(
             SIGNATURE_BLOCKS, key=lambda sig: (sig[0].parts, sig[1].parts)
@@ -456,14 +445,9 @@ def verify_cell_chain(
                 )
             elif factorization.rank != columns:
                 undecided.append(f"{block}: does not peel whole, rank undecided")
-        status, detail = _status_merge(failures, undecided)
-        if status == PASS:
-            detail = "full column rank on blocks of sizes " + ", ".join(
-                block_dims
-            )
-        return status, detail
+        return "full column rank on blocks of sizes " + ", ".join(block_dims)
 
-    def check_diagram(failures: list[str]) -> tuple[str, str]:
+    def check_diagram(failures: list[str], undecided: list[str]) -> str:
         for index in range(samples):
             cells = random_tensor_cells(rng)
             tensor = CellTensor.zero()
@@ -479,12 +463,9 @@ def verify_cell_chain(
                 failures.append(f"diagram broke on sample {index}")
                 if len(failures) > 4:
                     break
-        status, detail = _status_merge(failures, [])
-        if status == PASS:
-            detail = f"transpose commutes with the swap on {samples} tensors"
-        return status, detail
+        return f"transpose commutes with the swap on {samples} tensors"
 
-    def check_quotient(failures: list[str]) -> tuple[str, str]:
+    def check_quotient(failures: list[str], undecided: list[str]) -> str:
         for index in range(samples):
             x = random_element(rng, 2, 2, col_lo=-3, col_hi=4)
             y = random_element(rng, 2, 2, col_lo=-3, col_hi=4)
@@ -508,13 +489,9 @@ def verify_cell_chain(
                 )
             if len(failures) > 4:
                 break
-        status, detail = _status_merge(failures, [])
-        if status == PASS:
-            detail = f"homomorphism, kernel, section and inversion on {samples} samples"
-        return status, detail
+        return f"homomorphism, kernel, section and inversion on {samples} samples"
 
-    def check_direct_sum(failures: list[str]) -> tuple[str, str]:
-        undecided: list[str] = []
+    def check_direct_sum(failures: list[str], undecided: list[str]) -> str:
         lo = -max(2, window // 4)
         hi = max(3, window // 4)
         differences = []
@@ -526,10 +503,7 @@ def verify_cell_chain(
                 failures.append(f"complement escaped the ideal on sample {index}")
             elif result.status == MembershipResult.UNDECIDED:
                 undecided.append(f"sample {index} undecided at window {window}")
-        status, detail = _status_merge(failures, undecided)
-        if status == PASS:
-            detail = f"quotient lift complements the ideal on {samples} samples"
-        return status, detail
+        return f"quotient lift complements the ideal on {samples} samples"
 
     run("ideal-generator-certificates", check_generator_certificates)
     run("transpose-ideal-stability", check_transpose_stability)

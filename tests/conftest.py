@@ -15,6 +15,7 @@ from affschur import (
     Composition,
     PeriodicMatrix,
     WeylElement,
+    cellular,
     diag_matrix,
     pair_to_matrix,
 )
@@ -26,6 +27,31 @@ def mat(n, *entries):
 
 def basis(n, *entries):
     return AlgebraElement.basis(mat(n, *entries))
+
+
+def tangle_block(monkeypatch, signature):
+    """Build the block of this signature with its first and last columns,
+    which must meet disjoint rows, replaced by their sum and their
+    difference.  That is an invertible column operation, so the block
+    keeps full column rank, but every row meeting either new column meets
+    both, so neither ever peels, and the peeling's bound cannot prove the
+    block deficient: its rank is undecided."""
+    stem_system = cellular.stem_system
+
+    def tangled(window, pairs):
+        cols, shape_rows, nrows, placements = stem_system(window, pairs)
+        if pairs is cellular.SIGNATURE_BLOCKS[signature]:
+            first, last = (
+                {base + shift: value for base, value in stem}
+                for stem, shift in (placements[0], placements[-1])
+            )
+            assert not first.keys() & last.keys()
+            total = [*first.items(), *last.items()]
+            difference = [*first.items(), *((r, -value) for r, value in last.items())]
+            placements = [(total, 0), *placements[1:-1], (difference, 0)]
+        return cols, shape_rows, nrows, placements
+
+    monkeypatch.setattr(cellular, "stem_system", tangled)
 
 
 def assert_canonical_exact(*elements):

@@ -18,7 +18,6 @@ from affschur import (
     LEFT_BASIS,
     LaurentPoly2,
     MembershipResult,
-    NotInWindowError,
     RIGHT_BASIS,
     UndecidedError,
     batch_ideal_membership,
@@ -29,7 +28,6 @@ from affschur import (
     grade,
     hecke_embed,
     ideal_membership,
-    ideal_to_tensor,
     idempotent_02,
     idempotent_11,
     idempotent_20,
@@ -758,14 +756,18 @@ class TestTensorInvolution:
 
 
 class TestIdealToTensor:
+    """An ideal element's tensor coordinates are the certificate of
+    ``ideal_membership``.  Its verdicts for a non-member and for support
+    beyond the cap are tested in ``TestMembership``."""
+
     def test_idempotent(self, e_lam):
-        t = ideal_to_tensor(e_lam, window=6, max_window=6)
+        t = ideal_membership(e_lam, window=6, max_window=6).tensor
         assert t.cell(2, 2) == ONE
         assert sum(1 for row in t.coords for p in row if not p.is_zero()) == 1
 
     def test_corner_product(self, e_nu):
         x = hecke_embed(HeckeElement.group(T1)) + e_nu
-        t = ideal_to_tensor(x, window=6, max_window=6)
+        t = ideal_membership(x, window=6, max_window=6).tensor
         assert t.cell(0, 0) == ONE
 
     def test_scaled_idempotent_matches_triple_product(self, e_lam, e_nu):
@@ -775,8 +777,8 @@ class TestIdealToTensor:
             basis(2, (1, 1, 1), (2, 1, 1)),
         )
         assert triple == e_lam.scaled(4)
-        via_product = ideal_to_tensor(triple, window=6, max_window=6)
-        via_scaling = ideal_to_tensor(e_lam.scaled(4), window=6, max_window=6)
+        via_product = ideal_membership(triple, window=6, max_window=6).tensor
+        via_scaling = ideal_membership(e_lam.scaled(4), window=6, max_window=6).tensor
         assert via_product == via_scaling
         assert via_product.cell(2, 2) == ONE.scaled(4)
 
@@ -787,21 +789,13 @@ class TestIdealToTensor:
             x = multiply(multiply(u, e_lam), v)
             if x.is_zero():
                 continue
-            t = ideal_to_tensor(x, window=10, max_window=10)
+            t = ideal_membership(x, window=10, max_window=10).tensor
             assert tensor_to_ideal(t) == x
 
     def test_window_growth_finds_answer(self, e_mu):
         # starting window too small, cap large enough: growth succeeds
-        t = ideal_to_tensor(e_mu, window=1, max_window=8)
+        t = ideal_membership(e_mu, window=1, max_window=8).tensor
         assert tensor_to_ideal(t) == e_mu
-
-    def test_not_member_raises(self, e_nu):
-        with pytest.raises(NotInWindowError):
-            ideal_to_tensor(e_nu, window=6, max_window=6)
-
-    def test_support_beyond_cap_undecided(self, e_mu):
-        with pytest.raises(UndecidedError):
-            ideal_to_tensor(e_mu, window=1, max_window=1)
 
 
 @pytest.fixture

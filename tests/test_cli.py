@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 import affschur
+from affschur import cellular
+from affschur.cellular import WEIGHT_20
 from affschur.cli import run
+
+from conftest import tangle_block
 
 
 def invoke(capsys, args, stdin=None, monkeypatch=None, tmp_path=None):
@@ -213,6 +217,15 @@ class TestPsiAndQuotient:
         assert code == 0
         assert json.loads(out) == {"poly": {"0,-1": "1"}}
 
+    def test_psi_beyond_cap_exit_three(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("AFFSCHUR_MAX_WINDOW", "8")
+        # a corner element whose support needs window 9
+        elt = {"n": 2, "r": 2, "terms": [{"coeff": "1", "entries": [[1, 1, 1], [1, 9, 1]]}]}
+        code, out, err = invoke(capsys, ["psi"], json.dumps(elt), tmp_path=tmp_path)
+        assert code == 3
+        assert out == ""
+        assert err == "undecided: no polynomial preimage within window 8\n"
+
     def test_quotient_of_rotation(self, capsys, tmp_path):
         code, out, _ = invoke(
             capsys, ["quotient"], json.dumps(ELT_ROTATION), tmp_path=tmp_path
@@ -282,6 +295,37 @@ class TestMember:
         )
         assert code == 3
         assert json.loads(out)["verdict"] == "undecided"
+
+    def test_block_that_does_not_peel_whole_exit_three(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A block whose rank peeling leaves undecided ends ``member`` in
+        exit 3 with an ``undecided:`` line, as support beyond the cap ends
+        ``psi``, not in a traceback."""
+        tangle_block(monkeypatch, (WEIGHT_20, WEIGHT_20))
+        monkeypatch.setenv("AFFSCHUR_MAX_WINDOW", "12")
+        code, out, err = invoke(
+            capsys, ["member", "--window", "12"], json.dumps(ELT_LAM), tmp_path=tmp_path
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "undecided: window tensor system does not peel whole; "
+            "its rank is undecided\n"
+        )
+
+    def test_certificate_that_does_not_contract_back_exit_one(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A certificate tensor that does not contract back to its element
+        is a failure, exit 1 with an ``error:`` line, not a traceback."""
+        monkeypatch.setattr(
+            cellular, "tensor_to_ideal", lambda tensor: affschur.AlgebraElement.zero(2, 2)
+        )
+        code, out, err = invoke(capsys, ["member"], json.dumps(ELT_LAM), tmp_path=tmp_path)
+        assert code == 1
+        assert out == ""
+        assert err == "error: solved tensor fails to reproduce its element\n"
 
 
 @pytest.mark.parametrize(

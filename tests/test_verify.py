@@ -16,6 +16,8 @@ from affschur.core import AlgebraElement
 from affschur.linalg import Factorization
 from affschur.multiplication import StructureTable
 
+from conftest import tangle_block
+
 GOLDEN_REPORT = Path(__file__).with_name("golden_verify_cell_w12_s0_n100.json")
 
 CHECK_NAMES = [
@@ -187,19 +189,6 @@ class TestShortcutControls:
         assert self.failing_run()["module-basis-freeness"].status == "fail"
 
 
-def _tangled(placements):
-    """The first and the last column replaced by their sum and their
-    difference, which must have disjoint rows."""
-    first, last = (
-        {base + shift: value for base, value in stem}
-        for stem, shift in (placements[0], placements[-1])
-    )
-    assert not first.keys() & last.keys()
-    total = [*first.items(), *last.items()]
-    difference = [*first.items(), *((rid, -value) for rid, value in last.items())]
-    return [(total, 0), *placements[1:-1], (difference, 0)]
-
-
 class TestUndecidedBlock:
     @pytest.mark.parametrize(
         "signature, module",
@@ -209,25 +198,14 @@ class TestUndecidedBlock:
     def test_block_that_does_not_peel_whole_is_undecided(
         self, monkeypatch, signature, module
     ):
-        """One block tangled: its first and last columns, which meet
-        disjoint rows, replaced by their sum and their difference.  That
-        is an invertible column operation, so the block keeps full column
-        rank, but every row meeting either new column meets both, so
-        neither ever peels, and the peeling's bound cannot prove the
-        block deficient.  Independence is then undecided, and so is the
-        run: never a pass, never a failure.  A module block leaves the
-        freeness check's coordinate rank undecided too."""
-        stem_system = cellular.stem_system
-
-        def tangled(window, pairs):
-            cols, shape_rows, nrows, placements = stem_system(window, pairs)
-            if pairs is SIGNATURE_BLOCKS[signature]:
-                placements = _tangled(placements)
-            return cols, shape_rows, nrows, placements
-
+        """One block tangled (``tangle_block``): it keeps full column
+        rank, but peeling leaves its rank undecided.  Independence is then
+        undecided, and so is the run: never a pass, never a failure.  A
+        module block leaves the freeness check's coordinate rank undecided
+        too."""
         whole = WindowBlocks(12).factorization(signature)
         assert whole.rank == len(whole.cols)
-        monkeypatch.setattr(cellular, "stem_system", tangled)
+        tangle_block(monkeypatch, signature)
         block = WindowBlocks(12).factorization(signature)
         assert block.rank is None and block.max_rank == len(block.cols)
         report = verify_cell_chain(window=12, seed=0, samples=20)
