@@ -521,40 +521,32 @@ def _y_coords(l: int) -> tuple[LaurentPoly2, ...]:
     return _recurrence(_Y_COORDS, l)
 
 
-def _pair_coords(i: int, j: int) -> tuple[LaurentPoly2, ...]:
-    """Left-basis coordinates of the row-(2,0) pair matrix {i, j}.
-
-    The smaller column is normalized into {1, 2} by a power of x2, then
-    the recurrences above finish the job.
+def _pair_coords(i: int, j: int) -> tuple[tuple[LaurentPoly2, ...], int]:
+    """Left-basis coordinates of the row-(2,0) pair matrix {i, j}: those
+    of its base pair, whose smaller column is in {1, 2} (the recurrences
+    above, from their seeds {1, 1} and {2, 2} when i = j), and the
+    exponent s of the x2^s that moves the base pair by s periods onto it.
     """
     if i > j:
         i, j = j, i
-    if i == j:
-        if i % 2:
-            return _coord_unit(2, LaurentPoly2.x2((i - 1) // 2))
-        return _coord_unit(3, LaurentPoly2.x2(i // 2 - 1))
     if i % 2:
-        shift = LaurentPoly2.x2((i - 1) // 2)
-        base = _x_coords(j - i + 1)
-    else:
-        shift = LaurentPoly2.x2(i // 2 - 1)
-        base = _y_coords(j - i + 2)
-    return tuple(shift * c for c in base)
+        return _x_coords(j - i + 1), (i - 1) // 2
+    return _y_coords(j - i + 2), i // 2 - 1
 
 
 def decompose_left(x: AlgebraElement) -> CellVector:
     """Coordinates of a row-(2,0) element over the left module basis,
-    each accumulated in one term dict."""
+    each accumulated in one term dict: a base monomial x1^a x2^b of a
+    pair moved by x2^s adds at (a, b + s), with no product."""
     if not x.supported_on(WEIGHT_20, None):
         raise ValueError("element does not lie in the row-(2,0) span")
     acc: list[dict[tuple[int, int], Scalar]] = [{}, {}, {}, {}]
     for matrix, coeff in x.terms.items():
-        cols: list[int] = []
-        for _, j, a in matrix.entries:
-            cols.extend([j] * a)
-        i, j = cols
-        for terms, poly in zip(acc, _pair_coords(i, j)):
-            for key, c in poly.terms.items():
+        # row 1 holds one entry of value 2 or two of value 1
+        base, s = _pair_coords(matrix.entries[0][1], matrix.entries[-1][1])
+        for terms, poly in zip(acc, base):
+            for (a, b), c in poly.terms.items():
+                key = (a, b + s)
                 terms[key] = terms.get(key, 0) + coeff * c
     zero = LaurentPoly2.zero()
     return CellVector("left", tuple(zero._like(terms) for terms in acc))

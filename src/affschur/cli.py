@@ -59,7 +59,10 @@ def _read_payload(args: argparse.Namespace) -> Any:
             text = handle.read()
     else:
         text = sys.stdin.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:  # the decoder recurses once per level
+        raise ValueError("input JSON is nested too deeply") from None
 
 
 def _cmd_mult(args: argparse.Namespace) -> int:

@@ -47,6 +47,7 @@ from .hecke import (
     T2,
     TRHO_INV,
     TRHO,
+    group_quotient_image,
     hecke_embed,
     laurent_lift,
     quotient_image,
@@ -481,6 +482,8 @@ def verify_cell_chain(
                 failures.append(f"lift section broke on sample {index}")
             h = random_hecke(rng)
             embedded = hecke_embed(h)
+            if quotient_image(embedded) != group_quotient_image(embedded):
+                failures.append(f"group route disagreed on sample {index}")
             if quotient_image(tau(embedded)) != quotient_image(
                 embedded
             ).invert_variable():

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import affschur
 from affschur import (
@@ -43,7 +45,7 @@ from affschur.cellular import (
     WEIGHT_11,
     WEIGHT_20,
     WindowBlocks,
-    _pair_coords,
+    _coord_unit,
     _x_coords,
     _y_coords,
     module_element,
@@ -304,6 +306,68 @@ class TestDecomposeRight:
                     else basis(2, (1, i, 1), (1, j, 1))
                 ).transpose()
                 assert decompose_right(x).to_element() == x
+
+
+def _product_pair_coords(i, j):
+    """The x2^s-product formula for the left coordinates of the pair
+    {i, j}: the base pair's coordinates multiplied by x2^s, with the
+    pairs {i, i} read directly."""
+    if i > j:
+        i, j = j, i
+    if i == j:
+        if i % 2:
+            return _coord_unit(2, LaurentPoly2.x2((i - 1) // 2))
+        return _coord_unit(3, LaurentPoly2.x2(i // 2 - 1))
+    if i % 2:
+        shift, base = LaurentPoly2.x2((i - 1) // 2), _x_coords(j - i + 1)
+    else:
+        shift, base = LaurentPoly2.x2(i // 2 - 1), _y_coords(j - i + 2)
+    return tuple(shift * c for c in base)
+
+
+@st.composite
+def wide_pair_elements(draw):
+    """A row-(2,0) element of one to four pairs {i, j}, each up to 200
+    columns wide, with the pairs and their coefficients."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=-10**4, max_value=10**4))
+        j = i + draw(st.integers(min_value=0, max_value=200))
+        coeff = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        terms.append((i, j, coeff))
+    x = AlgebraElement.zero(2, 2)
+    for i, j, coeff in terms:
+        x = x + pairelt(i, j).scaled(coeff)
+    return x, terms
+
+
+class TestDecompositionRoutes:
+    """decompose_left adds each base coefficient at its shifted key; the
+    product by x2^s that it replaces is the reference."""
+
+    @staticmethod
+    def product_coords(terms):
+        coords = [LaurentPoly2.zero()] * 4
+        for i, j, coeff in terms:
+            coords = [
+                c + poly.scaled(coeff)
+                for c, poly in zip(coords, _product_pair_coords(i, j))
+            ]
+        return tuple(coords)
+
+    @given(wide_pair_elements())
+    @settings(max_examples=100)
+    def test_left_equals_product_formula(self, drawn):
+        x, terms = drawn
+        assert decompose_left(x).coords == self.product_coords(terms)
+
+    @given(wide_pair_elements())
+    @settings(max_examples=100)
+    def test_right_equals_product_formula(self, drawn):
+        x, terms = drawn
+        assert decompose_right(x.transpose()).coords == tuple(
+            corner_involution(p) for p in self.product_coords(terms)
+        )
 
 
 def pairelt(i, j):

@@ -183,6 +183,19 @@ class TestDecompose:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, opener", [(["canon"], "["), (["member"], '{"a":')], ids=["array", "object"]
+)
+def test_deeply_nested_json_is_invalid_input(capsys, tmp_path, command, opener):
+    """The JSON decoder recurses once per level of nesting: input nested
+    200,000 deep is invalid input, exit 2 with one error line, not a
+    traceback with the exit code of a verification failure."""
+    code, out, err = invoke(capsys, command, opener * 200_000, tmp_path=tmp_path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_decompose_wide_pair_needs_no_recursion(tmp_path):
     """The module recurrences run bottom-up: a pair 400 columns wide
     decomposes under a recursion limit of 120, in bounded time."""

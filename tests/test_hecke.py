@@ -18,10 +18,11 @@ from affschur import (
     hecke_preimage,
     laurent_lift,
     multiply,
+    pair_to_matrix,
     quotient_image,
 )
 from affschur.core import Composition, diag_matrix
-from affschur.hecke import _monomial_image
+from affschur.hecke import WEIGHT_11, group_quotient_image
 from affschur.sampling import random_element, random_hecke, random_poly1
 
 from conftest import algebra_elements, assert_canonical_exact, basis, weyl_elements
@@ -161,11 +162,7 @@ class TestQuotient:
         takes, and send the corner words to signed powers of x."""
         e_nu = AlgebraElement.basis(diag_matrix(Composition(2, (1, 1))))
         compressed = multiply(multiply(e_nu, x), e_nu)
-        acc = {}
-        for w, coeff in hecke_preimage(compressed).terms.items():
-            a, sign = _monomial_image(w)
-            acc[a] = acc.get(a, 0) + sign * coeff
-        assert quotient_image(x) == LaurentPoly1(acc)
+        assert quotient_image(x) == group_quotient_image(compressed)
 
     def test_transpose_inverts_variable_on_group_images(self, rng):
         for _ in range(50):
@@ -173,6 +170,46 @@ class TestQuotient:
             assert quotient_image(x.transpose()) == quotient_image(
                 x
             ).invert_variable()
+
+
+@st.composite
+def corner_matrices(draw, lo=-10**4, hi=10**4):
+    """A basis matrix of the corner: the orbit of ((1, 2), (j1, j2)) with
+    j1 and j2 of opposite parity."""
+    j1 = draw(st.integers(min_value=lo, max_value=hi - 1))
+    j2 = draw(st.integers(min_value=lo, max_value=hi - 1))
+    return pair_to_matrix((1, 2), (j1, j2 + (j2 - j1 + 1) % 2), 2)
+
+
+class TestQuotientRoutes:
+    """The exponent arithmetic of quotient_image against the group route,
+    which finds each corner term's group word by a transporter."""
+
+    @given(
+        st.lists(corner_matrices(), min_size=1, max_size=4),
+        algebra_elements(col_lo=-10**4, col_hi=10**4),
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+    )
+    @settings(max_examples=200)
+    def test_arithmetic_equals_group_route(self, corners, rest, coeffs):
+        x = AlgebraElement(2, 2, dict(zip(corners, coeffs))) + rest
+        kept = {
+            matrix: coeff
+            for matrix, coeff in x.terms.items()
+            if matrix.row_vector() == WEIGHT_11 == matrix.col_vector()
+        }
+        assert quotient_image(x) == group_quotient_image(AlgebraElement(2, 2, kept))
+
+    @given(st.integers(min_value=-300, max_value=300))
+    @settings(max_examples=100)
+    def test_lift_is_the_rotation_power(self, a):
+        power = WeylElement.identity(2)
+        step = TRHO if a >= 0 else TRHO_INV
+        for _ in range(abs(a)):
+            power = power * step
+        assert laurent_lift(LaurentPoly1.x(a, Fraction(3, 2))) == hecke_embed(
+            HeckeElement.group(power, Fraction(3, 2))
+        )
 
 
 class TestLift:

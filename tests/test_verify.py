@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from affschur import cellular, multiplication, verify_cell_chain
+from affschur import LaurentPoly1, cellular, hecke, multiplication, verify_cell_chain
 from affschur import verify as verify_module
 from affschur.cellular import (
     SIGNATURE_BLOCKS,
@@ -15,6 +15,7 @@ from affschur.cellular import (
 from affschur.core import AlgebraElement
 from affschur.linalg import Factorization
 from affschur.multiplication import StructureTable
+from affschur.weyl import matrix_to_pair
 
 from conftest import tangle_block
 
@@ -114,6 +115,74 @@ def fresh_caches(monkeypatch):
     monkeypatch.setattr(multiplication, "structure_table", StructureTable())
 
 
+def _phi_sign_flipped(monkeypatch):
+    monomial = hecke._corner_monomial
+
+    def flipped(j1, j2):
+        a, sign = monomial(j1, j2)
+        return a, -sign
+
+    monkeypatch.setattr(hecke, "_corner_monomial", flipped)
+
+
+def _phi_exponent_off_by_one(monkeypatch):
+    monomial = hecke._corner_monomial
+
+    def raised(j1, j2):
+        a, sign = monomial(j1, j2)
+        return a + 1, sign
+
+    monkeypatch.setattr(hecke, "_corner_monomial", raised)
+
+
+def _lift_exponent_off_by_one(monkeypatch):
+    lift = hecke.laurent_lift
+    monkeypatch.setattr(verify_module, "laurent_lift", lambda p: lift(p * LaurentPoly1.x()))
+
+
+def _phi_keeps_weight_20(monkeypatch):
+    """phi also reads the terms of row and column weight (2,0), through
+    their tuple pairs, as it reads a corner matrix."""
+    quotient = hecke.quotient_image
+
+    def keeping(x):
+        kept = {}
+        for matrix, coeff in x.terms.items():
+            if matrix.row_vector() == WEIGHT_20 == matrix.col_vector():
+                a, sign = hecke._corner_monomial(*matrix_to_pair(matrix)[1])
+                kept[a] = kept.get(a, 0) + sign * coeff
+        return quotient(x) + LaurentPoly1(kept)
+
+    monkeypatch.setattr(verify_module, "quotient_image", keeping)
+
+
+def _left_shift_off_by_one(monkeypatch):
+    pair_coords = cellular._pair_coords
+
+    def moved(i, j):
+        base, s = pair_coords(i, j)
+        return base, s + 1
+
+    monkeypatch.setattr(cellular, "_pair_coords", moved)
+
+
+# (mutation, check that must fail): each breaks one premise of the
+# closed-form corner maps of the hecke module and of decompose_left
+CORNER_MAP_MUTATIONS = [
+    pytest.param(_phi_sign_flipped, "quotient-homomorphism", id="phi-sign-parity"),
+    pytest.param(
+        _phi_exponent_off_by_one, "quotient-homomorphism", id="phi-exponent"
+    ),
+    pytest.param(
+        _lift_exponent_off_by_one, "quotient-homomorphism", id="lift-exponent"
+    ),
+    pytest.param(_phi_keeps_weight_20, "quotient-homomorphism", id="phi-keeps-(2,0)"),
+    pytest.param(
+        _left_shift_off_by_one, "module-basis-freeness", id="decompose-left-shift"
+    ),
+]
+
+
 class TestShortcutControls:
     """Each shortcut rests on a premise; breaking the premise must make the
     battery fail, in a returned report rather than an exception."""
@@ -187,6 +256,16 @@ class TestShortcutControls:
             lambda trips, k: (trips[0].translated(k), trips[1].translated(k)),
         )
         assert self.failing_run()["module-basis-freeness"].status == "fail"
+
+    @pytest.mark.parametrize("mutate, check", CORNER_MAP_MUTATIONS)
+    def test_corner_map_premise(self, monkeypatch, fresh_caches, mutate, check):
+        """Premises: a corner matrix storing (1, j1, 1) and (2, j2, 1) maps
+        to sign(sigma) (-1)^a x^a with a = (j1 + j2 - 3)/2; x^a lifts to the
+        matrix storing (1, 1 + a, 1) and (2, 2 + a, 1); phi keeps only the
+        weight-(1,1) terms; a pair moved by s periods has its base pair's
+        coordinates times x2^s."""
+        mutate(monkeypatch)
+        assert self.failing_run()[check].status == "fail"
 
 
 class TestUndecidedBlock:
