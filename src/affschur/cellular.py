@@ -247,21 +247,28 @@ def module_element(side: str, index: int, a: int, b: int) -> AlgebraElement:
     raise ValueError("side must be 'left' or 'right'")
 
 
+# (l, m, a) -> the column extent (lo, hi) of that stem
+_STEM_EXTENTS: dict[tuple[int, int, int], tuple[int, int]] = {}
+
+
 def _cell_stems(l: int, m: int, window: int) -> list[tuple[int, int, int]]:
     """``(a, b_lo, b_hi)`` for each stem, b = 0 member, of cell (l, m)
     with a translate that fits the window: the members (l, m, a, b) with
     b_lo <= b <= b_hi are those that fit.
 
     A member's columns are those of its stem plus 2b, so the column
-    extent [lo, hi] of each stem is read once, and the b with
-    -window <= lo + 2b and hi + 2b <= window fit.  The width hi - lo
-    grows with a (by 2 per step), so the a-range stops at the first a
-    wider than 2 * window.
+    extent [lo, hi] of each stem is read once per process, and the b
+    with -window <= lo + 2b and hi + 2b <= window fit.  The width
+    hi - lo grows with a (by 2 per step), so the a-range stops at the
+    first a wider than 2 * window.
     """
     stems = []
     for a in count():
-        support = _column_support(omega_element(l, m, a, 0))
-        lo, hi = min(support), max(support)
+        extent = _STEM_EXTENTS.get((l, m, a))
+        if extent is None:
+            support = _column_support(omega_element(l, m, a, 0))
+            extent = _STEM_EXTENTS[(l, m, a)] = (min(support), max(support))
+        lo, hi = extent
         if hi - lo > 2 * window:
             break
         b_lo, b_hi = -((window + lo) // 2), (window - hi) // 2

@@ -42,8 +42,12 @@ Conventions used throughout the package:
   by k*n multiplies its basis element by the k-th power x2^k of that
   shift.  ``PeriodicMatrix.translation_class`` splits a matrix into the
   shape it shares with all its moves and the number of periods it is
-  moved by; ``AlgebraElement.translated`` moves an element, every
-  matrix through ``columns_moved``.
+  moved by.  An index keyed by class (n, shape, k), filled only with
+  the classes that moves and transposes reach, makes a move by whole
+  periods one lookup; entries are built on a miss.  Transposing reverses
+  a move, so entries are transposed once per shape.
+  ``AlgebraElement.translated`` moves an element, every matrix through
+  ``columns_moved``.
 """
 
 from __future__ import annotations
@@ -182,8 +186,8 @@ class PeriodicMatrix:
     Instances are slotted and compute their hash once, when built;
     equality stays by value, so a matrix built directly equals and
     hashes like the interned one with its entries.  The position dict,
-    the row and column weights, the transpose and the translation class
-    are computed on first use and kept in slots.
+    the row and column weights and the translation class are computed on
+    first use and kept in slots.
     """
 
     n: int
@@ -192,9 +196,6 @@ class PeriodicMatrix:
         init=False, repr=False, compare=False, hash=False, default=None
     )
     r: int = field(init=False, repr=False, compare=False, hash=False, default=0)
-    _transposed: "PeriodicMatrix | None" = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
     _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
     _translation: "tuple[tuple[int, ...], int] | None" = field(
         init=False, repr=False, compare=False, hash=False, default=None
@@ -259,17 +260,6 @@ class PeriodicMatrix:
             j + s * self.n: a for (k, j, a) in self.entries if k == base
         }
 
-    def col_entries(self, j: int) -> dict[int, int]:
-        """Nonzero entries {i: a_{i,j}} of column j, for any integer j."""
-        out: dict[int, int] = {}
-        for i, jj, a in self.entries:
-            # (i, jj) represents the positions (i + sn, jj + sn); exactly
-            # one of them sits in column j when jj = j (mod n).
-            if (jj - j) % self.n == 0:
-                s = (j - jj) // self.n
-                out[i + s * self.n] = a
-        return out
-
     def row_vector(self) -> Composition:
         """The row sums, computed once."""
         if self._row_vector is None:
@@ -289,16 +279,20 @@ class PeriodicMatrix:
         return self._col_vector
 
     def transpose(self) -> "PeriodicMatrix":
-        """The transposed matrix, built once per matrix."""
-        if self._transposed is None:
-            object.__setattr__(
-                self,
-                "_transposed",
-                PeriodicMatrix.from_entries(
-                    self.n, ((j, i, a) for i, j, a in self.entries)
-                ),
-            )
-        return self._transposed
+        """The transposed matrix.  T, the move by one period, sends the
+        entry (i, j) to (i, j + n), stored as (i - n, j), whose transpose
+        is (j, i - n): so the transpose of (shape, k) is the shape's moved
+        by -k periods, and entries are transposed once per shape."""
+        shape, k = self.translation_class()
+        found = _SHAPE_TRANSPOSES.get((self.n, shape))
+        if found is not None:
+            return _of_class(self.n, found[0], found[1] - k)
+        flipped = PeriodicMatrix.from_entries(
+            self.n, ((j, i, a) for i, j, a in self.entries)
+        )
+        t_shape, t_k = flipped.translation_class()
+        _SHAPE_TRANSPOSES[(self.n, shape)] = (t_shape, t_k + k)
+        return flipped
 
     def translation_class(self) -> tuple[tuple[int, ...], int]:
         """``(shape, k)``: this matrix is ``shape`` with every column
@@ -324,10 +318,15 @@ class PeriodicMatrix:
         return self._translation
 
     def columns_moved(self, shift: int) -> "PeriodicMatrix":
-        """The matrix with every column index moved by ``shift``."""
-        return _interned(
-            self.n, tuple((i, j + shift, a) for i, j, a in self.entries)
-        )
+        """The matrix with every column index moved by ``shift``: by
+        whole periods, the matrix of class (shape, k + periods)."""
+        periods, rest = divmod(shift, self.n)
+        if rest or not self.entries:
+            return _interned(
+                self.n, tuple((i, j + shift, a) for i, j, a in self.entries)
+            )
+        shape, k = self.translation_class()
+        return _of_class(self.n, shape, k + periods)
 
     def shifted_by(
         self, deltas: Iterable[tuple[int, int, int]]
@@ -365,8 +364,13 @@ class PeriodicMatrix:
 # (n, entries) so that a lookup builds nothing.
 _MATRICES: dict[tuple[int, tuple[tuple[int, int, int], ...]], PeriodicMatrix] = {}
 
+# (n, shape, k) -> the interned matrix of that class, and (n, shape) ->
+# the class of the shape's transpose; filled on first use only
+_CLASSES: dict[tuple[int, tuple[int, ...], int], PeriodicMatrix] = {}
+_SHAPE_TRANSPOSES: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], int]] = {}
+
 # the slots of a matrix that are filled on first use, empty when it is built
-_ON_FIRST_USE = ("_lookup", "_transposed", "_translation", "_row_vector", "_col_vector")
+_ON_FIRST_USE = ("_lookup", "_translation", "_row_vector", "_col_vector")
 
 
 def _interned(
@@ -391,6 +395,18 @@ def _interned(
         put(found, "_hash", hash(key))
         for name in _ON_FIRST_USE:
             put(found, name, None)
+    return found
+
+
+def _of_class(n: int, shape: tuple[int, ...], k: int) -> PeriodicMatrix:
+    """The interned matrix of class (shape, k), from the class index; its
+    entries, the shape's moved by k periods, are built only on a miss."""
+    found = _CLASSES.get((n, shape, k))
+    if found is None:
+        columns = [j + k * n for j in shape[1::3]]
+        found = _interned(n, tuple(zip(shape[::3], columns, shape[2::3])))
+        _CLASSES[(n, shape, k)] = found
+        object.__setattr__(found, "_translation", (shape, k))
     return found
 
 

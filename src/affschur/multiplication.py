@@ -158,15 +158,13 @@ class StructureTable:
     action, so e_a e_b = (e_shape_a e_shape_b) x2^(s+t).  A class keeps
     ``(k0, product)``: the total offset k0 = s + t of the pair that filled
     it and the oracle's product there.  The product at any other offset
-    is that product moved by its difference to k0, built once and kept in
-    one table keyed by ``(class key, offset)``, so one pair always gets
-    the same object and a class met at one offset only holds no table of
-    its own.  ``len`` counts classes, that is oracle runs.
+    is that product moved by its difference to k0, one lookup in the
+    class index per term (:meth:`PeriodicMatrix.columns_moved`), so no
+    moved product is kept.  ``len`` counts classes, that is oracle runs.
     """
 
     def __init__(self) -> None:
         self._classes: dict[_ClassKey, tuple[int, AlgebraElement]] = {}
-        self._moved: dict[tuple[_ClassKey, int], AlgebraElement] = {}
 
     def __len__(self) -> int:
         return len(self._classes)
@@ -189,20 +187,7 @@ class StructureTable:
             self._classes[key] = (s + t, product)
             return product
         k0, product = found
-        if s + t == k0:
-            return product
-        moved = self._moved.get((key, s + t))
-        if moved is None:
-            moved = self._moved[(key, s + t)] = product.translated(s + t - k0)
-        return moved
-
-    def recompute(
-        self, a: PeriodicMatrix, b: PeriodicMatrix
-    ) -> AlgebraElement:
-        """Fresh oracle product, bypassing the cache."""
-        if a.col_vector() != b.row_vector():
-            return AlgebraElement.zero(a.n, a.r)
-        return multiply_oracle(matrix_to_pair(a), matrix_to_pair(b), a.n)
+        return product.translated(s + t - k0)
 
 
 structure_table = StructureTable()
@@ -235,10 +220,6 @@ def identity_element(n: int, r: int) -> AlgebraElement:
     )
 
 
-def _binom(top: int, bottom: int) -> int:
-    return math.comb(top, bottom)
-
-
 def chevalley_left(
     h: int, m: int, sign: str, a: PeriodicMatrix
 ) -> AlgebraElement:
@@ -262,7 +243,7 @@ def chevalley_left(
         coeff = 1
         deltas = []
         for u, tu in t.support:
-            coeff *= _binom(a.entry(dest, u) + tu, tu)
+            coeff *= math.comb(a.entry(dest, u) + tu, tu)
             deltas.append((dest, u, tu))
             deltas.append((source, u, -tu))
         matrix = a.shifted_by(deltas)

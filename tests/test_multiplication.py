@@ -277,9 +277,11 @@ class TestStructureTable:
             a = random_basis(rng, 2, 2)
             b = with_row(rng, a.col_vector(), 2)
             cached = structure_table.product(a, b)
-            assert cached == structure_table.recompute(a, b)
-            # cached object is reused
-            assert structure_table.product(a, b) is cached
+            assert cached == multiply_oracle(matrix_to_pair(a), matrix_to_pair(b), 2)
+            # a second lookup runs no oracle and gives the same value
+            classes = len(structure_table)
+            assert structure_table.product(a, b) == cached
+            assert len(structure_table) == classes
 
 
     @pytest.mark.parametrize("n, r", [(2, 2), (2, 3)])
@@ -332,8 +334,13 @@ class TestTranslationClasses:
         moved_a = a.columns_moved(s * a.n)
         moved_b = b.columns_moved(t * b.n)
         product = structure_table.product(moved_a, moved_b)
-        assert product == structure_table.recompute(moved_a, moved_b)
-        assert structure_table.product(moved_a, moved_b) is product
+        assert product == multiply_oracle(
+            matrix_to_pair(moved_a), matrix_to_pair(moved_b), a.n
+        )
+        assert structure_table.product(moved_a, moved_b) == product
+        # the moved terms are the interned matrices
+        for matrix in product.terms:
+            assert matrix is mat(matrix.n, *matrix.entries)
 
     def test_moved_pairs_share_one_oracle_run(self):
         a = mat(2, (1, 1, 1), (2, 4, 1))

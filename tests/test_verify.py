@@ -1,9 +1,17 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
-from affschur import LaurentPoly1, cellular, hecke, multiplication, verify_cell_chain
+from affschur import (
+    LaurentPoly1,
+    cellular,
+    core,
+    hecke,
+    multiplication,
+    verify_cell_chain,
+)
 from affschur import verify as verify_module
 from affschur.cellular import (
     SIGNATURE_BLOCKS,
@@ -107,12 +115,58 @@ class TestNegativeControls:
         assert report.exit_code() == 1
 
 
+class TestCollectorPause:
+    """The battery runs with the cyclic collector paused.  That is sound
+    only because a run leaves no cyclic garbage, and the collector's
+    state must be put back however the run ends."""
+
+    def test_run_leaves_no_cyclic_garbage(self):
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert verify_cell_chain(window=12, seed=0, samples=100).passed
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_collector_state_is_put_back(self, enabled):
+        was = gc.isenabled()
+        seen = []
+
+        def recording(x):
+            seen.append(gc.isenabled())
+            return x.transpose()
+
+        def broken(x):
+            raise RuntimeError("escapes the check")
+
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert verify_cell_chain(6, 1, 10, transpose_fn=recording).passed
+            assert gc.isenabled() is enabled
+            assert seen and not any(seen)
+            assert verify_cell_chain(6, 1, 10, transpose_fn=lambda x: x).failed
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="escapes the check"):
+                verify_cell_chain(6, 1, 10, transpose_fn=broken)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Products and omega elements made under a broken premise would stay
-    cached for later tests, so a control runs on empty caches of its own."""
+    """Products, omega elements, stem extents and the class and transpose
+    maps made under a broken premise would stay cached for later tests,
+    so a control runs on empty caches of its own."""
     monkeypatch.setattr(cellular, "_OMEGA_CACHE", {})
+    monkeypatch.setattr(cellular, "_STEM_EXTENTS", {})
     monkeypatch.setattr(multiplication, "structure_table", StructureTable())
+    monkeypatch.setattr(core, "_CLASSES", {})
+    monkeypatch.setattr(core, "_SHAPE_TRANSPOSES", {})
 
 
 def _phi_sign_flipped(monkeypatch):
@@ -179,6 +233,54 @@ CORNER_MAP_MUTATIONS = [
     pytest.param(_phi_keeps_weight_20, "quotient-homomorphism", id="phi-keeps-(2,0)"),
     pytest.param(
         _left_shift_off_by_one, "module-basis-freeness", id="decompose-left-shift"
+    ),
+]
+
+
+def _class_index_off_far_out(monkeypatch):
+    of_class = core._of_class
+
+    def off(n, shape, k):
+        return of_class(n, shape, k + 1 if abs(k) >= 4 else k)
+
+    monkeypatch.setattr(core, "_of_class", off)
+
+
+def _shape_transpose_moved_up(monkeypatch):
+    transpose = core.PeriodicMatrix.transpose
+
+    def moved_up(matrix):
+        shape, k = matrix.translation_class()
+        found = core._SHAPE_TRANSPOSES.get((matrix.n, shape))
+        if found is None:
+            return transpose(matrix)
+        return core._of_class(matrix.n, found[0], found[1] + k)
+
+    monkeypatch.setattr(core.PeriodicMatrix, "transpose", moved_up)
+
+
+def _round_trip_shift_sign_flipped(monkeypatch):
+    moved = verify_module._moved_round_trips
+    monkeypatch.setattr(
+        verify_module, "_moved_round_trips", lambda trips, k: moved(trips, -k)
+    )
+
+
+# (mutation, check that must fail): each breaks one premise of the moves
+# and transposes by translation class and of check 3's class comparison
+CLASS_MUTATIONS = [
+    pytest.param(
+        _class_index_off_far_out, "module-basis-freeness", id="class-index-off"
+    ),
+    pytest.param(
+        _shape_transpose_moved_up,
+        "transpose-ideal-stability",
+        id="transpose-moved-up",
+    ),
+    pytest.param(
+        _round_trip_shift_sign_flipped,
+        "module-basis-freeness",
+        id="round-trip-shift-sign",
     ),
 ]
 
@@ -250,12 +352,22 @@ class TestShortcutControls:
         """Premise: transposing turns columns moved up into columns moved
         down, so the right round trip of the pair k periods from its base
         pair is the base one moved by -k periods."""
+        moved = verify_module._moved_round_trips
         monkeypatch.setattr(
             verify_module,
             "_moved_round_trips",
-            lambda trips, k: (trips[0].translated(k), trips[1].translated(k)),
+            lambda trips, k: (moved(trips, k)[0], moved(trips, -k)[1]),
         )
         assert self.failing_run()["module-basis-freeness"].status == "fail"
+
+    @pytest.mark.parametrize("mutate, check", CLASS_MUTATIONS)
+    def test_class_premise(self, monkeypatch, fresh_caches, mutate, check):
+        """Premises: the class index holds the shape moved by k periods
+        at (shape, k); the transpose of (shape, k) is the shape's
+        transpose moved by -k periods; a pair k periods from its base pair
+        has the base round trips' classes moved by k and -k."""
+        mutate(monkeypatch)
+        assert self.failing_run()[check].status == "fail"
 
     @pytest.mark.parametrize("mutate, check", CORNER_MAP_MUTATIONS)
     def test_corner_map_premise(self, monkeypatch, fresh_caches, mutate, check):
