@@ -13,13 +13,13 @@ Fixed data (all at n = r = 2):
 * the two-sided ideal generated by the (2,0) idempotent, coordinatized
   by 4 x 4 tensors of Laurent polynomials.
 
-Decompositions over the free bases follow the explicit recurrences for
-the x1 action, filled bottom-up, so they are exact and terminate without
-linear algebra.  The corner is a summand of the left module (index 2 of
-its basis is the corner unit), so the same recurrences write a corner
-element as a polynomial.  The linear solver is used where no recurrence
-exists, finding tensor coordinates of ideal members, and as an
-independent cross-check.
+Decompositions over the free bases read closed forms, power sums and
+complete sums (Newton's identity is the x1 action), so they are exact
+and need no linear algebra.  The corner is a summand of the left module
+(index 2 of its basis is the corner unit), so the same closed forms
+write a corner element as a polynomial.  The linear solver is used where
+no closed form exists, finding tensor coordinates of ideal members, and
+as an independent cross-check.
 
 One family spans everything: the omega element (l, m, a, b) is
 (right basis l) * x1^a x2^b * (left basis m).  Index 2 of both bases is
@@ -399,24 +399,19 @@ def laurent_to_corner(p: LaurentPoly2) -> AlgebraElement:
 
 
 def corner_to_laurent(
-    x: AlgebraElement,
-    window: int | None = None,
-    max_window: int | None = None,
+    x: AlgebraElement, max_window: int | None = None
 ) -> LaurentPoly2:
     """The unique Laurent polynomial mapping onto a corner element.
 
     The corner element p(x1, x2) * e is p times the left basis element
     of index 2, the corner unit e, so p is its index-2 coordinate in
-    :func:`decompose_left`, read off the recurrences with no solve, so
-    no window is grown.  The window rules are those of
-    :func:`ideal_membership`: a window below 1 is rejected, and support
-    beyond the cap raises :class:`UndecidedError`.
+    :func:`decompose_left`, read off the closed forms with no solve, so
+    no window is grown.  Support beyond the cap (the same cap as
+    :func:`ideal_membership`'s) raises :class:`UndecidedError`.
     """
     if not x.supported_on(WEIGHT_20, WEIGHT_20):
         raise ValueError("element does not lie in the corner algebra")
     cap = max_window if max_window is not None else max_window_cap()
-    if window is not None and window < 1:
-        raise ValueError("window must be positive")
     if max(map(abs, _column_support(x)), default=0) > cap:
         raise UndecidedError(f"no polynomial preimage within window {cap}")
     return decompose_left(x).coords[2]
@@ -463,88 +458,88 @@ class CellVector:
         }
 
 
-def _coord_unit(index: int, poly: LaurentPoly2) -> tuple[LaurentPoly2, ...]:
-    zero = LaurentPoly2.zero()
-    coords = [zero, zero, zero, zero]
-    coords[index] = poly
-    return tuple(coords)
-
-
-def _combine(
-    left: tuple[LaurentPoly2, ...],
-    right: tuple[LaurentPoly2, ...],
-    factor: LaurentPoly2,
-    shift: LaurentPoly2,
-) -> tuple[LaurentPoly2, ...]:
-    """factor * left - shift * right, coordinatewise."""
-    return tuple(
-        factor * lc - shift * rc for lc, rc in zip(left, right)
-    )
-
-
 _ONE = LaurentPoly2.one()
-_X1 = LaurentPoly2.x1()
 _X2 = LaurentPoly2.x2()
 
-# Left-basis coordinates of the pairs {1, l} (x) and {2, l} (y), keyed by
-# l >= 1: the initial values of the x1-action recurrence below.
-_X_COORDS: dict[int, tuple[LaurentPoly2, ...]] = {
-    1: _coord_unit(2, _ONE),
-    2: _coord_unit(0, _ONE),
-    3: _coord_unit(2, _X1),
-    # the l-2 recurrence lands on the pair {0, 1}, which renormalizes to
-    # x2^-1 times the second basis element
-    4: _combine(
-        _coord_unit(0, _ONE), _coord_unit(1, LaurentPoly2.x2(-1)), _X1, _X2
-    ),
-    5: _coord_unit(2, _X1 * _X1 - 2 * _X2),
-}
-_Y_COORDS: dict[int, tuple[LaurentPoly2, ...]] = {
-    1: _coord_unit(0, _ONE),
-    2: _coord_unit(3, _ONE),
-    3: _coord_unit(1, _ONE),
-    4: _coord_unit(3, _X1),
-}
-_Y_COORDS[6] = _combine(_Y_COORDS[4], _Y_COORDS[2], _X1, 2 * _X2)
+
+def _domino_counts(n: int) -> list[int]:
+    """C(n-k, k) for 0 <= k <= n/2, each from the one before: the tilings
+    of a row of n cells by k dominoes and n - 2k monominoes."""
+    counts = [1] if n >= 0 else []
+    for k in range(n // 2):
+        rest = n - 2 * k
+        counts.append(counts[-1] * rest * (rest - 1) // ((k + 1) * (n - k)))
+    return counts
 
 
-def _recurrence(cache: dict, l: int) -> tuple[LaurentPoly2, ...]:
-    """cache[l] by c_l = x1 c_{l-2} - x2 c_{l-4}, filled bottom-up so that
-    a wide pair costs no recursion depth."""
-    if l not in cache:
-        for k in range(2 - l % 2, l + 1, 2):
-            if k not in cache:
-                cache[k] = _combine(cache[k - 2], cache[k - 4], _X1, _X2)
-    return cache[l]
+def _power_sum(n: int) -> LaurentPoly2:
+    """p_n by Waring's formula (n >= 1): the sum over k of
+    (-1)^k n/(n-k) C(n-k, k) x1^(n-2k) x2^k."""
+    counts = enumerate(_domino_counts(n))
+    return _ONE._like({(n - 2 * k, k): (-1) ** k * n * c // (n - k) for k, c in counts})
 
 
-def _x_coords(l: int) -> tuple[LaurentPoly2, ...]:
-    """Coordinates of the pair {1, l} over the left basis, l >= 1."""
-    return _recurrence(_X_COORDS, l)
+def _complete_sum(n: int) -> LaurentPoly2:
+    """h_n: the sum over k of (-1)^k C(n-k, k) x1^(n-2k) x2^k; h_-1 = 0."""
+    counts = enumerate(_domino_counts(n))
+    return _ONE._like({(n - 2 * k, k): (-1) ** k * c for k, c in counts})
 
 
-def _y_coords(l: int) -> tuple[LaurentPoly2, ...]:
-    """Coordinates of the pair {2, l} over the left basis, l >= 1."""
-    return _recurrence(_Y_COORDS, l)
+# (base column, width) -> left-basis coordinates of that base pair
+_BASE_COORDS: dict[tuple[int, int], tuple[LaurentPoly2, ...]] = {}
+
+
+def _base_coords(column: int, width: int) -> tuple[LaurentPoly2, ...]:
+    """Left-basis coordinates of the base pair {column, column + width},
+    column 1 or 2, in closed form (see :func:`decompose_left`)."""
+    found = _BASE_COORDS.get((column, width))
+    if found is None:
+        zero = LaurentPoly2.zero()
+        n, odd = divmod(width, 2)
+        if not odd:
+            p = _power_sum(n) if n else _ONE
+            found = (zero, zero, p, zero) if column == 1 else (zero, zero, zero, p)
+        elif column == 1:
+            found = (_complete_sum(n), -_complete_sum(n - 1), zero, zero)
+        else:
+            found = (-(_X2 * _complete_sum(n - 1)), _complete_sum(n), zero, zero)
+        _BASE_COORDS[(column, width)] = found
+    return found
 
 
 def _pair_coords(i: int, j: int) -> tuple[tuple[LaurentPoly2, ...], int]:
-    """Left-basis coordinates of the row-(2,0) pair matrix {i, j}: those
-    of its base pair, whose smaller column is in {1, 2} (the recurrences
-    above, from their seeds {1, 1} and {2, 2} when i = j), and the
-    exponent s of the x2^s that moves the base pair by s periods onto it.
-    """
-    if i > j:
-        i, j = j, i
-    if i % 2:
-        return _x_coords(j - i + 1), (i - 1) // 2
-    return _y_coords(j - i + 2), i // 2 - 1
+    """Left-basis coordinates of the row-(2,0) pair matrix {i, j}, i <= j:
+    those of its base pair, whose smaller column is in {1, 2}, and the
+    exponent s of the x2^s that moves the base pair by s periods onto it."""
+    column = 2 - i % 2
+    return _base_coords(column, j - i), (i - column) // 2
 
 
 def decompose_left(x: AlgebraElement) -> CellVector:
     """Coordinates of a row-(2,0) element over the left module basis,
     each accumulated in one term dict: a base monomial x1^a x2^b of a
-    pair moved by x2^s adds at (a, b + s), with no product."""
+    pair moved by x2^s adds at (a, b + s), with no product.
+
+    The base pairs have closed forms.  Read the corner ring as the
+    symmetric Laurent polynomials in X1, X2, with x1 = e1 and x2 = e2,
+    and write P_n, Q_n, R_n, S_n for the pairs {1, 1+2n}, {1, 2+2n},
+    {2, 2+2n}, {2, 3+2n}; the basis is (Q_0, S_0, P_0, R_0).  x1 sends
+    {i, l} to {i, l+2} + x2 {i, l-2}, except x1 P_0 = P_1 and
+    x1 P_1 = P_2 + 2 x2 P_0, likewise for R; and {1, 0} = x2^-1 S_0,
+    {2, 1} = Q_0.  So from n = 1 on each family obeys Newton's identity
+    c_(n+1) = e1 c_n - e2 c_(n-1) (Macdonald, Symmetric Functions and
+    Hall Polynomials, ch. I §2), with 2 P_0 and 2 R_0 as c_0.  The power
+    sums p_n obey it from p_0 = 2, p_1 = e1, so P_n = p_n P_0 and
+    R_n = p_n R_0 for n >= 1 (P_0, R_0 have coordinate 1, not p_0).  The
+    complete sums h_n obey it from h_-1 = 0, h_0 = 1, so
+    Q_n = h_n Q_0 - h_(n-1) S_0 and S_n = h_n S_0 - x2 h_(n-1) Q_0, as
+    Q_1 = x1 Q_0 - S_0 and S_1 = x1 S_0 - x2 Q_0.  Tile n cells by
+    monominoes, weight e1, and dominoes, weight -e2: C(n-k, k) tilings of
+    a row and n/(n-k) C(n-k, k) of a cycle have k dominoes, so h_n, the
+    row, and p_n, the cycle, have these closed forms (Waring's formula
+    for p_n); the last tile of a row, or a domino over a cycle's seam
+    (p_n = h_n - e2 h_(n-2)), gives the recurrence.
+    """
     if not x.supported_on(WEIGHT_20, None):
         raise ValueError("element does not lie in the row-(2,0) span")
     acc: list[dict[tuple[int, int], Scalar]] = [{}, {}, {}, {}]
@@ -591,39 +586,8 @@ class CellTensor:
         if len(self.coords) != 4 or any(len(row) != 4 for row in self.coords):
             raise ValueError("tensor coordinates must form a 4 x 4 grid")
 
-    @classmethod
-    def zero(cls) -> "CellTensor":
-        z = LaurentPoly2.zero()
-        return cls(tuple((z, z, z, z) for _ in range(4)))
-
-    @classmethod
-    def unit(cls, l: int, m: int, poly: LaurentPoly2) -> "CellTensor":
-        rows = []
-        for li in range(4):
-            row = []
-            for mi in range(4):
-                row.append(poly if (li, mi) == (l, m) else LaurentPoly2.zero())
-            rows.append(tuple(row))
-        return cls(tuple(rows))
-
     def cell(self, l: int, m: int) -> LaurentPoly2:
         return self.coords[l][m]
-
-    def __add__(self, other: "CellTensor") -> "CellTensor":
-        return CellTensor(
-            tuple(
-                tuple(a + b for a, b in zip(row_a, row_b))
-                for row_a, row_b in zip(self.coords, other.coords)
-            )
-        )
-
-    def scaled(self, coeff) -> "CellTensor":
-        return CellTensor(
-            tuple(tuple(p.scaled(coeff) for p in row) for row in self.coords)
-        )
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.coords for p in row)
 
     def to_json(self) -> dict:
         return {

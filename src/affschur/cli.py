@@ -26,7 +26,6 @@ from .cellular import (
     decompose_left,
     decompose_right,
     ideal_membership,
-    max_window_cap,
     UndecidedError,
 )
 from .core import (
@@ -116,7 +115,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_psi(args: argparse.Namespace) -> int:
     x = element_from_json(_read_payload(args))
-    poly = corner_to_laurent(x, window=args.window, max_window=max_window_cap())
+    poly = corner_to_laurent(x)
     _emit(poly.to_json(), args.pretty)
     return EXIT_OK
 
@@ -135,9 +134,7 @@ def _cmd_hecke_embed(args: argparse.Namespace) -> int:
 
 def _cmd_member(args: argparse.Namespace) -> int:
     x = element_from_json(_read_payload(args))
-    result = ideal_membership(
-        x, window=args.window, max_window=max_window_cap()
-    )
+    result = ideal_membership(x, window=args.window)
     payload: dict[str, Any] = {"verdict": result.status, "window": result.window}
     if result.tensor is not None:
         payload["tensor"] = result.tensor.to_json()
@@ -170,19 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, window: bool = False):
+    def add(name: str, handler, help_text: str):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--file", help="read input JSON from this file")
         cmd.add_argument(
             "--pretty", action="store_true", help="human-readable output"
         )
-        if window:
-            cmd.add_argument(
-                "--window",
-                type=int,
-                default=None,
-                help="starting column-support window (at least 1)",
-            )
         cmd.set_defaults(handler=handler)
         return cmd
 
@@ -197,10 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument(
         "--side", choices=("left", "right"), required=True
     )
-    add("psi", _cmd_psi, "Laurent polynomial of a corner element", window=True)
+    add("psi", _cmd_psi, "Laurent polynomial of a corner element")
     add("quotient", _cmd_quotient, "image in the Laurent quotient ring")
     add("hecke-embed", _cmd_hecke_embed, "embed a Hecke element")
-    add("member", _cmd_member, "ideal membership with certificate", window=True)
+    member = add("member", _cmd_member, "ideal membership with certificate")
+    member.add_argument(
+        "--window",
+        type=int,
+        default=None,
+        help="starting column-support window (at least 1)",
+    )
     verify = sub.add_parser(
         "verify-cell", help="run the cell-structure certification battery"
     )

@@ -20,7 +20,7 @@ Conventions used throughout the package:
 * Every stored coefficient is a canonical exact scalar: an ``int`` when
   it is integral, else a ``Fraction`` with denominator above 1.  At q = 1
   the structure constants are orbit counts, so products, module and
-  ideal spanning elements and the decomposition recurrences stay in
+  ideal spanning elements and the decomposition closed forms stay in
   ``int``; a ``Fraction`` enters only with input that brings a
   denominator.  Python compares, hashes and prints ``2`` and
   ``Fraction(2)`` alike, so the choice never shows in results.

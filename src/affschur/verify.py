@@ -435,7 +435,7 @@ def verify_cell_chain(
                     if not poly.is_zero()
                 }
                 if solved != expected:
-                    failures.append("solver and recurrence coordinates disagree")
+                    failures.append("solver and closed-form coordinates disagree")
                 solver_checked += 1
         return (
             f"{count} round trips, {solver_checked} solver cross-checks, "

@@ -274,7 +274,7 @@ def test_criterion_5_degrees_and_graded_additivity():
 def test_criterion_6_freeness_round_trip():
     failures = []
     window = 12
-    # recurrence route: exact round trips
+    # closed-form route: exact round trips
     inputs = []
     for i in range(-9, 10):
         for j in range(i, 10):

@@ -197,7 +197,7 @@ def test_deeply_nested_json_is_invalid_input(capsys, tmp_path, command, opener):
 
 
 def test_decompose_wide_pair_needs_no_recursion(tmp_path):
-    """The module recurrences run bottom-up: a pair 400 columns wide
+    """The module coordinates are closed forms: a pair 400 columns wide
     decomposes under a recursion limit of 120, in bounded time."""
     elt = {
         "n": 2,
@@ -347,6 +347,8 @@ class TestMember:
 )
 def test_window_below_one_is_invalid_input(tmp_path, command, window):
     """The window ladder cannot grow from below 1: exit 2, in bounded time.
+    ``psi`` grows no window and takes no ``--window``, which argparse
+    refuses with the same exit code.
 
     Run in a child process so that a hang fails the test at the timeout.
     """
@@ -360,7 +362,10 @@ def test_window_below_one_is_invalid_input(tmp_path, command, window):
         capture_output=True, text=True, env=env, timeout=10,
     )
     assert proc.returncode == 2
-    assert "window must be positive" in proc.stderr
+    if command == "member":
+        assert "window must be positive" in proc.stderr
+    else:
+        assert "unrecognized arguments: --window" in proc.stderr
 
 
 @pytest.mark.parametrize("cap", ["6_4", " 24 ", "+24", "٢٤"])

@@ -159,11 +159,12 @@ class TestCollectorPause:
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Products, omega elements, stem extents and the class and transpose
-    maps made under a broken premise would stay cached for later tests,
-    so a control runs on empty caches of its own."""
+    """Products, omega elements, stem extents, module coordinates and the
+    class and transpose maps made under a broken premise would stay cached
+    for later tests, so a control runs on empty caches of its own."""
     monkeypatch.setattr(cellular, "_OMEGA_CACHE", {})
     monkeypatch.setattr(cellular, "_STEM_EXTENTS", {})
+    monkeypatch.setattr(cellular, "_BASE_COORDS", {})
     monkeypatch.setattr(multiplication, "structure_table", StructureTable())
     monkeypatch.setattr(core, "_CLASSES", {})
     monkeypatch.setattr(core, "_SHAPE_TRANSPOSES", {})
@@ -234,6 +235,62 @@ CORNER_MAP_MUTATIONS = [
     pytest.param(
         _left_shift_off_by_one, "module-basis-freeness", id="decompose-left-shift"
     ),
+]
+
+
+def _waring_sign_flipped(monkeypatch):
+    power_sum = cellular._power_sum
+
+    def flipped(n):
+        p = power_sum(n)
+        return p._like({(a, b): -c if b == 1 else c for (a, b), c in p.terms.items()})
+
+    monkeypatch.setattr(cellular, "_power_sum", flipped)
+
+
+def _complete_sum_index_raised(monkeypatch):
+    complete_sum = cellular._complete_sum
+    monkeypatch.setattr(cellular, "_complete_sum", lambda n: complete_sum(n + 1))
+
+
+def _x2_exponent_raised(monkeypatch):
+    """Both closed forms carry x2 once too often from n = 4 on."""
+    for name in ("_power_sum", "_complete_sum"):
+        closed_form = getattr(cellular, name)
+
+        def raised(n, closed_form=closed_form):
+            p = closed_form(n)
+            if n < 4:
+                return p
+            return p._like({(a, b + 1): c for (a, b), c in p.terms.items()})
+
+        monkeypatch.setattr(cellular, name, raised)
+
+
+def _width_zero_is_p0(monkeypatch):
+    """The pairs {1, 1} and {2, 2} read p_0 = 2, not 1."""
+    base_coords = cellular._base_coords
+
+    def doubled(column, width):
+        coords = base_coords(column, width)
+        return tuple(2 * p for p in coords) if width == 0 else coords
+
+    monkeypatch.setattr(cellular, "_base_coords", doubled)
+
+
+# (mutation, check that must fail): each breaks one premise of the closed
+# forms for the module coordinates
+CLOSED_FORM_MUTATIONS = [
+    pytest.param(
+        _waring_sign_flipped, "module-basis-freeness", id="waring-sign-k1"
+    ),
+    pytest.param(
+        _complete_sum_index_raised, "module-basis-freeness", id="h-index-raised"
+    ),
+    pytest.param(
+        _x2_exponent_raised, "module-basis-freeness", id="x2-exponent-from-n4"
+    ),
+    pytest.param(_width_zero_is_p0, "module-basis-freeness", id="width-zero-p0"),
 ]
 
 
@@ -376,6 +433,15 @@ class TestShortcutControls:
         matrix storing (1, 1 + a, 1) and (2, 2 + a, 1); phi keeps only the
         weight-(1,1) terms; a pair moved by s periods has its base pair's
         coordinates times x2^s."""
+        mutate(monkeypatch)
+        assert self.failing_run()[check].status == "fail"
+
+    @pytest.mark.parametrize("mutate, check", CLOSED_FORM_MUTATIONS)
+    def test_closed_form_premise(self, monkeypatch, fresh_caches, mutate, check):
+        """Premises: the pairs {1, 1+2n} and {2, 2+2n} are p_n, by Waring's
+        formula, times the basis elements {1, 1} and {2, 2}, which are
+        themselves the pairs of width 0; the odd widths are h_n and
+        h_(n-1) with their signs and x2 powers."""
         mutate(monkeypatch)
         assert self.failing_run()[check].status == "fail"
 
