@@ -247,6 +247,13 @@ def module_element(side: str, index: int, a: int, b: int) -> AlgebraElement:
     raise ValueError("side must be 'left' or 'right'")
 
 
+def _stem_classes(l: int, m: int, a: int) -> Iterator[tuple]:
+    """The terms of the stem (l, m, a, 0) as (shape, k, value)."""
+    for matrix, coeff in omega_element(l, m, a, 0).terms.items():
+        shape, k = matrix.translation_class()
+        yield shape, k, coeff
+
+
 # (l, m, a) -> the column extent (lo, hi) of that stem
 _STEM_EXTENTS: dict[tuple[int, int, int], tuple[int, int]] = {}
 
@@ -319,9 +326,22 @@ def _translate_shift(b: int) -> int:
     of one shape are numbered consecutively in k: so the column of
     translate b is its stem's rows, each moved by b, with the stem's
     values.  :func:`stem_system` derives each shape's k-range from this
-    map too, so every moved row lies in its own shape's range.
+    map too, so every moved row lies in its own shape's range, and
+    :func:`_contract` moves each stem term by it.
     """
     return b
+
+
+def _contract(terms: Iterable[tuple[Scalar, Label]]) -> dict:
+    """The sum of coeff * omega_element(label) as {class: nonzero value}: a stem
+    term (shape, k, value) lands at (shape, k + _translate_shift(b))."""
+    acc: dict[tuple, Scalar] = {}
+    for coeff, (l, m, a, b) in terms:
+        shift = _translate_shift(b)
+        for shape, k, value in _stem_classes(l, m, a):
+            key = (shape, k + shift)
+            acc[key] = acc.get(key, 0) + coeff * value
+    return {key: value for key, value in acc.items() if value}
 
 
 # shape -> (offset, k_lo, k_hi): the matrix of class (shape, k) is block
@@ -341,7 +361,7 @@ def stem_system(
     placement (stem rows, shift), the columns :class:`Factorization`
     takes.
 
-    Each stem's terms are read through ``translation_class`` once and
+    Each stem's terms are read as classes (:func:`_stem_classes`) and
     kept once, as its integer rows [(offset + k, value)]: the column of
     translate b is that list, shared by every translate of the stem, and
     the shift :func:`_translate_shift` gives b, so the block holds
@@ -359,13 +379,7 @@ def stem_system(
         extent = reach.setdefault((l, m, a), [shift, shift])
         extent[0], extent[1] = min(extent[0], shift), max(extent[1], shift)
     # stem -> its terms as (shape, k, value)
-    stem_terms = {
-        stem: [
-            (*matrix.translation_class(), coeff)
-            for matrix, coeff in omega_element(*stem, 0).terms.items()
-        ]
-        for stem in reach
-    }
+    stem_terms = {stem: list(_stem_classes(*stem)) for stem in reach}
     k_range: dict[tuple[int, ...], list[int]] = {}
     for stem, terms in stem_terms.items():
         low, high = reach[stem]
@@ -443,6 +457,15 @@ class CellVector:
             raise ValueError("side must be 'left' or 'right'")
         if len(self.coords) != 4:
             raise ValueError("need exactly four coordinates")
+
+    def classes(self) -> dict:
+        """The element of these coordinates as {class: value} (:func:`_contract`)."""
+        left = self.side == "left"
+        return _contract(
+            (coeff, (2, idx, a, b) if left else (idx, 2, a, b))
+            for idx, poly in enumerate(self.coords)
+            for (a, b), coeff in poly.terms.items()
+        )
 
     def to_element(self) -> AlgebraElement:
         return _combination(

@@ -8,7 +8,8 @@ deterministic functions of their input and flags.
 
 Exit codes: 0 success, 1 verification failure / non-membership,
 2 invalid input, 3 undecided (window exhausted, or a block whose rank
-peeling leaves it undecided); :func:`run` alone maps errors to them.
+peeling leaves it undecided), 4 internal error (any other exception,
+in one line, no traceback); :func:`run` alone maps errors to them.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INVALID = 2
 EXIT_UNDECIDED = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload: dict[str, Any], pretty: bool) -> None:
@@ -228,6 +230,9 @@ def run(argv: list[str] | None = None) -> int:
         # a rank-deficient block or a certificate that does not contract back
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except Exception as exc:  # a fault of the program: internal error
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

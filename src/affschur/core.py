@@ -45,7 +45,7 @@ Conventions used throughout the package:
   moved by.  An index keyed by class (n, shape, k), filled only with
   the classes that moves and transposes reach, makes a move by whole
   periods one lookup; entries are built on a miss.  Transposing reverses
-  a move, so entries are transposed once per shape.
+  a move, so entries are transposed once per shape, by one class rule.
   ``AlgebraElement.translated`` moves an element, every matrix through
   ``columns_moved``.
 """
@@ -74,6 +74,7 @@ __all__ = [
 
 
 Scalar = int | Fraction
+Class = tuple[tuple[int, ...], int]  # (shape, k), a translation class
 
 _FRACTION_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -279,20 +280,8 @@ class PeriodicMatrix:
         return self._col_vector
 
     def transpose(self) -> "PeriodicMatrix":
-        """The transposed matrix.  T, the move by one period, sends the
-        entry (i, j) to (i, j + n), stored as (i - n, j), whose transpose
-        is (j, i - n): so the transpose of (shape, k) is the shape's moved
-        by -k periods, and entries are transposed once per shape."""
-        shape, k = self.translation_class()
-        found = _SHAPE_TRANSPOSES.get((self.n, shape))
-        if found is not None:
-            return _of_class(self.n, found[0], found[1] - k)
-        flipped = PeriodicMatrix.from_entries(
-            self.n, ((j, i, a) for i, j, a in self.entries)
-        )
-        t_shape, t_k = flipped.translation_class()
-        _SHAPE_TRANSPOSES[(self.n, shape)] = (t_shape, t_k + k)
-        return flipped
+        """The transposed matrix, of the class :func:`_transposed_class` gives."""
+        return _of_class(self.n, *_transposed_class(self.n, *self.translation_class()))
 
     def translation_class(self) -> tuple[tuple[int, ...], int]:
         """``(shape, k)``: this matrix is ``shape`` with every column
@@ -308,13 +297,7 @@ class PeriodicMatrix:
         ((1, 1, 1, 2, 4, 1), 2)
         """
         if self._translation is None:
-            low = min((j for _, j, _ in self.entries), default=1)
-            k = (low - 1) // self.n
-            shift = k * self.n
-            shape = tuple(
-                v for i, j, a in self.entries for v in (i, j - shift, a)
-            )
-            object.__setattr__(self, "_translation", (shape, k))
+            object.__setattr__(self, "_translation", _class_of(self.n, self.entries))
         return self._translation
 
     def columns_moved(self, shift: int) -> "PeriodicMatrix":
@@ -365,12 +348,30 @@ class PeriodicMatrix:
 _MATRICES: dict[tuple[int, tuple[tuple[int, int, int], ...]], PeriodicMatrix] = {}
 
 # (n, shape, k) -> the interned matrix of that class, and (n, shape) ->
-# the class of the shape's transpose; filled on first use only
+# the class of the transpose of (shape, 0); filled on first use only
 _CLASSES: dict[tuple[int, tuple[int, ...], int], PeriodicMatrix] = {}
 _SHAPE_TRANSPOSES: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], int]] = {}
 
 # the slots of a matrix that are filled on first use, empty when it is built
 _ON_FIRST_USE = ("_lookup", "_translation", "_row_vector", "_col_vector")
+
+
+def _class_of(n: int, entries: tuple[tuple[int, int, int], ...]) -> Class:
+    """The translation class of the matrix with these canonical entries."""
+    k = (min((j for _, j, _ in entries), default=1) - 1) // n
+    shift = k * n
+    return tuple(v for i, j, a in entries for v in (i, j - shift, a)), k
+
+
+def _transposed_class(n: int, shape: tuple[int, ...], k: int) -> Class:
+    """The class of the transpose of (shape, k).  T, the move by one period,
+    sends (i, j) to (i, j + n), stored as (i - n, j), whose transpose is
+    (j, i - n): so it is the transpose of (shape, 0) moved by -k periods."""
+    found = _SHAPE_TRANSPOSES.get((n, shape))
+    if found is None:
+        flipped = canonical_entries(n, zip(shape[1::3], shape[::3], shape[2::3]))
+        found = _SHAPE_TRANSPOSES[(n, shape)] = _class_of(n, flipped)
+    return found[0], found[1] - k
 
 
 def _interned(

@@ -21,12 +21,11 @@ only solver, so each signature block is built and eliminated once for
 every check that needs it; the freeness check's module system is the
 three row-(2,0) blocks, whose coordinates it reads without certificates.
 Where x2, the central shift by one period, carries a statement from one
-element to its translates, a check makes it once per stem or base pair
-and argues the move next to the check: the freeness check compares
-translation classes moved by whole periods, and the transpose check
-transposes the stems only, since transposing turns a move by b periods
-into one by -b.  The transpose and corner-involution maps can be
-overridden, for negative controls.
+element to its translates, a check makes it once per stem, base pair or
+class of pairs and argues the move next to the check: the transpose and
+freeness checks compare translation classes (shape, k), not elements,
+and build no translate.  The transpose and corner-involution maps can be
+overridden, for negative controls (see :func:`verify_cell_chain`).
 
 The cyclic garbage collector is paused while the battery runs, and put
 back as it was found, also when a check raises.  Pausing it loses
@@ -46,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import AlgebraElement, PeriodicMatrix
+from .core import AlgebraElement, PeriodicMatrix, _transposed_class
 from .hecke import (
     HeckeElement,
     T1,
@@ -67,6 +66,7 @@ from .cellular import (
     UndecidedError,
     WEIGHT_20,
     WindowBlocks,
+    _contract,
     _window_labels,
     corner_involution,
     decompose_left,
@@ -89,12 +89,6 @@ __all__ = ["CheckResult", "CellReport", "verify_cell_chain"]
 PASS = "pass"
 FAIL = "fail"
 UNDECIDED = "undecided"
-
-# pairs solved together in the freeness check's solver cross-check: one
-# batch's right-hand sides and solutions are held at a time, and each
-# batch sweeps only the factorization steps its values reach
-_FREENESS_BATCH = 4096
-
 
 @dataclass
 class CheckResult:
@@ -169,11 +163,6 @@ TransposeFn = Callable[[AlgebraElement], AlgebraElement]
 InvolutionFn = Callable[[LaurentPoly2], LaurentPoly2]
 
 
-def _classes(x: AlgebraElement) -> dict:
-    """x as {translation class: coefficient}; at one n a class names a matrix."""
-    return {matrix.translation_class(): c for matrix, c in x.terms.items()}
-
-
 def _moved_round_trips(trips: tuple[dict, dict], k: int) -> tuple[dict, dict]:
     """A base pair's left and right round trips, as classes, for the pair
     k periods on: the left moved up by k periods, the right down by k."""
@@ -182,6 +171,11 @@ def _moved_round_trips(trips: tuple[dict, dict], k: int) -> tuple[dict, dict]:
         {(shape, s + k): c for (shape, s), c in left.items()},
         {(shape, s - k): c for (shape, s), c in right.items()},
     )
+
+
+def _moved_solution(coords: dict, d: int) -> dict:
+    """Solver coordinates {(l, m, a, b): value} moved d periods on."""
+    return {(l, m, a, b + d): value for (l, m, a, b), value in coords.items()}
 
 
 def verify_cell_chain(
@@ -195,6 +189,8 @@ def verify_cell_chain(
 
     ``transpose_fn`` and ``involution_fn`` default to the genuine
     structure maps; overriding either is meant for negative controls.
+    ``transpose_fn`` reaches every transpose applied to an element: the 8
+    re-solves, the swap diagram and the quotient's inversion.
     """
     if window < 1:
         raise ValueError("window must be positive")
@@ -300,22 +296,20 @@ def verify_cell_chain(
         return "ok"
 
     def check_transpose_stability(failures: list[str], undecided: list[str]) -> str:
-        # On the stems.  T, the move of every column by one period n,
-        # sends the entry (i, j) to (i, j + n), which periodicity stores
-        # as (i - n, j); transposed, that is (j, i - n), the transposed
-        # entry with its column moved by -n.  So tau(T x) = T^-1 tau(x)
-        # for every matrix, hence for every element.  The member
-        # (l, m, a, b) is its stem (l, m, a, 0) moved by b periods (x2 is
-        # central, and the family is filled that way), so its transpose
-        # is tau(stem) moved by -b periods: once tau(stem) is the cell
-        # omega(m, l, a, -a), the transpose of every member of that stem
-        # is omega(m, l, a, -a - b), and its columns are tau(stem)'s
-        # moved by -2b, which says whether it fits the window.  Each stem
-        # is transposed and compared once.  The premise is not taken on
-        # trust: the independent route below transposes a few genuine
-        # members, built as translates, and solves for their coordinates,
-        # so a transpose or a translate that broke the commutation shows
-        # there as a failed solve.
+        # On the stems.  Transposing turns a move by b periods into one by
+        # -b (_transposed_class: tau(T x) = T^-1 tau(x) for T the move by
+        # one period), and the member (l, m, a, b) is its stem (l, m, a, 0)
+        # moved by b periods (x2 is central, and the family is filled that
+        # way), so its transpose is tau(stem) moved by -b periods: once
+        # tau(stem) is the cell omega(m, l, a, -a), the transpose of every
+        # member of that stem is omega(m, l, a, -a - b), and its columns
+        # are tau(stem)'s moved by -2b, which says whether it fits the
+        # window.  Each stem is transposed and compared once, as classes,
+        # so nothing is built.  The premise is not taken on trust: the
+        # independent route below transposes a few genuine members, built
+        # as translates, and solves for their coordinates, so a transpose
+        # or a translate that broke the commutation shows there as a
+        # failed solve.
         # every spanning element's label, by cell (l, m), then b, then a
         labels = list(
             _window_labels(window, [(l, m) for l in range(4) for m in range(4)])
@@ -327,12 +321,13 @@ def verify_cell_chain(
         for label in labels:
             l, m, a, b = label
             if (l, m, a) not in extents:
-                transposed = tau(omega_element(l, m, a, 0))
-                if len(failures) < 5 and transposed != omega_element(m, l, a, -a):
+                stem = _contract([(1, (l, m, a, 0))])
+                transposed = {_transposed_class(2, *key): c for key, c in stem.items()}
+                if len(failures) < 5 and transposed != _contract([(1, (m, l, a, -a))]):
                     failures.append(
                         f"transpose of cell ({l},{m},{a},0) left the spanning set"
                     )
-                support = [j for matrix in transposed.terms for _, j, _ in matrix.entries]
+                support = [j + 2 * k for shape, k in transposed for j in shape[1::3]]
                 extents[(l, m, a)] = (min(support), max(support)) if support else None
             extent = extents[(l, m, a)]
             if extent and -window <= extent[0] - 2 * b and extent[1] - 2 * b <= window:
@@ -370,14 +365,14 @@ def verify_cell_chain(
         # columns into moved rows, which row normalization turns back into
         # columns moved by -k periods: the right round trip of the
         # transpose is the base one moved by -k.  Each base pair is
-        # contracted once, and the classes of every pair and of its
-        # transpose are compared with those of its base round trips moved
-        # by k and -k periods, so no translate is built.  The premise is
-        # not taken on trust: the solver cross-check below decomposes
-        # every pair inside its margin itself and solves against module
-        # elements, whose x2^b members are translates too, so a
-        # decomposition or module element that broke the translation
-        # shows there as a disagreement.
+        # contracted once, as classes (stem terms moved by
+        # _translate_shift(b), as in the block systems), and the classes
+        # of every pair and of its transpose are compared with those of
+        # its base round trips moved by k and -k periods, so no translate
+        # is built.  The premise is not taken on trust: the solver
+        # cross-check below decomposes every pair inside its margin itself,
+        # so a decomposition that broke the translation shows there as a
+        # disagreement.
         count = 0
         base_trips: dict[tuple[int, int], tuple[dict, dict]] = {}
         for i in range(-window, window + 1):
@@ -388,20 +383,25 @@ def verify_cell_chain(
                 if trips is None:
                     x0 = AlgebraElement.basis(pair(*base))
                     trips = base_trips[base] = (
-                        _classes(decompose_left(x0).to_element()),
-                        _classes(decompose_right(x0.transpose()).to_element()),
+                        decompose_left(x0).classes(),
+                        decompose_right(x0.transpose()).classes(),
                     )
                 left, right = _moved_round_trips(trips, k)
-                matrix = pair(i, j)
-                if left != {matrix.translation_class(): 1}:
+                shape, s = pair(i, j).translation_class()
+                if left != {(shape, s): 1}:
                     failures.append(f"left round trip failed at ({i},{j})")
-                if right != {matrix.transpose().translation_class(): 1}:
+                if right != {_transposed_class(2, shape, s): 1}:
                     failures.append(f"right round trip failed at ({i},{j})")
                 count += 1
         # independent solver route plus uniqueness, within a margin that
         # keeps every needed coordinate monomial inside the window; index 2
         # of the right basis is the corner unit, so the left module's span
-        # is the ideal's row-(2,0) blocks, cells (2, m)
+        # is the ideal's row-(2,0) blocks, cells (2, m).  One pair per class
+        # (column parity, width) is solved; every pair's decompose_left is
+        # compared with that solution moved by its d periods.  That is as
+        # strong as per-pair solves: the family and the block rows are
+        # translation-equivariant by construction; the controls of
+        # _translate_shift, translated and the solution move test it.
         margin = 3
         module = [
             blocks.factorization(sig) for sig in SIGNATURE_BLOCKS if sig[0] == WEIGHT_20
@@ -418,25 +418,26 @@ def verify_cell_chain(
         indices = [
             (i, j) for i in range(-bound, bound + 1) for j in range(i, bound + 1)
         ]
+        # (column parity, width) -> the smaller column of its first pair
+        firsts = {(i % 2, j - i): i for i, j in reversed(indices)}
+        reps = [AlgebraElement.basis(pair(i, i + w)) for (_, w), i in firsts.items()]
+        solutions = dict(zip(firsts, blocks.coordinates(reps)))
         solver_checked = 0
-        for start in range(0, len(indices), _FREENESS_BATCH):
-            batch = indices[start : start + _FREENESS_BATCH]
-            pairs = [AlgebraElement.basis(pair(i, j)) for i, j in batch]
-            for x, coords in zip(pairs, blocks.coordinates(pairs)):
-                if coords is None:
-                    failures.append("solver cross-check status inconsistent")
-                    continue
-                solved: dict[tuple[int, int], dict] = {}
-                for (l, m, a, b), value in coords.items():
-                    solved.setdefault((l, m), {})[(a, b)] = value
-                expected = {
-                    (2, m): poly.terms
-                    for m, poly in enumerate(decompose_left(x).coords)
-                    if not poly.is_zero()
-                }
-                if solved != expected:
-                    failures.append("solver and closed-form coordinates disagree")
-                solver_checked += 1
+        for i, j in indices:
+            key = (i % 2, j - i)
+            if solutions[key] is None:
+                failures.append("solver cross-check status inconsistent")
+                continue
+            moved = _moved_solution(solutions[key], (i - firsts[key]) // 2)
+            coords = decompose_left(AlgebraElement.basis(pair(i, j))).coords
+            expected = {
+                (2, m, a, b): c
+                for m, poly in enumerate(coords)
+                for (a, b), c in poly.terms.items()
+            }
+            if moved != expected:
+                failures.append("solver and closed-form coordinates disagree")
+            solver_checked += 1
         return (
             f"{count} round trips, {solver_checked} solver cross-checks, "
             f"coordinate rank {system_rank}/{columns}"

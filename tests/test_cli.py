@@ -8,6 +8,7 @@ import pytest
 
 import affschur
 from affschur import cellular
+from affschur import cli as cli_module
 from affschur.cellular import WEIGHT_20
 from affschur.cli import run
 
@@ -436,3 +437,34 @@ class TestBadUsage:
 
     def test_unknown_flag(self, capsys):
         assert run(["canon", "--bogus"]) == 2
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (RuntimeError("handler broke"), "RuntimeError: handler broke"),
+            (IndexError(), "IndexError: "),
+        ],
+        ids=["runtime", "no-message"],
+    )
+    def test_internal_error_exit_four(self, capsys, tmp_path, monkeypatch, error, line):
+        """An exception that no exit code names is an internal error: exit 4
+        with one ``internal error:`` line and no traceback."""
+
+        def broken(args):
+            raise error
+
+        monkeypatch.setattr(cli_module, "_cmd_canon", broken)
+        code, out, err = invoke(capsys, ["canon"], json.dumps(ELT_LAM), tmp_path=tmp_path)
+        assert code == 4
+        assert out == ""
+        assert err == f"internal error: {line}\n"
+
+    def test_keyboard_interrupt_is_not_caught(self, tmp_path, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "_cmd_canon", interrupted)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(ELT_LAM))
+        with pytest.raises(KeyboardInterrupt):
+            run(["canon", "--file", str(path)])
