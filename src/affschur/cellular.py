@@ -27,9 +27,15 @@ the (2,0) idempotent, the corner unit, so cell (2, 2) holds the corner
 monomials, the cells (2, m) the left module and the cells (l, 2) the
 right module; :func:`monomial_image` and :func:`module_element` are
 views of the one cache.  x2 is the shift by one period, which is
-central, so a member with b != 0 is its b = 0 member with every column
-moved by 2b.  Only the b = 0 members are multiplied out; each other
-member is one move of its b = 0 member by b periods, and is cached.
+central, so a member with b != 0 is its b = 0 member, its *stem*, with
+every column moved by 2b.  The only products the family needs are those
+of its stems, and they are taken in class space: each stem is kept once
+as (shape, k, value) triples (:func:`_stem_classes`), multiplied out
+through the structure table's classes (:func:`multiply_classes`), with
+no matrix built.  An element is built only when one is asked for: a
+member is its stem's triples moved by b, read from the class index, and
+is cached; a contraction (a certificate, module coordinates) is summed
+as classes and each matrix of the result built once.
 
 All membership and inversion problems are truncated by a *window*: a
 bound W restricting the column support of every matrix involved to
@@ -62,10 +68,19 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator, Sequence
 
-from .core import AlgebraElement, Composition, PeriodicMatrix, Scalar, diag_matrix
+from .core import (
+    AlgebraElement,
+    Class,
+    ClassTerm,
+    Composition,
+    PeriodicMatrix,
+    Scalar,
+    _of_class,
+    diag_matrix,
+)
 from .laurent import LaurentPoly2
 from .linalg import Factorization, Placement, SolveResult
-from .multiplication import multiply
+from .multiplication import multiply_classes
 
 __all__ = [
     "CellVector",
@@ -174,60 +189,87 @@ def _column_support(x: AlgebraElement) -> list[int]:
 _ZERO = AlgebraElement.zero(N, R)
 
 
-def _combination(
-    terms: Iterable[tuple[Scalar, AlgebraElement]]
-) -> AlgebraElement:
-    """The sum of coeff * element, accumulated in one term dict."""
-    acc: dict[PeriodicMatrix, Scalar] = {}
-    for coeff, element in terms:
-        for matrix, c in element.terms.items():
-            acc[matrix] = acc.get(matrix, 0) + coeff * c
-    return _ZERO._like(acc)
-
-
 # ---------------------------------------------------------------------------
 # the spanning family
 
+
+# (l, m, a) -> the stem, member (l, m, a, 0), as its terms' classes
+_STEMS: dict[tuple[int, int, int], tuple[ClassTerm, ...]] = {}
 
 # (l, m, a, b) -> omega_element(l, m, a, b), the only cache of the family
 _OMEGA_CACHE: dict[tuple[int, int, int, int], AlgebraElement] = {}
 
 
-def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
-    """The ideal element (right basis l) * x1^a x2^b * (left basis m).
+def _classes(matrix: PeriodicMatrix) -> tuple[ClassTerm]:
+    """The basis element of a matrix as (shape, k, value) triples."""
+    return ((*matrix.translation_class(), 1),)
 
-    Index 2 of both bases is the corner unit, so the b = 0 member of
-    cell (2, 2) is x1^a, filled by x1 steps from the unit (no exponent
-    costs recursion depth); that of cell (2, m) or (l, 2) is one product
-    with x1^a, and that of any other cell one product with its (l, 2)
-    member.  Any other member is x2^b times, that is b periods from, its
-    b = 0 member: one move of that member's columns by 2b.
+
+def _product(
+    xs: Sequence[ClassTerm], ys: Sequence[ClassTerm]
+) -> tuple[ClassTerm, ...]:
+    """The product of two elements given as (shape, k, value) triples, as
+    the same triples (:func:`multiply_classes`)."""
+    return tuple(
+        (shape, k, value)
+        for (shape, k), value in multiply_classes(N, xs, ys).items()
+    )
+
+
+def _stem_classes(l: int, m: int, a: int) -> tuple[ClassTerm, ...]:
+    """The stem (l, m, a, 0) as (shape, k, value) triples, kept once.
+
+    Index 2 of both bases is the corner unit, so the stem of cell (2, 2)
+    is x1^a, filled by x1 steps from the unit (no exponent costs
+    recursion depth); that of cell (l, 2) is right basis l times x1^a,
+    and that of any other cell its (l, 2) stem times left basis m.  Every
+    product is taken in class space (:func:`multiply_classes`), so no
+    stem is built as an element.
     """
-    key = (l, m, a, b)
-    found = _OMEGA_CACHE.get(key)
+    key = (l, m, a)
+    found = _STEMS.get(key)
     if found is not None:
         return found
     if a < 0:
         raise ValueError("x1-exponent must be nonnegative")
-    if b:
-        found = omega_element(l, m, a, 0).translated(b)
-    elif l == m == 2:
-        x1 = AlgebraElement.basis(GEN_X1)
-        found = _OMEGA_CACHE.setdefault((2, 2, 0, 0), idempotent_20())
+    if l == m == 2:
+        x1 = _classes(GEN_X1)
+        found = _STEMS.setdefault((2, 2, 0), _classes(IDEM_20_MAT))
         for k in range(1, a + 1):
-            power = _OMEGA_CACHE.get((2, 2, k, 0))
+            power = _STEMS.get((2, 2, k))
             if power is None:
-                power = _OMEGA_CACHE[(2, 2, k, 0)] = multiply(found, x1)
+                power = _STEMS[(2, 2, k)] = _product(found, x1)
             found = power
-    elif m == 2:
-        found = multiply(
-            AlgebraElement.basis(RIGHT_BASIS[l]), omega_element(2, 2, a, 0)
-        )
+        return found
+    if m == 2:
+        found = _product(_classes(RIGHT_BASIS[l]), _stem_classes(2, 2, a))
     else:
-        found = multiply(
-            omega_element(l, 2, a, 0), AlgebraElement.basis(LEFT_BASIS[m])
+        found = _product(_stem_classes(l, 2, a), _classes(LEFT_BASIS[m]))
+    _STEMS[key] = found
+    return found
+
+
+def _element(classes: dict[Class, Scalar]) -> AlgebraElement:
+    """The element {class: value}, each matrix read from the class index."""
+    return _ZERO._like(
+        {_of_class(N, shape, k): value for (shape, k), value in classes.items()}
+    )
+
+
+def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
+    """The ideal element (right basis l) * x1^a x2^b * (left basis m).
+
+    x2 is the central shift by one period, so the member is its stem
+    (:func:`_stem_classes`) moved by b periods: each stem term of class
+    (shape, k) is the matrix of class (shape, k + b).  Built on first
+    use and cached.
+    """
+    key = (l, m, a, b)
+    found = _OMEGA_CACHE.get(key)
+    if found is None:
+        found = _OMEGA_CACHE[key] = _element(
+            {(shape, k + b): value for shape, k, value in _stem_classes(l, m, a)}
         )
-    _OMEGA_CACHE[key] = found
     return found
 
 
@@ -247,35 +289,23 @@ def module_element(side: str, index: int, a: int, b: int) -> AlgebraElement:
     raise ValueError("side must be 'left' or 'right'")
 
 
-def _stem_classes(l: int, m: int, a: int) -> Iterator[tuple]:
-    """The terms of the stem (l, m, a, 0) as (shape, k, value)."""
-    for matrix, coeff in omega_element(l, m, a, 0).terms.items():
-        shape, k = matrix.translation_class()
-        yield shape, k, coeff
-
-
-# (l, m, a) -> the column extent (lo, hi) of that stem
-_STEM_EXTENTS: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-
 def _cell_stems(l: int, m: int, window: int) -> list[tuple[int, int, int]]:
     """``(a, b_lo, b_hi)`` for each stem, b = 0 member, of cell (l, m)
     with a translate that fits the window: the members (l, m, a, b) with
     b_lo <= b <= b_hi are those that fit.
 
     A member's columns are those of its stem plus 2b, so the column
-    extent [lo, hi] of each stem is read once per process, and the b
-    with -window <= lo + 2b and hi + 2b <= window fit.  The width
+    extent [lo, hi] of each stem, read from its classes, says which b
+    fit: those with -window <= lo + 2b and hi + 2b <= window.  The width
     hi - lo grows with a (by 2 per step), so the a-range stops at the
     first a wider than 2 * window.
     """
     stems = []
     for a in count():
-        extent = _STEM_EXTENTS.get((l, m, a))
-        if extent is None:
-            support = _column_support(omega_element(l, m, a, 0))
-            extent = _STEM_EXTENTS[(l, m, a)] = (min(support), max(support))
-        lo, hi = extent
+        support = [
+            j + N * k for shape, k, _ in _stem_classes(l, m, a) for j in shape[1::3]
+        ]
+        lo, hi = min(support), max(support)
         if hi - lo > 2 * window:
             break
         b_lo, b_hi = -((window + lo) // 2), (window - hi) // 2
@@ -379,7 +409,7 @@ def stem_system(
         extent = reach.setdefault((l, m, a), [shift, shift])
         extent[0], extent[1] = min(extent[0], shift), max(extent[1], shift)
     # stem -> its terms as (shape, k, value)
-    stem_terms = {stem: list(_stem_classes(*stem)) for stem in reach}
+    stem_terms = {stem: _stem_classes(*stem) for stem in reach}
     k_range: dict[tuple[int, ...], list[int]] = {}
     for stem, terms in stem_terms.items():
         low, high = reach[stem]
@@ -406,9 +436,10 @@ def stem_system(
 
 
 def laurent_to_corner(p: LaurentPoly2) -> AlgebraElement:
-    """Ring map sending x1, x2, x2^-1 to their corner generators."""
-    return _combination(
-        (coeff, monomial_image(a, b)) for (a, b), coeff in p.terms.items()
+    """Ring map sending x1, x2, x2^-1 to their corner generators: the
+    contraction of the coefficients with the corner monomials, cell (2, 2)."""
+    return _element(
+        _contract((coeff, (2, 2, a, b)) for (a, b), coeff in p.terms.items())
     )
 
 
@@ -468,11 +499,8 @@ class CellVector:
         )
 
     def to_element(self) -> AlgebraElement:
-        return _combination(
-            (coeff, module_element(self.side, idx, a, b))
-            for idx, poly in enumerate(self.coords)
-            for (a, b), coeff in poly.terms.items()
-        )
+        """The element of these coordinates, each matrix built once."""
+        return _element(self.classes())
 
     def to_json(self) -> dict:
         return {
@@ -633,12 +661,16 @@ class CellTensor:
 
 
 def tensor_to_ideal(t: CellTensor) -> AlgebraElement:
-    """Contract a coordinate tensor to the ideal element it represents."""
-    return _combination(
-        (coeff, omega_element(l, m, a, b))
-        for l in range(4)
-        for m in range(4)
-        for (a, b), coeff in t.cell(l, m).terms.items()
+    """Contract a coordinate tensor to the ideal element it represents:
+    one contraction in class space (:func:`_contract`), then each matrix
+    of the result built once."""
+    return _element(
+        _contract(
+            (coeff, (l, m, a, b))
+            for l in range(4)
+            for m in range(4)
+            for (a, b), coeff in t.cell(l, m).terms.items()
+        )
     )
 
 

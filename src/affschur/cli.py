@@ -9,13 +9,17 @@ deterministic functions of their input and flags.
 Exit codes: 0 success, 1 verification failure / non-membership,
 2 invalid input, 3 undecided (window exhausted, or a block whose rank
 peeling leaves it undecided), 4 internal error (any other exception,
-in one line, no traceback); :func:`run` alone maps errors to them.
+in one line, no traceback), 141 output pipe closed by its reader (as in
+``affschur verify-cell | head``; 128 + SIGPIPE, the status a shell
+reports for a process that SIGPIPE ended); :func:`run` alone maps errors
+to them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any
 
@@ -45,6 +49,7 @@ EXIT_FAILURE = 1
 EXIT_INVALID = 2
 EXIT_UNDECIDED = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(payload: dict[str, Any], pretty: bool) -> None:
@@ -159,6 +164,20 @@ def _cmd_verify_cell(args: argparse.Namespace) -> int:
     return report.exit_code()
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at devnull, so that the flush at exit
+    writes what is still buffered nowhere instead of raising again (the
+    note on SIGPIPE in the documentation of Python's ``signal`` module).
+    A stdout with no file descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affschur",
@@ -218,7 +237,13 @@ def run(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags, which matches our invalid-input code
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed output pipe shows here
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away: neither invalid input nor a fault
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -75,6 +75,7 @@ __all__ = [
 
 Scalar = int | Fraction
 Class = tuple[tuple[int, ...], int]  # (shape, k), a translation class
+ClassTerm = tuple[tuple[int, ...], int, Scalar]  # (shape, k, coefficient)
 
 _FRACTION_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 

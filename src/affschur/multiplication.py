@@ -17,16 +17,27 @@ Basis products are memoized in a fill-once structure table with one
 oracle run per translation class of pairs: the period shift is central,
 so moving the columns of either factor by whole periods moves the
 product by as many.  Concurrent duplicate fills are harmless because
-every fill computes the identical value.
+every fill computes the identical value.  ``multiply`` reads the table
+with matrices; ``multiply_classes`` reads the same table with
+translation classes (shape, k) and builds no matrix on a hit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import AlgebraElement, PeriodicMatrix, Scalar, compositions, diag_matrix
+from .core import (
+    AlgebraElement,
+    Class,
+    ClassTerm,
+    PeriodicMatrix,
+    Scalar,
+    _of_class,
+    compositions,
+    diag_matrix,
+)
 from .weyl import (
     IndexTuple,
     WeylElement,
@@ -41,6 +52,7 @@ from .weyl import (
 __all__ = [
     "multiply_oracle",
     "multiply",
+    "multiply_classes",
     "identity_element",
     "chevalley_left",
     "chevalley_right",
@@ -160,7 +172,9 @@ class StructureTable:
     it and the oracle's product there.  The product at any other offset
     is that product moved by its difference to k0, one lookup in the
     class index per term (:meth:`PeriodicMatrix.columns_moved`), so no
-    moved product is kept.  ``len`` counts classes, that is oracle runs.
+    moved product is kept; :func:`multiply_classes` reads the stored
+    product as classes and moves only their k, so it builds no moved
+    product at all.  ``len`` counts classes, that is oracle runs.
     """
 
     def __init__(self) -> None:
@@ -207,6 +221,44 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             for matrix, coeff in product.terms.items():
                 acc[matrix] = acc.get(matrix, 0) + scale * coeff
     return x._like(acc)
+
+
+def multiply_classes(
+    n: int,
+    xs: Iterable[ClassTerm],
+    ys: Sequence[ClassTerm],
+) -> dict[Class, Scalar]:
+    """The product of two elements of period n given as (shape, k, coeff)
+    triples, as {(shape, k): nonzero coeff}.
+
+    The pair of classes (shape_a, s) and (shape_b, t) reads the structure
+    table's class (n, shape_a, shape_b): its stored product, filled at
+    offset k0, moved by s + t - k0 periods, so each stored term of class
+    (shape, k) lands at (shape, k + s + t - k0), the class cached on the
+    stored matrix.  No moved product is built.  A miss fills the class
+    through :meth:`StructureTable.product` on the matrices of the two
+    classes, so the oracle runs on the matrices :func:`multiply` would
+    give it; a pair whose weights do not match is zero and is not stored.
+    """
+    table = structure_table
+    acc: dict[Class, Scalar] = {}
+    for shape_a, s, ca in xs:
+        for shape_b, t, cb in ys:
+            key = (n, shape_a, shape_b)
+            found = table._classes.get(key)
+            if found is None:
+                table.product(_of_class(n, shape_a, s), _of_class(n, shape_b, t))
+                found = table._classes.get(key)
+                if found is None:  # the weights do not match
+                    continue
+            k0, product = found
+            shift = s + t - k0
+            scale = ca * cb
+            for matrix, coeff in product.terms.items():
+                shape, k = matrix.translation_class()
+                term = (shape, k + shift)
+                acc[term] = acc.get(term, 0) + scale * coeff
+    return {term: value for term, value in acc.items() if value}
 
 
 def identity_element(n: int, r: int) -> AlgebraElement:

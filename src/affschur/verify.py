@@ -307,9 +307,10 @@ def verify_cell_chain(
         # window.  Each stem is transposed and compared once, as classes,
         # so nothing is built.  The premise is not taken on trust: the
         # independent route below transposes a few genuine members, built
-        # as translates, and solves for their coordinates, so a transpose
-        # or a translate that broke the commutation shows there as a
-        # failed solve.
+        # as translates, and solves for their coordinates, which must be
+        # the one member (m, l, a, -a - b) the comparison predicts, so a
+        # transpose or a translate that broke the commutation shows there
+        # as a failed or a wrong solve.
         # every spanning element's label, by cell (l, m), then b, then a
         labels = list(
             _window_labels(window, [(l, m) for l in range(4) for m in range(4)])
@@ -335,15 +336,15 @@ def verify_cell_chain(
         # independent route: solve for coordinates of a few transposes
         rng_local = random.Random(seed + 1)
         subsample = rng_local.sample(inside, min(8, len(inside)))
-        if subsample:
-            batch = blocks.membership(
-                [tau(omega_element(*label)) for label in subsample]
-            )
-            for label, result in zip(subsample, batch):
-                if result.status == MembershipResult.NOT_MEMBER:
-                    failures.append(f"transposed cell {label}: {result.status}")
-                elif result.status == MembershipResult.UNDECIDED:
-                    undecided.append(f"transposed cell {label}: undecided")
+        solved = blocks.coordinates([tau(omega_element(*label)) for label in subsample])
+        for label, coords in zip(subsample, solved):
+            l, m, a, b = label
+            if coords is None:
+                failures.append(
+                    f"transposed cell {label}: {MembershipResult.NOT_MEMBER}"
+                )
+            elif coords != {(m, l, a, -a - b): 1}:
+                failures.append(f"transposed cell {label}: solved as {sorted(coords)}")
         return (
             f"{len(labels)} spanning elements transposed back; "
             f"{len(subsample)} re-solved"
@@ -401,7 +402,7 @@ def verify_cell_chain(
         # compared with that solution moved by its d periods.  That is as
         # strong as per-pair solves: the family and the block rows are
         # translation-equivariant by construction; the controls of
-        # _translate_shift, translated and the solution move test it.
+        # _translate_shift, the member move and the solution move test it.
         margin = 3
         module = [
             blocks.factorization(sig) for sig in SIGNATURE_BLOCKS if sig[0] == WEIGHT_20

@@ -737,6 +737,36 @@ class TestX2Families:
                     assert width(l, m, a) == base + 2 * a, (l, m, a)
 
 
+class TestStems:
+    def test_stems_are_the_classes_of_the_product_chain(self):
+        """Each stem's triples are the classes of the chain of element
+        products it replaces: x1 steps for cell (2, 2), right basis l
+        times x1^a for the cells (l, 2), and that times left basis m for
+        the rest.  A stem names each class once."""
+        x1 = AlgebraElement.basis(GEN_X1)
+        power = AlgebraElement.basis(cellular.IDEM_20_MAT)
+        for a in range(31):
+            rights = [
+                multiply(AlgebraElement.basis(RIGHT_BASIS[l]), power) for l in range(4)
+            ]
+            rights[2] = power
+            for l in range(4):
+                for m in range(4):
+                    if m == 2:
+                        product = rights[l]
+                    else:
+                        left = AlgebraElement.basis(LEFT_BASIS[m])
+                        product = multiply(rights[l], left)
+                    stem = cellular._stem_classes(l, m, a)
+                    classes = {(shape, k): value for shape, k, value in stem}
+                    assert len(classes) == len(stem), (l, m, a)
+                    assert classes == {
+                        matrix.translation_class(): c
+                        for matrix, c in product.terms.items()
+                    }, (l, m, a)
+            power = multiply(power, x1)
+
+
 class TestFreenessShortcut:
     """The premise of the base-pair round trips of module-basis-freeness:
     the pair {i, j} is its base pair, smaller column in {1, 2}, moved by
@@ -1104,16 +1134,18 @@ class TestMembership:
                 )
 
     def test_blocks_build_no_translate(self, monkeypatch):
-        """Factoring every block of a window builds only stems: every
-        omega element cached afterwards has b = 0."""
+        """Factoring every block of a window reads its stems as classes
+        only: it fills the stem memo and builds no omega element, not
+        even a stem."""
         monkeypatch.setattr(cellular, "_OMEGA_CACHE", {})
+        monkeypatch.setattr(cellular, "_STEMS", {})
         blocks = WindowBlocks(24)
         for signature in SIGNATURE_BLOCKS:
             assert blocks.factorization(signature).rank == len(
                 blocks.factorization(signature).cols
             )
-        assert cellular._OMEGA_CACHE
-        assert all(b == 0 for _, _, _, b in cellular._OMEGA_CACHE)
+        assert cellular._STEMS
+        assert not cellular._OMEGA_CACHE
 
     def test_blocks_hold_each_stem_once(self):
         """A block keeps one row list per stem, shared by all of the

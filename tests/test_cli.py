@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -458,6 +459,39 @@ class TestBadUsage:
         assert code == 4
         assert out == ""
         assert err == f"internal error: {line}\n"
+
+    def test_closed_output_pipe_exit_141(self, capsys, tmp_path, monkeypatch):
+        """A stdout whose reader went away, so that writing raises
+        BrokenPipeError, is neither invalid input nor an internal error:
+        exit 141, with nothing on stderr."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(ELT_LAM))
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run(["canon", "--file", str(path)]) == 141
+        argv = ["verify-cell", "--window", "4", "--samples", "1", "--pretty"]
+        assert run(argv) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_closed_output_pipe_in_a_child_process(self):
+        """The same through a real pipe whose reader is closed before the
+        report is written: exit 141, and the flush at exit raises nothing
+        more."""
+        src = str(Path(affschur.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "affschur", "verify-cell", "--window", "4",
+             "--samples", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""
 
     def test_keyboard_interrupt_is_not_caught(self, tmp_path, monkeypatch):
         def interrupted(args):

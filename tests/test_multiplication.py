@@ -24,7 +24,10 @@ from affschur import (
     structure_table,
 )
 
-from conftest import basis, basis_matrices, mat
+from affschur import multiplication
+from affschur.multiplication import multiply_classes
+
+from conftest import algebra_elements, basis, basis_matrices, mat
 
 
 def with_row(rng, comp, n, lo=-4, hi=5):
@@ -366,6 +369,79 @@ class TestTranslationClasses:
         assert table.product(a2, b2) == basis(2, (1, 1, 1), (1, 3, 1), (1, 5, 1))
         assert table.product(a3, b3) == basis(3, (1, 1, 1), (1, 4, 2)).scaled(2)
         assert len(table) == 2
+
+
+def class_terms(x):
+    """An element as (shape, k, coeff) triples."""
+    return [(*matrix.translation_class(), c) for matrix, c in x.terms.items()]
+
+
+def moved_element_pairs(nr):
+    """Two elements of S(n, r), each moved by up to 10^4 periods: their
+    terms' weights match in some pairs and not in others."""
+    offsets = st.integers(min_value=-(10**4), max_value=10**4)
+    element = st.builds(
+        lambda x, s: x.translated(s),
+        algebra_elements(nr=nr, col_lo=-3, col_hi=4),
+        offsets,
+    )
+    return st.tuples(element, element)
+
+
+class TestClassProduct:
+    """``multiply_classes`` reads the structure table by class and moves
+    only k; ``multiply`` reads it by matrix and moves matrices.  The two
+    routes must agree, from an empty table and from a warm one."""
+
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (3, 3)]).flatmap(moved_element_pairs),
+        st.integers(min_value=-(10**4), max_value=10**4),
+        st.booleans(),
+    )
+    def test_equals_the_classes_of_multiply(self, pair, warm_offset, warm):
+        x, y = pair
+        n = x.n
+        saved = multiplication.structure_table
+        try:
+            multiplication.structure_table = StructureTable()
+            product = multiply(x, y)
+            expected = {
+                matrix.translation_class(): c for matrix, c in product.terms.items()
+            }
+            multiplication.structure_table = table = StructureTable()
+            if warm:
+                # every class filled at another offset than the one read
+                multiply(x.translated(warm_offset), y)
+            filled = len(table)
+            got = multiply_classes(n, class_terms(x), class_terms(y))
+            assert got == expected
+            assert all(got.values())
+            # one oracle run per class of pairs whose weights match; a
+            # mismatched pair is zero and is not stored
+            matched = {
+                (n, a.translation_class()[0], b.translation_class()[0])
+                for a in x.terms
+                for b in y.terms
+                if a.col_vector() == b.row_vector()
+            }
+            assert len(table) == len(matched)
+            if warm:
+                assert len(table) == filled
+        finally:
+            multiplication.structure_table = saved
+
+    def test_mismatched_weights_are_zero_and_not_stored(self):
+        a = basis(2, (1, 1, 2))  # column weight (2, 0)
+        b = basis(2, (2, 2, 2))  # row weight (0, 2)
+        table = StructureTable()
+        saved = multiplication.structure_table
+        try:
+            multiplication.structure_table = table
+            assert multiply_classes(2, class_terms(a), class_terms(b)) == {}
+            assert len(table) == 0
+        finally:
+            multiplication.structure_table = saved
 
 
 class TestInfiniteComposition:

@@ -20,7 +20,6 @@ from affschur.cellular import (
     WindowBlocks,
     omega_candidates,
 )
-from affschur.core import AlgebraElement
 from affschur.linalg import Factorization
 from affschur.multiplication import StructureTable
 from affschur.weyl import matrix_to_pair
@@ -157,11 +156,11 @@ class TestCollectorPause:
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Products, omega elements, stem extents, module coordinates and the
-    class and transpose maps made under a broken premise would stay cached
-    for later tests, so a control runs on empty caches of its own."""
+    """Products, stems, omega elements, module coordinates and the class
+    and transpose maps made under a broken premise would stay cached for
+    later tests, so a control runs on empty caches of its own."""
     monkeypatch.setattr(cellular, "_OMEGA_CACHE", {})
-    monkeypatch.setattr(cellular, "_STEM_EXTENTS", {})
+    monkeypatch.setattr(cellular, "_STEMS", {})
     monkeypatch.setattr(cellular, "_BASE_COORDS", {})
     monkeypatch.setattr(multiplication, "structure_table", StructureTable())
     monkeypatch.setattr(core, "_CLASSES", {})
@@ -355,15 +354,14 @@ CLASS_MUTATIONS = [
 
 
 def _x1_power_raised(monkeypatch):
-    """The corner monomial x1^a is filled as x1^(a+1) from a = 4 on, and
-    every member built from it inherits that."""
-    omega = cellular.omega_element
+    """The corner monomial x1^a is read as x1^(a+1) from a = 4 on, and
+    every stem built from it inherits that."""
+    stem_classes = cellular._stem_classes
 
-    def raised(l, m, a, b):
-        return omega(l, m, a + 1 if (l, m, b) == (2, 2, 0) and a >= 4 else a, b)
+    def raised(l, m, a):
+        return stem_classes(l, m, a + 1 if (l, m) == (2, 2) and a >= 4 else a)
 
-    monkeypatch.setattr(cellular, "omega_element", raised)
-    monkeypatch.setattr(verify_module, "omega_element", raised)
+    monkeypatch.setattr(cellular, "_stem_classes", raised)
 
 
 def _involution_sign_flipped(monkeypatch):
@@ -452,42 +450,52 @@ class TestShortcutControls:
         self, monkeypatch, fresh_caches
     ):
         """Premise: the product of a translation class at offset s + t is
-        its product at the filling offset k0 moved by s + t - k0 periods."""
-        product = StructureTable.product
+        its product at the filling offset k0 moved by s + t - k0 periods,
+        which ``multiply_classes`` applies to the k of each stored term.
+        The stems are built in class space, so every stem filled from a
+        product read at another offset comes out one period off: the
+        transpose check's stem comparison and the freeness round trips
+        fail."""
+        product_classes = multiplication.multiply_classes
 
-        def one_period_too_far(table, a, b):
-            got = product(table, a, b)
-            if a.col_vector() != b.row_vector():
-                return got
-            (shape_a, s), (shape_b, t) = a.translation_class(), b.translation_class()
-            k0, _ = table._classes[(a.n, shape_a, shape_b)]
-            return got if s + t == k0 else got.translated(1)
+        def one_period_too_far(n, xs, ys):
+            acc = {}
+            for x in xs:
+                for y in ys:
+                    got = product_classes(n, [x], [y])
+                    found = multiplication.structure_table._classes.get((n, x[0], y[0]))
+                    shift = 1 if found and found[0] != x[1] + y[1] else 0
+                    for (shape, k), value in got.items():
+                        acc[(shape, k + shift)] = acc.get((shape, k + shift), 0) + value
+            return {key: value for key, value in acc.items() if value}
 
-        monkeypatch.setattr(StructureTable, "product", one_period_too_far)
-        self.failing_run()
+        monkeypatch.setattr(cellular, "multiply_classes", one_period_too_far)
+        checks = self.failing_run()
+        assert checks["transpose-ideal-stability"].status == "fail"
+        assert checks["module-basis-freeness"].status == "fail"
 
     def test_translated_moves_by_whole_periods(self, monkeypatch, fresh_caches):
-        """Premise: ``translated(k)`` is the central x2^k for every k.  The
-        freeness round trips and the transpose check's stem comparison
-        move classes and no longer call it, but the structure table moves
-        its products with it, so the stems come out wrong and both checks
-        fail; the transpose check's re-solved certificate, contracted
-        through translates, then fails to contract back, an error raised
-        after its stem comparisons have failed: its detail keeps those
-        failures and ends with the error."""
-        translated = AlgebraElement.translated
+        """Premise: the member (l, m, a, b) that ``omega_element`` builds is
+        its stem moved by b periods, for every b.  The blocks, the
+        certificates and the stem comparisons read stems only, so the one
+        route that builds members is the transpose check's re-solve: a
+        member built one period too far out transposes to the neighbour of
+        the predicted member, and its solve says so."""
+        omega = cellular.omega_element
 
-        def off_far_out(element, periods):
-            return translated(element, periods + 1 if abs(periods) >= 4 else periods)
+        def off_far_out(l, m, a, b):
+            return omega(l, m, a, b + 1 if abs(b) >= 4 else b)
 
-        monkeypatch.setattr(AlgebraElement, "translated", off_far_out)
+        monkeypatch.setattr(cellular, "omega_element", off_far_out)
+        monkeypatch.setattr(verify_module, "omega_element", off_far_out)
         checks = self.failing_run()
-        assert checks["module-basis-freeness"].status == "fail"
         transpose = checks["transpose-ideal-stability"]
         assert transpose.status == "fail"
-        *stems, last = transpose.detail.split("; ")
-        assert last == "solved tensor fails to reproduce its element"
-        assert stems and all(f.startswith("transpose of cell (") for f in stems)
+        assert all(
+            " solved as " in finding for finding in transpose.detail.split("; ")
+        )
+        failed = {name for name, check in checks.items() if check.status == "fail"}
+        assert failed == {"transpose-ideal-stability"}
 
     def test_block_row_of_a_translate_is_its_stem_row_moved(
         self, monkeypatch, fresh_caches
