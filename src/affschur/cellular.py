@@ -193,8 +193,9 @@ _ZERO = AlgebraElement.zero(N, R)
 # the spanning family
 
 
-# (l, m, a) -> the stem, member (l, m, a, 0), as its terms' classes
-_STEMS: dict[tuple[int, int, int], tuple[ClassTerm, ...]] = {}
+# (l, m, a) -> the stem, member (l, m, a, 0), as its terms' classes, and
+# its column extent (lo, hi)
+_STEMS: dict[tuple[int, int, int], tuple[tuple[ClassTerm, ...], tuple[int, int]]] = {}
 
 # (l, m, a, b) -> omega_element(l, m, a, b), the only cache of the family
 _OMEGA_CACHE: dict[tuple[int, int, int, int], AlgebraElement] = {}
@@ -216,6 +217,13 @@ def _product(
     )
 
 
+def _kept(key: tuple, terms: tuple[ClassTerm, ...]) -> tuple[ClassTerm, ...]:
+    """Keep a stem in ``_STEMS`` with its column extent, read once."""
+    support = [j + N * k for shape, k, _ in terms for j in shape[1::3]]
+    _STEMS[key] = (terms, (min(support), max(support)))
+    return terms
+
+
 def _stem_classes(l: int, m: int, a: int) -> tuple[ClassTerm, ...]:
     """The stem (l, m, a, 0) as (shape, k, value) triples, kept once.
 
@@ -229,24 +237,22 @@ def _stem_classes(l: int, m: int, a: int) -> tuple[ClassTerm, ...]:
     key = (l, m, a)
     found = _STEMS.get(key)
     if found is not None:
-        return found
+        return found[0]
     if a < 0:
         raise ValueError("x1-exponent must be nonnegative")
     if l == m == 2:
         x1 = _classes(GEN_X1)
-        found = _STEMS.setdefault((2, 2, 0), _classes(IDEM_20_MAT))
-        for k in range(1, a + 1):
-            power = _STEMS.get((2, 2, k))
-            if power is None:
-                power = _STEMS[(2, 2, k)] = _product(found, x1)
-            found = power
-        return found
+        power = _classes(IDEM_20_MAT)
+        for k in range(a + 1):
+            if (2, 2, k) not in _STEMS:
+                _kept((2, 2, k), _product(power, x1) if k else power)
+            power = _STEMS[(2, 2, k)][0]
+        return power
     if m == 2:
         found = _product(_classes(RIGHT_BASIS[l]), _stem_classes(2, 2, a))
     else:
         found = _product(_stem_classes(l, 2, a), _classes(LEFT_BASIS[m]))
-    _STEMS[key] = found
-    return found
+    return _kept(key, found)
 
 
 def _element(classes: dict[Class, Scalar]) -> AlgebraElement:
@@ -295,17 +301,15 @@ def _cell_stems(l: int, m: int, window: int) -> list[tuple[int, int, int]]:
     b_lo <= b <= b_hi are those that fit.
 
     A member's columns are those of its stem plus 2b, so the column
-    extent [lo, hi] of each stem, read from its classes, says which b
-    fit: those with -window <= lo + 2b and hi + 2b <= window.  The width
-    hi - lo grows with a (by 2 per step), so the a-range stops at the
-    first a wider than 2 * window.
+    extent [lo, hi] of each stem, kept with it (:func:`_kept`), says
+    which b fit: those with -window <= lo + 2b and hi + 2b <= window.
+    The width hi - lo grows with a (by 2 per step), so the a-range stops
+    at the first a wider than 2 * window.
     """
     stems = []
     for a in count():
-        support = [
-            j + N * k for shape, k, _ in _stem_classes(l, m, a) for j in shape[1::3]
-        ]
-        lo, hi = min(support), max(support)
+        _stem_classes(l, m, a)
+        lo, hi = _STEMS[(l, m, a)][1]
         if hi - lo > 2 * window:
             break
         b_lo, b_hi = -((window + lo) // 2), (window - hi) // 2

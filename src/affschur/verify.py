@@ -22,9 +22,11 @@ every check that needs it; the freeness check's module system is the
 three row-(2,0) blocks, whose coordinates it reads without certificates.
 Where x2, the central shift by one period, carries a statement from one
 element to its translates, a check makes it once per stem, base pair or
-class of pairs and argues the move next to the check: the transpose and
-freeness checks compare translation classes (shape, k), not elements,
-and build no translate.  The transpose and corner-involution maps can be
+class of pairs and argues the move next to the check: the transpose check
+compares translation classes (shape, k), not elements, and the freeness
+check proves its round trips by induction on the width (Newton's
+identity) over classes the stems already multiplied; neither builds a
+translate.  The transpose and corner-involution maps can be
 overridden, for negative controls (see :func:`verify_cell_chain`).
 
 The cyclic garbage collector is paused while the battery runs, and put
@@ -45,7 +47,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import AlgebraElement, PeriodicMatrix, _transposed_class
+from .core import AlgebraElement, LinearCombination, PeriodicMatrix, _transposed_class
 from .hecke import (
     HeckeElement,
     T1,
@@ -58,15 +60,18 @@ from .hecke import (
     quotient_image,
 )
 from .laurent import LaurentPoly2
-from .multiplication import multiply
+from .multiplication import multiply, multiply_classes
 from .cellular import (
     CellTensor,
+    GEN_X1,
+    LEFT_BASIS,
     MembershipResult,
     SIGNATURE_BLOCKS,
     UndecidedError,
     WEIGHT_20,
     WindowBlocks,
     _contract,
+    _pair_coords,
     _window_labels,
     corner_involution,
     decompose_left,
@@ -163,19 +168,34 @@ TransposeFn = Callable[[AlgebraElement], AlgebraElement]
 InvolutionFn = Callable[[LaurentPoly2], LaurentPoly2]
 
 
-def _moved_round_trips(trips: tuple[dict, dict], k: int) -> tuple[dict, dict]:
-    """A base pair's left and right round trips, as classes, for the pair
-    k periods on: the left moved up by k periods, the right down by k."""
-    left, right = trips
-    return (
-        {(shape, s + k): c for (shape, s), c in left.items()},
-        {(shape, s - k): c for (shape, s), c in right.items()},
-    )
+# Newton's step to p_2 reads p_0 as 2; the pair P_0 has coordinate 1
+_P0_IN_NEWTON = 2
 
 
-def _moved_solution(coords: dict, d: int) -> dict:
-    """Solver coordinates {(l, m, a, b): value} moved d periods on."""
-    return {(l, m, a, b + d): value for (l, m, a, b), value in coords.items()}
+class _Classes(LinearCombination):
+    """An element of S(2, 2) as {(shape, k): value}, multiplied in class
+    space over the structure table (:func:`multiply_classes`)."""
+
+    __slots__ = ()
+    _checked_key = staticmethod(lambda key: key)
+
+    @classmethod
+    def of(cls, matrix: PeriodicMatrix) -> "_Classes":
+        return cls({matrix.translation_class(): 1})
+
+    def _product(self, other: "_Classes") -> "_Classes":
+        xs, ys = ([(*key, c) for key, c in x.terms.items()] for x in (self, other))
+        return self._like(multiply_classes(2, xs, ys))
+
+
+def _x2(x: _Classes) -> _Classes:
+    """x2 times x: x moved by one period."""
+    return x._like({(shape, k + 1): c for (shape, k), c in x.terms.items()})
+
+
+def _right_rule(p: LaurentPoly2) -> LaurentPoly2:
+    """x1^a x2^b -> x1^a x2^(-a-b), check 2's rule for the transposes."""
+    return p._like({(a, -a - b): c for (a, b), c in p.terms.items()})
 
 
 def verify_cell_chain(
@@ -355,54 +375,74 @@ def verify_cell_chain(
         return PeriodicMatrix.from_entries(2, [(1, i, 1), (1, j, 1)])
 
     def check_freeness(failures: list[str], undecided: list[str]) -> str:
-        # Round trips per base pair.  The pair {i, j} (i <= j) is its base
-        # pair {i - 2k, j - 2k}, smaller column in {1, 2}, moved by
-        # k = (i - 1) // 2 periods, that is times the central x2^k.
-        # decompose_left normalizes the smaller column by exactly that
-        # power, so the pair's coordinates are the base coordinates times
-        # x2^k, and to_element sends x2^k times a module element to the
-        # element moved by k periods; so the left round trip of {i, j} is
-        # the base pair's moved by k periods.  Transposing turns moved
-        # columns into moved rows, which row normalization turns back into
-        # columns moved by -k periods: the right round trip of the
-        # transpose is the base one moved by -k.  Each base pair is
-        # contracted once, as classes (stem terms moved by
-        # _translate_shift(b), as in the block systems), and the classes
-        # of every pair and of its transpose are compared with those of
-        # its base round trips moved by k and -k periods, so no translate
-        # is built.  The premise is not taken on trust: the solver
-        # cross-check below decomposes every pair inside its margin itself,
-        # so a decomposition that broke the translation shows there as a
-        # disagreement.
-        count = 0
-        base_trips: dict[tuple[int, int], tuple[dict, dict]] = {}
+        # Round trips by induction on the width.  Write P_n, R_n, Q_n, S_n
+        # for the base pairs {1, 1+2n}, {2, 2+2n}, {1, 2+2n}, {2, 3+2n}, L_m
+        # for left basis m and ev(f) for sum f_ab omega(2, 2, a, b).  The
+        # stems are x1^a = x1^(a-1) x1 and omega(2, m, a, 0) = x1^a L_m,
+        # products on the right, moved by b periods for x2^b; so by
+        # construction to_element(c) = sum_m ev(c_m) L_m, ev(f x1) = ev(f) x1
+        # and ev(x2 f) = x2 ev(f).  decompose_left must give P_n = p_n L_2,
+        # R_n = p_n L_3, Q_n = h_n L_0 - h_(n-1) L_1, S_n = h_n L_1 -
+        # x2 h_(n-1) L_0, where p, h take Newton's step c_(n+1) = x1 c_n -
+        # x2 c_(n-1) (Macdonald, Symmetric Functions and Hall Polynomials,
+        # ch. I §2) from c_-1 = 0, c_0 = 1, p_0 read as 2 in the step to p_2.
+        # P_n (with 2 P_0) and H_n (H_0 = e) take the same step: ev(p_n) = P_n
+        # and ev(h_n) = H_n, and each round trip holds once R_n = P_n L_3,
+        # Q_n = H_n L_0 - H_(n-1) L_1 and S_n = H_n L_1 - x2 H_(n-1) L_0,
+        # products of classes the stems filled.  Widths 0 to 3 are also
+        # contracted.  By check 2's rule tau(omega(2, m, a, b)) = omega(m, 2,
+        # a, -a-b), decompose_right(tau X) must be decompose_left(X) under
+        # _right_rule.  The pair {i, j}, and so its coordinates
+        # (_pair_coords), is its base pair moved by k = (i - 1) // 2 periods.
         for i in range(-window, window + 1):
             k = (i - 1) // 2
             for j in range(i, window + 1):
-                base = (i - 2 * k, j - 2 * k)
-                trips = base_trips.get(base)
-                if trips is None:
-                    x0 = AlgebraElement.basis(pair(*base))
-                    trips = base_trips[base] = (
-                        decompose_left(x0).classes(),
-                        decompose_right(x0.transpose()).classes(),
-                    )
-                left, right = _moved_round_trips(trips, k)
-                shape, s = pair(i, j).translation_class()
-                if left != {(shape, s): 1}:
+                coords, s = _pair_coords(i - 2 * k, j - 2 * k)
+                if _pair_coords(i, j) != (coords, s + k):
                     failures.append(f"left round trip failed at ({i},{j})")
-                if right != {_transposed_class(2, shape, s): 1}:
-                    failures.append(f"right round trip failed at ({i},{j})")
-                count += 1
+        zero, one = LaurentPoly2.zero(), LaurentPoly2.one()
+        x1, x2 = LaurentPoly2.x1(), LaurentPoly2.x2()
+        X1, (L0, L1, _, L3) = _Classes.of(GEN_X1), map(_Classes.of, LEFT_BASIS)
+        p_prev, p, h_prev, h = zero, one, zero, one
+        P_prev, P = H_prev, H = _Classes(), _Classes.of(pair(1, 1))
+        for w in range(0, 2 * window + 1, 2):
+            for column, width, expected, element in [
+                (1, w, (zero, zero, p, zero), P),
+                (2, w, (zero, zero, zero, p), P * L3),
+                (1, w + 1, (h, -h_prev, zero, zero), H * L0 - H_prev * L1),
+                (2, w + 1, (-x2 * h_prev, h, zero, zero), H * L1 - _x2(H_prev * L0)),
+            ]:
+                if width > 2 * window - (column + window) % 2:  # the widest pair
+                    continue
+                matrix = pair(column, column + width)
+                left = decompose_left(AlgebraElement.basis(matrix))
+                right = decompose_right(AlgebraElement.basis(matrix.transpose()))
+                at = f"at ({column},{column + width})"
+                if element != _Classes.of(matrix):
+                    failures.append(f"Newton step failed {at}")
+                if left.coords != expected:
+                    failures.append(f"left round trip failed {at}")
+                if right.coords != tuple(map(_right_rule, left.coords)):
+                    failures.append(f"right round trip failed {at}")
+                if width <= 3 and (
+                    left.classes() != _Classes.of(matrix).terms
+                    or right.classes() != _Classes.of(matrix.transpose()).terms
+                ):
+                    failures.append(f"base round trip failed {at}")
+            seam = _P0_IN_NEWTON if w == 2 else 1
+            p_prev, p = p, x1 * p - x2 * p_prev * seam
+            h_prev, h = h, x1 * h - x2 * h_prev
+            P_prev, P = P, P * X1 - _x2(P_prev).scaled(seam)
+            H_prev, H = H, H * X1 - _x2(H_prev)
         # independent solver route plus uniqueness, within a margin that
         # keeps every needed coordinate monomial inside the window; index 2
         # of the right basis is the corner unit, so the left module's span
         # is the ideal's row-(2,0) blocks, cells (2, m).  One pair per class
-        # (column parity, width) is solved; every pair's decompose_left is
-        # compared with that solution moved by its d periods.  That is as
-        # strong as per-pair solves: the family and the block rows are
+        # (column parity, width) is solved and compared with its
+        # decompose_left: the pairs of a class are one base pair moved
+        # (above), and the family and the block rows are
         # translation-equivariant by construction; the controls of
-        # _translate_shift, the member move and the solution move test it.
+        # _translate_shift and the member move test that.
         margin = 3
         module = [
             blocks.factorization(sig) for sig in SIGNATURE_BLOCKS if sig[0] == WEIGHT_20
@@ -416,31 +456,27 @@ def verify_cell_chain(
         elif any(f.rank != len(f.cols) for f in module):
             undecided.append("module coordinate system rank undecided")
         bound = max(window - margin, 1)
-        indices = [
-            (i, j) for i in range(-bound, bound + 1) for j in range(i, bound + 1)
+        # per class (column parity, width), its pair with the smallest i
+        reps = [
+            AlgebraElement.basis(pair(i, i + w))
+            for i in (-bound + 1, -bound)
+            for w in range(bound - i + 1)
         ]
-        # (column parity, width) -> the smaller column of its first pair
-        firsts = {(i % 2, j - i): i for i, j in reversed(indices)}
-        reps = [AlgebraElement.basis(pair(i, i + w)) for (_, w), i in firsts.items()]
-        solutions = dict(zip(firsts, blocks.coordinates(reps)))
-        solver_checked = 0
-        for i, j in indices:
-            key = (i % 2, j - i)
-            if solutions[key] is None:
-                failures.append("solver cross-check status inconsistent")
-                continue
-            moved = _moved_solution(solutions[key], (i - firsts[key]) // 2)
-            coords = decompose_left(AlgebraElement.basis(pair(i, j))).coords
+        for rep, solved in zip(reps, blocks.coordinates(reps)):
+            coords = decompose_left(rep).coords
             expected = {
                 (2, m, a, b): c
                 for m, poly in enumerate(coords)
                 for (a, b), c in poly.terms.items()
             }
-            if moved != expected:
+            if solved is None:
+                failures.append("solver cross-check status inconsistent")
+            elif solved != expected:
                 failures.append("solver and closed-form coordinates disagree")
-            solver_checked += 1
+        solver_checked = (2 * bound + 1) * (bound + 1)
         return (
-            f"{count} round trips, {solver_checked} solver cross-checks, "
+            f"{(window + 1) * (2 * window + 1)} round trips, "
+            f"{solver_checked} solver cross-checks, "
             f"coordinate rank {system_rank}/{columns}"
         )
 

@@ -94,6 +94,25 @@ def test_freeness_solves_one_pair_per_class(monkeypatch):
     assert solved == [4, 8, 85, 0]
 
 
+def test_freeness_cost_is_linear_in_the_window(monkeypatch, fresh_caches):
+    """Check 3 decomposes the base pairs, each with its transpose, and one
+    pair per class of its margin: O(W) decompositions, not one per pair.
+    Its induction multiplies only classes that the stems already filled,
+    so a cold window-24 run fills the structure table with 553 classes,
+    as when every base pair was contracted."""
+    calls = {"decompose_left": 0, "decompose_right": 0}
+    for name in calls:
+
+        def recording(x, name=name, decompose=getattr(verify_module, name)):
+            calls[name] += 1
+            return decompose(x)
+
+        monkeypatch.setattr(verify_module, name, recording)
+    assert verify_cell_chain(window=24, seed=0, samples=100).passed
+    assert len(multiplication.structure_table) == 553
+    assert max(calls.values()) <= 8 * 24 + 8, calls
+
+
 class TestNegativeControls:
     def test_identity_transpose_breaks_diagram(self):
         report = verify_cell_chain(
@@ -313,24 +332,8 @@ def _shape_transpose_moved_up(monkeypatch):
     monkeypatch.setattr(verify_module, "_transposed_class", moved_up)
 
 
-def _solution_moved_off_far_out(monkeypatch):
-    moved = verify_module._moved_solution
-
-    def off(solved, d):
-        return moved(solved, d + 1 if abs(d) >= 4 else d)
-
-    monkeypatch.setattr(verify_module, "_moved_solution", off)
-
-
-def _round_trip_shift_sign_flipped(monkeypatch):
-    moved = verify_module._moved_round_trips
-    monkeypatch.setattr(
-        verify_module, "_moved_round_trips", lambda trips, k: moved(trips, -k)
-    )
-
-
 # (mutation, check that must fail): each breaks one premise of the moves
-# and transposes by translation class and of check 3's class comparison
+# and transposes by translation class
 CLASS_MUTATIONS = [
     pytest.param(
         _class_index_off_far_out, "module-basis-freeness", id="class-index-off"
@@ -340,16 +343,48 @@ CLASS_MUTATIONS = [
         "transpose-ideal-stability",
         id="transpose-moved-up",
     ),
-    pytest.param(
-        _round_trip_shift_sign_flipped,
-        "module-basis-freeness",
-        id="round-trip-shift-sign",
-    ),
-    pytest.param(
-        _solution_moved_off_far_out,
-        "module-basis-freeness",
-        id="solution-move-off",
-    ),
+]
+
+
+def _newton_seam_dropped(monkeypatch):
+    """Newton's step to p_2 reads p_0 as 1, the pair P_0's own coordinate,
+    on the coordinates and the elements alike."""
+    monkeypatch.setattr(verify_module, "_P0_IN_NEWTON", 1)
+
+
+def _x2_term_moved_two_periods(monkeypatch):
+    x2 = verify_module._x2
+    monkeypatch.setattr(verify_module, "_x2", lambda x: x2(x2(x)))
+
+
+def _right_rule_sign_flipped(monkeypatch):
+    """Check 3 reads x1^a x2^b -> x1^a x2^(-a+b) as its right rule."""
+
+    def flipped(p):
+        return p._like({(a, -a + b): c for (a, b), c in p.terms.items()})
+
+    monkeypatch.setattr(verify_module, "_right_rule", flipped)
+
+
+def _pair_move_off_far_out(monkeypatch):
+    """Check 3 reads each pair's move from its base pair one period off
+    from |k| = 4 on; decompose_left keeps the genuine move."""
+    pair_coords = cellular._pair_coords
+
+    def off(i, j):
+        base, s = pair_coords(i, j)
+        return base, s + 1 if abs(s) >= 4 else s
+
+    monkeypatch.setattr(verify_module, "_pair_coords", off)
+
+
+# mutations of the premises of check 3's induction on the width, each of
+# which must fail module-basis-freeness
+FREENESS_MUTATIONS = [
+    pytest.param(_newton_seam_dropped, id="newton-p0-read-as-1"),
+    pytest.param(_x2_term_moved_two_periods, id="newton-x2-two-periods"),
+    pytest.param(_right_rule_sign_flipped, id="right-rule-sign"),
+    pytest.param(_pair_move_off_far_out, id="pair-move-off"),
 ]
 
 
@@ -510,27 +545,23 @@ class TestShortcutControls:
         monkeypatch.setattr(cellular, "_translate_shift", off_far_out)
         assert self.failing_run()["coordinate-independence"].status == "fail"
 
-    def test_right_round_trip_steps_down(self, monkeypatch, fresh_caches):
-        """Premise: transposing turns columns moved up into columns moved
-        down, so the right round trip of the pair k periods from its base
-        pair is the base one moved by -k periods."""
-        moved = verify_module._moved_round_trips
-        monkeypatch.setattr(
-            verify_module,
-            "_moved_round_trips",
-            lambda trips, k: (moved(trips, k)[0], moved(trips, -k)[1]),
-        )
-        assert self.failing_run()["module-basis-freeness"].status == "fail"
-
     @pytest.mark.parametrize("mutate, check", CLASS_MUTATIONS)
     def test_class_premise(self, monkeypatch, fresh_caches, mutate, check):
         """Premises: the class index holds the shape moved by k periods
         at (shape, k); the transpose of (shape, k) is the shape's
-        transpose moved by -k periods; a pair k periods from its base pair
-        has the base round trips' classes moved by k and -k, and the
-        solution of its class's representative moved by k."""
+        transpose moved by -k periods."""
         mutate(monkeypatch)
         assert self.failing_run()[check].status == "fail"
+
+    @pytest.mark.parametrize("mutate", FREENESS_MUTATIONS)
+    def test_freeness_premise(self, monkeypatch, fresh_caches, mutate):
+        """Premises of check 3's induction: Newton's step to p_2 reads
+        p_0 = 2, and its x2 term is the move by one period; the right
+        coordinates of the transpose are the left ones under
+        x1^a x2^b -> x1^a x2^(-a-b); the pair {i, j} is its base pair moved
+        by (i - 1) // 2 periods."""
+        mutate(monkeypatch)
+        assert self.failing_run()["module-basis-freeness"].status == "fail"
 
     @pytest.mark.parametrize("mutate, checks", FAMILY_MUTATIONS)
     def test_family_premise(self, monkeypatch, fresh_caches, mutate, checks):
