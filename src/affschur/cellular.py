@@ -35,7 +35,7 @@ through the structure table's classes (:func:`multiply_classes`), with
 no matrix built.  An element is built only when one is asked for: a
 member is its stem's triples moved by b, read from the class index, and
 is cached; a contraction (a certificate, module coordinates) is summed
-as classes and each matrix of the result built once.
+in ``int`` as classes and each matrix of the result built once.
 
 All membership and inversion problems are truncated by a *window*: a
 bound W restricting the column support of every matrix involved to
@@ -66,7 +66,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     AlgebraElement,
@@ -75,6 +75,7 @@ from .core import (
     Composition,
     PeriodicMatrix,
     Scalar,
+    _cleared, _divided,
     _of_class,
     diag_matrix,
 )
@@ -366,16 +367,18 @@ def _translate_shift(b: int) -> int:
     return b
 
 
-def _contract(terms: Iterable[tuple[Scalar, Label]]) -> dict:
-    """The sum of coeff * omega_element(label) as {class: nonzero value}: a stem
-    term (shape, k, value) lands at (shape, k + _translate_shift(b))."""
-    acc: dict[tuple, Scalar] = {}
-    for coeff, (l, m, a, b) in terms:
+def _contract(coeffs: Mapping[Label, Scalar]) -> dict:
+    """The sum of coeff * omega_element(label) over {label: coeff} as {class:
+    nonzero value}, in ``int`` over the cleared coefficients (``_cleared``):
+    a stem term (shape, k, value) lands at (shape, k + _translate_shift(b))."""
+    ints, den = _cleared(coeffs)
+    acc: dict[tuple, int] = {}
+    for (l, m, a, b), coeff in ints.items():
         shift = _translate_shift(b)
         for shape, k, value in _stem_classes(l, m, a):
             key = (shape, k + shift)
             acc[key] = acc.get(key, 0) + coeff * value
-    return {key: value for key, value in acc.items() if value}
+    return {key: v if den == 1 else _divided(v, den) for key, v in acc.items() if v}
 
 
 # shape -> (offset, k_lo, k_hi): the matrix of class (shape, k) is block
@@ -443,7 +446,7 @@ def laurent_to_corner(p: LaurentPoly2) -> AlgebraElement:
     """Ring map sending x1, x2, x2^-1 to their corner generators: the
     contraction of the coefficients with the corner monomials, cell (2, 2)."""
     return _element(
-        _contract((coeff, (2, 2, a, b)) for (a, b), coeff in p.terms.items())
+        _contract({(2, 2, a, b): coeff for (a, b), coeff in p.terms.items()})
     )
 
 
@@ -496,11 +499,11 @@ class CellVector:
     def classes(self) -> dict:
         """The element of these coordinates as {class: value} (:func:`_contract`)."""
         left = self.side == "left"
-        return _contract(
-            (coeff, (2, idx, a, b) if left else (idx, 2, a, b))
+        return _contract({
+            (2, idx, a, b) if left else (idx, 2, a, b): coeff
             for idx, poly in enumerate(self.coords)
             for (a, b), coeff in poly.terms.items()
-        )
+        })
 
     def to_element(self) -> AlgebraElement:
         """The element of these coordinates, each matrix built once."""
@@ -572,8 +575,8 @@ def _pair_coords(i: int, j: int) -> tuple[tuple[LaurentPoly2, ...], int]:
 
 def decompose_left(x: AlgebraElement) -> CellVector:
     """Coordinates of a row-(2,0) element over the left module basis,
-    each accumulated in one term dict: a base monomial x1^a x2^b of a
-    pair moved by x2^s adds at (a, b + s), with no product.
+    each summed in ``int`` in one term dict and divided once per term: a
+    base monomial x1^a x2^b of a pair moved by x2^s adds at (a, b + s).
 
     The base pairs have closed forms.  Read the corner ring as the
     symmetric Laurent polynomials in X1, X2, with x1 = e1 and x2 = e2,
@@ -597,14 +600,17 @@ def decompose_left(x: AlgebraElement) -> CellVector:
     """
     if not x.supported_on(WEIGHT_20, None):
         raise ValueError("element does not lie in the row-(2,0) span")
-    acc: list[dict[tuple[int, int], Scalar]] = [{}, {}, {}, {}]
-    for matrix, coeff in x.terms.items():
+    ints, den = _cleared(x.terms)
+    acc: list[dict[tuple[int, int], int]] = [{}, {}, {}, {}]
+    for matrix, coeff in ints.items():
         # row 1 holds one entry of value 2 or two of value 1
         base, s = _pair_coords(matrix.entries[0][1], matrix.entries[-1][1])
         for terms, poly in zip(acc, base):
             for (a, b), c in poly.terms.items():
                 key = (a, b + s)
                 terms[key] = terms.get(key, 0) + coeff * c
+    if den != 1:
+        acc = [{key: _divided(v, den) for key, v in terms.items()} for terms in acc]
     zero = LaurentPoly2.zero()
     return CellVector("left", tuple(zero._like(terms) for terms in acc))
 
@@ -668,14 +674,12 @@ def tensor_to_ideal(t: CellTensor) -> AlgebraElement:
     """Contract a coordinate tensor to the ideal element it represents:
     one contraction in class space (:func:`_contract`), then each matrix
     of the result built once."""
-    return _element(
-        _contract(
-            (coeff, (l, m, a, b))
-            for l in range(4)
-            for m in range(4)
-            for (a, b), coeff in t.cell(l, m).terms.items()
-        )
-    )
+    return _element(_contract({
+        (l, m, a, b): coeff
+        for l in range(4)
+        for m in range(4)
+        for (a, b), coeff in t.cell(l, m).terms.items()
+    }))
 
 
 def tensor_involution(t: CellTensor) -> CellTensor:

@@ -4,7 +4,8 @@ Batch command-line interface.
 Subcommands operate on the JSON exchange formats documented in the
 README; input comes from stdin or ``--file``.  Only ``verify-cell``
 draws random samples, from its ``--seed``; the other subcommands are
-deterministic functions of their input and flags.
+deterministic functions of their input and flags.  ``AFFSCHUR_MAX_WINDOW``
+(default 64) caps ``member``, ``psi`` and ``verify-cell``'s ``--window``.
 
 Exit codes: 0 success, 1 verification failure / non-membership,
 2 invalid input, 3 undecided (window exhausted, or a block whose rank
@@ -31,6 +32,7 @@ from .cellular import (
     decompose_left,
     decompose_right,
     ideal_membership,
+    max_window_cap,
     UndecidedError,
 )
 from .core import (
@@ -154,6 +156,8 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_cell(args: argparse.Namespace) -> int:
+    if args.window > (cap := max_window_cap()):
+        raise ValueError(f"window {args.window} exceeds AFFSCHUR_MAX_WINDOW ({cap})")
     report = verify_cell_chain(
         window=args.window, seed=args.seed, samples=args.samples
     )

@@ -23,7 +23,8 @@ Conventions used throughout the package:
   ideal spanning elements and the decomposition closed forms stay in
   ``int``; a ``Fraction`` enters only with input that brings a
   denominator.  Python compares, hashes and prints ``2`` and
-  ``Fraction(2)`` alike, so the choice never shows in results.
+  ``Fraction(2)`` alike, so the choice never shows in results.  Sums of
+  rational input run in ``int``, cleared of denominators by ``_cleared``.
 
 * ``LinearCombination`` is the one representation of a rational linear
   combination (a dict from key to nonzero canonical scalar) and owns its
@@ -55,6 +56,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Iterable, Iterator, Mapping
 
 __all__ = [
@@ -106,6 +108,25 @@ def _exact(value: Scalar) -> Scalar:
     if type(value) is not Fraction:
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def _divided(value: Scalar, den: Scalar) -> Scalar:
+    """value / den, an ``int`` when den divides value, else one ``Fraction``."""
+    if type(value) is int and type(den) is int:
+        return Fraction(value, den) if value % den else value // den
+    quotient = value / den
+    return quotient.numerator if quotient.denominator == 1 else quotient
+
+
+def _cleared(terms: Mapping[Hashable, Scalar]) -> tuple[Mapping[Hashable, int], int]:
+    """``(ints, den)``: the values times den, the lcm of their denominators, so
+    a sum runs in ``int`` and is divided once per term (:func:`_divided`; Knuth,
+    TAOCP vol. 2, §4.5.1).  All-``int`` terms come back uncopied, den 1."""
+    denominators = [v.denominator for v in terms.values() if type(v) is not int]
+    if not denominators:
+        return terms, 1
+    den = lcm(*denominators)
+    return {key: v.numerator * (den // v.denominator) for key, v in terms.items()}, den
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ column labels, each column its own stem at shift 0, and ``solve_many``
 and ``rank`` are thin calls to that.
 
 Values are exact scalars: an ``int`` when integral, else a ``Fraction``.
+A solve clears each right-hand side of its denominators once (``_cleared``).
 The one elimination is the peeling of row singletons, as sparse direct
 solvers treat the triangular blocks they detect (Davis & Palamadai
 Natarajan, "Algorithm 907: KLU", ACM TOMS 2010); the certifier's systems
@@ -27,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 import heapq
-from math import lcm
 from typing import Hashable, Sequence
+
+from .core import _cleared, _divided
 
 __all__ = [
     "SparseSystem",
@@ -63,15 +65,6 @@ class SolveResult:
     UNIQUE = "unique"
     INCONSISTENT = "inconsistent"
     UNDECIDED = "undecided"
-
-
-def _divided(value: int | Fraction, divisor: int | Fraction) -> int | Fraction:
-    """value / divisor, an ``int`` when the quotient is integral, else a
-    ``Fraction``."""
-    if type(value) is int and type(divisor) is int:
-        return Fraction(value, divisor) if value % divisor else value // divisor
-    quotient = value / divisor
-    return quotient.numerator if quotient.denominator == 1 else quotient
 
 
 # A column as a placement: a stem, [(row index, value)] that any number
@@ -189,19 +182,17 @@ class Factorization:
         whole refutes a right-hand side only by a key that is no row
         index, and leaves every other one undecided.
         """
-        scales = [lcm(*(v.denominator for v in rhs.values())) for rhs in rhs_list]
+        cleared = [_cleared(rhs) for rhs in rhs_list]
         inconsistent: set[int] = set()
         # row -> {rhs: value}, each rhs cleared of its denominators
         values: dict[int, dict[int, int | Fraction]] = {}
         nrows = self.nrows
-        for k, (rhs, scale) in enumerate(zip(rhs_list, scales)):
+        for k, (rhs, _) in enumerate(cleared):
             for rid, value in rhs.items():
                 if not value:
                     continue
                 if type(rid) is int and 0 <= rid < nrows:
-                    values.setdefault(rid, {})[k] = value.numerator * (
-                        scale // value.denominator
-                    )
+                    values.setdefault(rid, {})[k] = value
                 else:
                     inconsistent.add(k)
         whole = self.rank == len(self.cols)
@@ -224,7 +215,7 @@ class Factorization:
             )
             if whole
             else SolveResult(SolveResult.UNDECIDED)
-            for k, (solution, scale) in enumerate(zip(solutions, scales))
+            for k, (solution, (_, scale)) in enumerate(zip(solutions, cleared))
         ]
 
     def _sweep(self, values: dict[int, dict[int, int | Fraction]]) -> None:

@@ -19,7 +19,8 @@ so moving the columns of either factor by whole periods moves the
 product by as many.  Concurrent duplicate fills are harmless because
 every fill computes the identical value.  ``multiply`` reads the table
 with matrices; ``multiply_classes`` reads the same table with
-translation classes (shape, k) and builds no matrix on a hit.
+translation classes (shape, k) and builds no matrix on a hit.  The
+structure constants are integers, so ``multiply`` sums in ``int``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     ClassTerm,
     PeriodicMatrix,
     Scalar,
+    _cleared, _divided,
     _of_class,
     compositions,
     diag_matrix,
@@ -208,19 +210,22 @@ structure_table = StructureTable()
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the basis product."""
+    """Bilinear extension of the basis product, summed in ``int`` over the
+    cleared factors (``core._cleared``) and divided once per term."""
     if x.n != y.n or x.r != y.r:
         raise ValueError("elements live in different algebras")
-    acc: dict[PeriodicMatrix, Scalar] = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
+    (xs, dx), (ys, dy) = _cleared(x.terms), _cleared(y.terms)
+    den = dx * dy
+    acc: dict[PeriodicMatrix, int] = {}
+    for a, ca in xs.items():
+        for b, cb in ys.items():
             product = structure_table.product(a, b)
             if product.is_zero():
                 continue
             scale = ca * cb
             for matrix, coeff in product.terms.items():
                 acc[matrix] = acc.get(matrix, 0) + scale * coeff
-    return x._like(acc)
+    return x._like(acc if den == 1 else {m: _divided(v, den) for m, v in acc.items()})
 
 
 def multiply_classes(

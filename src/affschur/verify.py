@@ -342,9 +342,9 @@ def verify_cell_chain(
         for label in labels:
             l, m, a, b = label
             if (l, m, a) not in extents:
-                stem = _contract([(1, (l, m, a, 0))])
+                stem = _contract({(l, m, a, 0): 1})
                 transposed = {_transposed_class(2, *key): c for key, c in stem.items()}
-                if len(failures) < 5 and transposed != _contract([(1, (m, l, a, -a))]):
+                if len(failures) < 5 and transposed != _contract({(m, l, a, -a): 1}):
                     failures.append(
                         f"transpose of cell ({l},{m},{a},0) left the spanning set"
                     )

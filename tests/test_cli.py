@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import affschur
 from affschur import cellular
@@ -388,6 +390,30 @@ def test_window_cap_must_be_ascii_digits(tmp_path, cap):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("cap, code", [(None, 2), ("65", 0)], ids=["default-cap", "cap-65"])
+def test_verify_cell_window_is_bounded_by_the_cap(cap, code):
+    """verify-cell reads the window cap like member and psi: --window 65 is
+    invalid input at the default cap of 64, and runs once
+    AFFSCHUR_MAX_WINDOW reaches it.  In a child process, so that a run
+    the cap failed to stop ends at the timeout."""
+    src = str(Path(affschur.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("AFFSCHUR_MAX_WINDOW", None)
+    if cap is not None:
+        env["AFFSCHUR_MAX_WINDOW"] = cap
+    proc = subprocess.run(
+        [sys.executable, "-m", "affschur", "verify-cell", "--window", "65",
+         "--samples", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr == "error: window 65 exceeds AFFSCHUR_MAX_WINDOW (64)\n"
+    else:
+        assert json.loads(proc.stdout)["params"]["window"] == 65
+
+
 class TestVerifyCell:
     def test_small_run(self, capsys):
         code, out, _ = invoke(
@@ -502,3 +528,103 @@ class TestBadUsage:
         path.write_text(json.dumps(ELT_LAM))
         with pytest.raises(KeyboardInterrupt):
             run(["canon", "--file", str(path)])
+
+
+# --- totality: every input ends with a documented exit code ----------------
+
+_SMALL = st.integers(min_value=-6, max_value=6)
+_JUNK = st.recursive(
+    st.none() | st.booleans() | _SMALL | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+_COEFFS = st.sampled_from(["1", "-2", "3/2", "-5/7", "4/3"] * 2 + ["0", "1/0", "0.5", "x", ""])
+
+
+@st.composite
+def _elements(draw):
+    """An element in the JSON format: mostly well formed, at n, r <= 3 with
+    unit entries in columns -6..6, half of them in row 1 (so that corner
+    and module elements arise); sometimes with a bad entry or weight."""
+    n, r = draw(st.sampled_from([(2, 2)] * 3 + [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3)]))
+    row_one = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        entries = [
+            [1 if row_one else draw(st.integers(min_value=1, max_value=n)), draw(_SMALL), 1]
+            for _ in range(r)
+        ]
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            entries.append(draw(_JUNK))
+        terms.append({"coeff": draw(_COEFFS), "entries": entries})
+    return {"n": n, "r": draw(st.sampled_from([r] * 9 + [0])), "terms": terms}
+
+
+_ELEMENTS = st.one_of(_elements(), _elements(), _elements(), _JUNK)
+_HECKE = st.lists(
+    st.fixed_dictionaries(
+        {
+            "coeff": _COEFFS,
+            "sigma": st.sampled_from([[1, 2], [2, 1]] * 4 + [[1], [1, 1], [1, 2, 3]]),
+            "eps": st.one_of(st.lists(_SMALL, min_size=2, max_size=2), st.lists(_SMALL, max_size=3)),
+        }
+    ),
+    max_size=3,
+)
+_PAYLOADS = {
+    "mult": st.one_of(*[st.fixed_dictionaries({"a": _ELEMENTS, "b": _ELEMENTS})] * 3, _JUNK),
+    "hecke-embed": st.one_of(_HECKE, _HECKE, _HECKE, _JUNK),
+}
+_FLAG_VALUES = {
+    "--pretty": st.just([]),
+    "--window": st.integers(min_value=-1, max_value=9).map(lambda w: [str(w)]),
+    "--side": st.sampled_from([["left"], ["right"], ["up"]]),
+    "--seed": _SMALL.map(lambda s: [str(s)]),
+    "--samples": st.integers(min_value=-1, max_value=3).map(lambda k: [str(k)]),
+    "--bogus": st.just([]),
+}
+# the flags each command takes, beside --file
+_COMMANDS = {
+    "mult": ["--pretty"],
+    "canon": ["--pretty"],
+    "grade": ["--pretty"],
+    "decompose": ["--pretty", "--side"],
+    "psi": ["--pretty"],
+    "quotient": ["--pretty"],
+    "hecke-embed": ["--pretty"],
+    "member": ["--pretty", "--window"],
+    "verify-cell": ["--pretty", "--window", "--seed", "--samples"],
+}
+
+
+@given(command=st.sampled_from(sorted(_COMMANDS)), data=st.data())
+@settings(max_examples=150)
+def test_cli_is_total(tmp_path_factory, command, data):
+    """Random subcommands, flags and JSON payloads (through --file) at a
+    window cap of at most 8, n and r at most 3 and columns in -6..6 end
+    in a documented exit code, 0 to 3, with no traceback; exit 4 would be
+    a fault of the program.  Most flags drawn are the command's own, some
+    are any command's."""
+    own = _COMMANDS[command]
+    names = data.draw(st.lists(st.sampled_from(own), max_size=len(own), unique=True))
+    if data.draw(st.integers(min_value=0, max_value=4)) == 0:
+        names.append(data.draw(st.sampled_from(sorted(_FLAG_VALUES))))
+    argv = [command]
+    for name in names:
+        argv += [name, *data.draw(_FLAG_VALUES[name])]
+    if command != "verify-cell":
+        payload = data.draw(_PAYLOADS.get(command, _ELEMENTS))
+        text = data.draw(st.sampled_from([json.dumps(payload)] * 8 + ["{", ""]))
+        path = tmp_path_factory.mktemp("totality") / "input.json"
+        path.write_text(text)
+        argv += ["--file", str(path)]
+    cap = data.draw(st.sampled_from(["1", "2", "4", "8"] * 2 + ["0", "x"]))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("AFFSCHUR_MAX_WINDOW", cap)
+        patch.setattr(sys, "stdout", out)
+        patch.setattr(sys, "stderr", err)
+        code = run(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
