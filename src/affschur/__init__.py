@@ -1,26 +1,21 @@
 """
 Exact-arithmetic toolkit for the q=1 affine Schur algebra.
 
-The package provides canonical periodic-matrix bases, two independent
-multiplication engines validated against each other, the rank-two affine
-Hecke algebra with its corner embedding, Laurent-ring models of the
-corner and quotient algebras, free-module decompositions, and a
-certification battery for the two-sided ideal chain at n = r = 2.
+The package provides canonical periodic-matrix bases, one product engine
+(orbit counting behind a structure table), the rank-two affine Hecke
+algebra with its corner embedding, Laurent-ring models of the corner and
+quotient algebras, free-module decompositions, and a certification
+battery for the two-sided ideal chain at n = r = 2.
 """
 
 from .core import (
     AlgebraElement,
     Composition,
     PeriodicMatrix,
-    col_vector,
-    compositions,
     diag_matrix,
     element_from_json,
     element_to_json,
     grade,
-    row_vector,
-    transpose,
-    unit_matrix,
 )
 from .weyl import (
     WeylElement,
@@ -32,13 +27,8 @@ from .weyl import (
     transporter,
 )
 from .multiplication import (
-    InfiniteComposition,
     StructureTable,
-    chevalley_left,
-    chevalley_right,
     doublecoset_product,
-    identity_element,
-    loop_left,
     multiply,
     multiply_oracle,
     structure_table,
@@ -51,7 +41,6 @@ from .hecke import (
     TRHO,
     TRHO_INV,
     hecke_embed,
-    hecke_multiply,
     hecke_preimage,
     laurent_lift,
     quotient_image,
@@ -77,7 +66,6 @@ from .cellular import (
     idempotent_20,
     laurent_to_corner,
     monomial_image,
-    tensor_involution,
     tensor_to_ideal,
 )
 from .linalg import SolveResult, SparseSystem, rank, solve_many

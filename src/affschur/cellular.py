@@ -24,17 +24,16 @@ as an independent cross-check.
 One family spans everything: the omega element (l, m, a, b) is
 (right basis l) * x1^a x2^b * (left basis m).  Index 2 of both bases is
 the (2,0) idempotent, the corner unit, so cell (2, 2) holds the corner
-monomials, the cells (2, m) the left module and the cells (l, 2) the
-right module; :func:`monomial_image` and :func:`module_element` are
-views of the one cache.  x2 is the shift by one period, which is
-central, so a member with b != 0 is its b = 0 member, its *stem*, with
-every column moved by 2b.  The only products the family needs are those
-of its stems, and they are taken in class space: each stem is kept once
-as (shape, k, value) triples (:func:`_stem_classes`), multiplied out
-through the structure table's classes (:func:`multiply_classes`), with
-no matrix built.  An element is built only when one is asked for: a
+monomials (:func:`monomial_image`), the cells (2, m) the left module and
+the cells (l, 2) the right module.  x2 is the shift by one period, which
+is central, so a member with b != 0 is its b = 0 member, its *stem*,
+with every column moved by 2b.  The only products the family needs are
+those of its stems, and they are taken in class space: each stem is kept
+once as (shape, k, value) triples (:func:`_stem_classes`), multiplied
+out through the structure table's classes (:func:`multiply_classes`),
+with no matrix built.  An element is built only when one is asked for: a
 member is its stem's triples moved by b, read from the class index, and
-is cached; a contraction (a certificate, module coordinates) is summed
+is not kept; a contraction (a certificate, module coordinates) is summed
 in ``int`` as classes and each matrix of the result built once.
 
 All membership and inversion problems are truncated by a *window*: a
@@ -106,11 +105,9 @@ __all__ = [
     "decompose_left",
     "decompose_right",
     "tensor_to_ideal",
-    "tensor_involution",
     "ideal_membership",
     "batch_ideal_membership",
     "WindowBlocks",
-    "module_element",
     "omega_element",
     "omega_candidates",
     "max_window_cap",
@@ -198,9 +195,6 @@ _ZERO = AlgebraElement.zero(N, R)
 # its column extent (lo, hi)
 _STEMS: dict[tuple[int, int, int], tuple[tuple[ClassTerm, ...], tuple[int, int]]] = {}
 
-# (l, m, a, b) -> omega_element(l, m, a, b), the only cache of the family
-_OMEGA_CACHE: dict[tuple[int, int, int, int], AlgebraElement] = {}
-
 
 def _classes(matrix: PeriodicMatrix) -> tuple[ClassTerm]:
     """The basis element of a matrix as (shape, k, value) triples."""
@@ -268,32 +262,15 @@ def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
 
     x2 is the central shift by one period, so the member is its stem
     (:func:`_stem_classes`) moved by b periods: each stem term of class
-    (shape, k) is the matrix of class (shape, k + b).  Built on first
-    use and cached.
+    (shape, k) is the matrix of class (shape, k + b).  The stem is kept;
+    the member is built on each call.
     """
-    key = (l, m, a, b)
-    found = _OMEGA_CACHE.get(key)
-    if found is None:
-        found = _OMEGA_CACHE[key] = _element(
-            {(shape, k + b): value for shape, k, value in _stem_classes(l, m, a)}
-        )
-    return found
+    return _element({(shape, k + b): value for shape, k, value in _stem_classes(l, m, a)})
 
 
 def monomial_image(a: int, b: int) -> AlgebraElement:
     """The corner element representing x1^a x2^b: omega cell (2, 2)."""
     return omega_element(2, 2, a, b)
-
-
-def module_element(side: str, index: int, a: int, b: int) -> AlgebraElement:
-    """A spanning element of a free module: x1^a x2^b * (left basis index),
-    omega cell (2, index), on side "left"; (right basis index) * x1^a x2^b,
-    omega cell (index, 2), on side "right"."""
-    if side == "left":
-        return omega_element(2, index, a, b)
-    if side == "right":
-        return omega_element(index, 2, a, b)
-    raise ValueError("side must be 'left' or 'right'")
 
 
 def _cell_stems(l: int, m: int, window: int) -> list[tuple[int, int, int]]:
@@ -680,16 +657,6 @@ def tensor_to_ideal(t: CellTensor) -> AlgebraElement:
         for m in range(4)
         for (a, b), coeff in t.cell(l, m).terms.items()
     }))
-
-
-def tensor_involution(t: CellTensor) -> CellTensor:
-    """Swap the two tensor legs, twisting coefficients by the involution."""
-    return CellTensor(
-        tuple(
-            tuple(corner_involution(t.cell(m, l)) for m in range(4))
-            for l in range(4)
-        )
-    )
 
 
 # weight of module basis index i, for the rows (l) and the columns (m) alike

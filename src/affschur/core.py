@@ -33,11 +33,10 @@ Conventions used throughout the package:
   arithmetic on checked elements builds through the trusted ``_like``.
 
 * Matrices are interned: every matrix that ``from_entries``,
-  ``shifted_by``, ``columns_moved`` or ``transpose`` returns is the one
-  canonical object with its entries, built once and unvalidated, since
-  those methods produce canonical entries; a lookup by entries builds
-  nothing.  A matrix built directly, ``PeriodicMatrix(n, entries)``, is
-  validated.
+  ``columns_moved`` or ``transpose`` returns is the one canonical object
+  with its entries, built once and unvalidated, since those methods
+  produce canonical entries; a lookup by entries builds nothing.  A
+  matrix built directly, ``PeriodicMatrix(n, entries)``, is validated.
 
 * The shift by one period is central: moving every column of a matrix
   by k*n multiplies its basis element by the k-th power x2^k of that
@@ -57,19 +56,14 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Mapping
 
 __all__ = [
     "Composition",
     "PeriodicMatrix",
     "AlgebraElement",
-    "compositions",
     "diag_matrix",
-    "unit_matrix",
-    "row_vector",
-    "col_vector",
     "grade",
-    "transpose",
     "element_to_json",
     "element_from_json",
 ]
@@ -144,31 +138,8 @@ class Composition:
         if any(p < 0 for p in self.parts):
             raise ValueError("composition parts must be nonnegative")
 
-    @property
-    def r(self) -> int:
-        return sum(self.parts)
-
-    def part(self, i: int) -> int:
-        """The i-th part for any integer i, via periodicity."""
-        return self.parts[(i - 1) % self.n]
-
     def __repr__(self) -> str:
         return f"Composition(n={self.n}, {self.parts})"
-
-
-def compositions(n: int, r: int) -> Iterator[Composition]:
-    """All compositions of r into n nonnegative parts, lexicographically."""
-    if n < 1:
-        raise ValueError("period must be positive")
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            yield Composition(n, prefix + (remaining,))
-            return
-        for head in range(remaining + 1):
-            yield from rec(prefix + (head,), remaining - head, slots - 1)
-
-    yield from rec((), r, n)
 
 
 def _normalize_row(n: int, i: int, j: int) -> tuple[int, int]:
@@ -208,16 +179,13 @@ class PeriodicMatrix:
 
     Instances are slotted and compute their hash once, when built;
     equality stays by value, so a matrix built directly equals and
-    hashes like the interned one with its entries.  The position dict,
-    the row and column weights and the translation class are computed on
-    first use and kept in slots.
+    hashes like the interned one with its entries.  The row and column
+    weights and the translation class are computed on first use and kept
+    in slots.
     """
 
     n: int
     entries: tuple[tuple[int, int, int], ...]
-    _lookup: "dict[tuple[int, int], int] | None" = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
     r: int = field(init=False, repr=False, compare=False, hash=False, default=0)
     _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
     _translation: "tuple[tuple[int, ...], int] | None" = field(
@@ -233,17 +201,16 @@ class PeriodicMatrix:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("period must be positive")
-        lookup: dict[tuple[int, int], int] = {}
+        positions = set()
         for i, j, a in self.entries:
             if not 1 <= i <= self.n:
                 raise ValueError("stored rows must lie in 1..n")
             if a < 1:
                 raise ValueError("stored entries must be positive")
-            if (i, j) in lookup:
+            if (i, j) in positions:
                 raise ValueError("duplicate entry position")
-            lookup[(i, j)] = a
-        object.__setattr__(self, "_lookup", lookup)
-        object.__setattr__(self, "r", sum(lookup.values()))
+            positions.add((i, j))
+        object.__setattr__(self, "r", sum(a for _, _, a in self.entries))
         object.__setattr__(self, "_hash", hash((self.n, self.entries)))
 
     def __hash__(self) -> int:
@@ -262,26 +229,6 @@ class PeriodicMatrix:
         Mat(n=2;(1,0):2)
         """
         return _interned(n, canonical_entries(n, entries))
-
-    def _positions(self) -> dict[tuple[int, int], int]:
-        """{(row, column): value} of the stored entries, built once."""
-        if self._lookup is None:
-            object.__setattr__(
-                self, "_lookup", {(i, j): a for i, j, a in self.entries}
-            )
-        return self._lookup
-
-    def entry(self, i: int, j: int) -> int:
-        """The matrix entry a_{i,j} for arbitrary integers i, j."""
-        return self._positions().get(_normalize_row(self.n, i, j), 0)
-
-    def row_entries(self, i: int) -> dict[int, int]:
-        """Nonzero entries {j: a_{i,j}} of row i, for any integer i."""
-        s = (i - 1) // self.n
-        base = i - s * self.n
-        return {
-            j + s * self.n: a for (k, j, a) in self.entries if k == base
-        }
 
     def row_vector(self) -> Composition:
         """The row sums, computed once."""
@@ -333,24 +280,6 @@ class PeriodicMatrix:
         shape, k = self.translation_class()
         return _of_class(self.n, shape, k + periods)
 
-    def shifted_by(
-        self, deltas: Iterable[tuple[int, int, int]]
-    ) -> "PeriodicMatrix":
-        """The matrix A + sum of delta*E_{i,j} unit shifts.
-
-        Raises if any resulting entry would be negative.
-        """
-        acc: dict[tuple[int, int], int] = dict(self._positions())
-        for i, j, d in deltas:
-            key = _normalize_row(self.n, i, j)
-            acc[key] = acc.get(key, 0) + d
-        for value in acc.values():
-            if value < 0:
-                raise ValueError("matrix entry driven negative")
-        return _interned(
-            self.n, tuple(sorted((i, j, a) for (i, j), a in acc.items() if a != 0))
-        )
-
     def is_upper_triangular(self) -> bool:
         return all(i <= j for i, j, _ in self.entries)
 
@@ -375,7 +304,7 @@ _CLASSES: dict[tuple[int, tuple[int, ...], int], PeriodicMatrix] = {}
 _SHAPE_TRANSPOSES: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], int]] = {}
 
 # the slots of a matrix that are filled on first use, empty when it is built
-_ON_FIRST_USE = ("_lookup", "_translation", "_row_vector", "_col_vector")
+_ON_FIRST_USE = ("_translation", "_row_vector", "_col_vector")
 
 
 def _class_of(n: int, entries: tuple[tuple[int, int, int], ...]) -> Class:
@@ -438,25 +367,6 @@ def diag_matrix(comp: Composition) -> PeriodicMatrix:
     return PeriodicMatrix.from_entries(
         comp.n, ((i + 1, i + 1, p) for i, p in enumerate(comp.parts))
     )
-
-
-def unit_matrix(n: int, i: int, j: int) -> PeriodicMatrix:
-    """The weight-one matrix supported on the periodic orbit of (i, j).
-
-    >>> unit_matrix(2, 1, -1) == PeriodicMatrix.from_entries(2, [(3, 1, 1)])
-    True
-    """
-    if not 1 <= i <= n:
-        raise ValueError("row index must lie in 1..n")
-    return PeriodicMatrix.from_entries(n, [(i, j, 1)])
-
-
-def row_vector(matrix: PeriodicMatrix) -> Composition:
-    return matrix.row_vector()
-
-
-def col_vector(matrix: PeriodicMatrix) -> Composition:
-    return matrix.col_vector()
 
 
 def grade(matrix: PeriodicMatrix) -> int:
@@ -623,9 +533,6 @@ class AlgebraElement(LinearCombination):
     ) -> "AlgebraElement":
         return cls(matrix.n, matrix.r, {matrix: coeff})
 
-    def coefficient(self, matrix: PeriodicMatrix) -> Scalar:
-        return self.terms.get(matrix, 0)
-
     def sorted_terms(self) -> list[tuple[PeriodicMatrix, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
@@ -669,11 +576,6 @@ class AlgebraElement(LinearCombination):
             f"{c}*{m!r}" for m, c in self.sorted_terms()
         ]
         return " + ".join(parts)
-
-
-def transpose(x: AlgebraElement) -> AlgebraElement:
-    """The anti-involution flipping every basis matrix across the diagonal."""
-    return x.transpose()
 
 
 def element_to_json(x: AlgebraElement) -> dict:

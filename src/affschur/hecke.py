@@ -48,7 +48,6 @@ from .weyl import WeylElement, act, matrix_to_pair, pair_to_matrix, transporter
 
 __all__ = [
     "HeckeElement",
-    "hecke_multiply",
     "hecke_embed",
     "hecke_preimage",
     "group_quotient_image",
@@ -87,16 +86,13 @@ class HeckeElement(LinearCombination):
         return w
 
     @classmethod
-    def one(cls) -> "HeckeElement":
-        return cls({WeylElement.identity(R): 1})
-
-    @classmethod
     def group(cls, w: WeylElement, coeff: Scalar = 1) -> "HeckeElement":
         return cls({w: coeff})
 
     @staticmethod
     def _key_product(wa: WeylElement, wb: WeylElement) -> WeylElement:
-        # words compose in reverse; see hecke_multiply
+        # words compose in reverse of the Weyl composition, so that the
+        # embedding into the Schur algebra is multiplicative
         return wb * wa
 
     def sorted_terms(self) -> list[tuple[WeylElement, Scalar]]:
@@ -133,15 +129,6 @@ class HeckeElement(LinearCombination):
         return " + ".join(
             f"{c}*T{w.sigma}{w.eps}" for w, c in self.sorted_terms()
         )
-
-
-def hecke_multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Convolution product of the group algebra, ``a * b``.
-
-    Basis words compose in reverse of the Weyl composition so that the
-    embedding into the Schur algebra is multiplicative.
-    """
-    return a * b
 
 
 def hecke_embed(h: HeckeElement) -> AlgebraElement:

@@ -45,18 +45,6 @@ class LaurentPoly1(LinearCombination):
     __slots__ = ()
     _checked_key = staticmethod(_exponent)
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly1":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly1":
-        return cls({0: 1})
-
-    @classmethod
-    def x(cls, power: int = 1, coeff: Scalar = 1) -> "LaurentPoly1":
-        return cls({power: coeff})
-
     @staticmethod
     def _key_product(e1: int, e2: int) -> int:
         return e1 + e2

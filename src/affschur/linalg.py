@@ -292,10 +292,13 @@ def factorize(
     return Factorization(cols, len(rows), [(column, 0) for column in columns])
 
 
-# No production path calls ``solve_many`` or ``rank``.  The benchmark's
-# tracer looks them up by name, with cellular's ``omega_candidates`` and
-# ``batch_ideal_membership``, and its self-test fails without them, so
-# all four keep their signatures, and ``rank`` its ``SparseSystem``.
+# No production path calls ``solve_many`` or ``rank``, nor ``factorize``,
+# which only they use.  ``benchmarks/tracing.py`` wraps the two by name,
+# as it wraps cellular's ``omega_candidates``, ``monomial_image`` and
+# ``laurent_to_corner``, which no production path calls either, and its
+# self-test fails without them; so they keep their signatures, and
+# ``rank`` its ``SparseSystem``, until the tracer binds production entry
+# points.  ``tests/test_reachability.py`` lists every such name.
 
 
 def solve_many(

@@ -1,33 +1,25 @@
 """
-Product engines for the q=1 affine Schur algebra.
+The product of the q=1 affine Schur algebra.
 
-Two independent routes are implemented:
+``multiply_oracle`` counts middle tuples in the orbit model directly.  It
+is the one production engine and the source of truth.  Its basis
+products are memoized in a fill-once structure table with one oracle run
+per translation class of pairs: the period shift is central, so moving
+the columns of either factor by whole periods moves the product by as
+many.  Concurrent duplicate fills are harmless because every fill
+computes the identical value.  ``multiply`` reads the table with
+matrices; ``multiply_classes`` reads the same table with translation
+classes (shape, k) and builds no matrix on a hit.  The structure
+constants are integers, so ``multiply`` sums in ``int``.
 
-* ``multiply_oracle`` counts middle tuples in the orbit model directly.
-  It is the source of truth; everything else is validated against it.
-
-* closed-form routes: ``chevalley_left`` (row-shift generators),
-  ``chevalley_right`` (column-shift generators, the transpose of
-  ``chevalley_left`` with the sign flipped), ``loop_left`` (loop
-  generators) and ``doublecoset_product`` (stabilizer double cosets with
-  index multiplicities).  These are fast paths whose outputs must agree
-  with the oracle exactly.
-
-Basis products are memoized in a fill-once structure table with one
-oracle run per translation class of pairs: the period shift is central,
-so moving the columns of either factor by whole periods moves the
-product by as many.  Concurrent duplicate fills are harmless because
-every fill computes the identical value.  ``multiply`` reads the table
-with matrices; ``multiply_classes`` reads the same table with
-translation classes (shape, k) and builds no matrix on a hit.  The
-structure constants are integers, so ``multiply`` sums in ``int``.
+``doublecoset_product`` (stabilizer double cosets with index
+multiplicities) is an independent route to one basis product, which the
+benchmark's algebra workload uses to spot-check the table.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     AlgebraElement,
@@ -37,8 +29,6 @@ from .core import (
     Scalar,
     _cleared, _divided,
     _of_class,
-    compositions,
-    diag_matrix,
 )
 from .weyl import (
     IndexTuple,
@@ -55,59 +45,10 @@ __all__ = [
     "multiply_oracle",
     "multiply",
     "multiply_classes",
-    "identity_element",
-    "chevalley_left",
-    "chevalley_right",
-    "loop_left",
     "doublecoset_product",
     "StructureTable",
     "structure_table",
-    "InfiniteComposition",
 ]
-
-
-@dataclass(frozen=True)
-class InfiniteComposition:
-    """Finitely supported assignment Z -> N with a fixed total."""
-
-    support: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if any(t < 0 for _, t in self.support):
-            raise ValueError("parts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return sum(t for _, t in self.support)
-
-    def part(self, u: int) -> int:
-        for pos, t in self.support:
-            if pos == u:
-                return t
-        return 0
-
-    @classmethod
-    def bounded(
-        cls, caps: dict[int, int], total: int
-    ) -> Iterator["InfiniteComposition"]:
-        """All assignments t with sum total and t_u <= caps[u]."""
-        positions = sorted(caps)
-
-        def rec(idx: int, remaining: int, acc: list[tuple[int, int]]):
-            if idx == len(positions):
-                if remaining == 0:
-                    yield cls(tuple(acc))
-                return
-            u = positions[idx]
-            for t in range(min(remaining, caps[u]) + 1):
-                if t:
-                    acc.append((u, t))
-                    yield from rec(idx + 1, remaining - t, acc)
-                    acc.pop()
-                else:
-                    yield from rec(idx + 1, remaining, acc)
-
-        yield from rec(0, total, [])
 
 
 def multiply_oracle(
@@ -264,84 +205,6 @@ def multiply_classes(
                 term = (shape, k + shift)
                 acc[term] = acc.get(term, 0) + scale * coeff
     return {term: value for term, value in acc.items() if value}
-
-
-def identity_element(n: int, r: int) -> AlgebraElement:
-    """Sum of the diagonal idempotents, the unity of the algebra."""
-    if n < 1 or r < 0:
-        raise ValueError("need n >= 1 and r >= 0")
-    return AlgebraElement(
-        n,
-        r,
-        {diag_matrix(comp): 1 for comp in compositions(n, r)},
-    )
-
-
-def chevalley_left(
-    h: int, m: int, sign: str, a: PeriodicMatrix
-) -> AlgebraElement:
-    """Left multiplication by the m-fold row-shift generator at slot h.
-
-    ``sign="up"`` moves m units from row h+1 up to row h (the generator
-    diag(row A) + m E_{h,h+1} - m E_{h+1,h+1}); ``sign="down"`` moves
-    them from row h down to row h+1.  The result is the exact binomial
-    sum over bounded transfer patterns.
-    """
-    n = a.n
-    if not 1 <= h <= n:
-        raise ValueError("slot must lie in 1..n")
-    if m < 0:
-        raise ValueError("transfer amount must be nonnegative")
-    if sign not in ("up", "down"):
-        raise ValueError("sign must be 'up' or 'down'")
-    source, dest = (h + 1, h) if sign == "up" else (h, h + 1)
-    terms: dict[PeriodicMatrix, int] = {}
-    for t in InfiniteComposition.bounded(a.row_entries(source), m):
-        coeff = 1
-        deltas = []
-        for u, tu in t.support:
-            coeff *= math.comb(a.entry(dest, u) + tu, tu)
-            deltas.append((dest, u, tu))
-            deltas.append((source, u, -tu))
-        matrix = a.shifted_by(deltas)
-        terms[matrix] = terms.get(matrix, 0) + coeff
-    return AlgebraElement(n, a.r, terms)
-
-
-def chevalley_right(
-    h: int, m: int, sign: str, a: PeriodicMatrix
-) -> AlgebraElement:
-    """Right multiplication by the m-fold column-shift generator at slot h.
-
-    ``sign="up"`` moves m units from column h to column h+1;
-    ``sign="down"`` moves them from column h+1 back to column h.  The
-    transpose anti-involution turns this into :func:`chevalley_left` on
-    the transposed matrix with the opposite sign.
-    """
-    flipped = {"up": "down", "down": "up"}.get(sign, sign)
-    return chevalley_left(h, m, flipped, a.transpose()).transpose()
-
-
-def loop_left(h: int, m: int, a: PeriodicMatrix) -> AlgebraElement:
-    """Left multiplication by the loop generator moving row-h mass by m*n.
-
-    The generator is diag(row A) - E_{h,h} + E_{h,h+m*n} with m nonzero;
-    each occupied slot u of row h contributes one term shifted to u+m*n
-    with multiplicity a_{h,u+m*n} + 1.
-    """
-    n = a.n
-    if not 1 <= h <= n:
-        raise ValueError("slot must lie in 1..n")
-    if m == 0:
-        raise ValueError("loop amount must be nonzero")
-    terms: dict[PeriodicMatrix, int] = {}
-    for u, value in a.row_entries(h).items():
-        if value < 1:
-            continue
-        coeff = a.entry(h, u + m * n) + 1
-        matrix = a.shifted_by([(h, u + m * n, 1), (h, u, -1)])
-        terms[matrix] = terms.get(matrix, 0) + coeff
-    return AlgebraElement(n, a.r, terms)
 
 
 def _double_cosets(

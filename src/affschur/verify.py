@@ -131,14 +131,6 @@ class CellReport:
     def passed(self) -> bool:
         return self.status == PASS
 
-    @property
-    def failed(self) -> bool:
-        return self.status == FAIL
-
-    @property
-    def undecided(self) -> bool:
-        return self.status == UNDECIDED
-
     def exit_code(self) -> int:
         return {PASS: 0, FAIL: 1, UNDECIDED: 3}[self.status]
 

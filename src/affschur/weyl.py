@@ -55,10 +55,6 @@ class WeylElement:
     def r(self) -> int:
         return len(self.sigma)
 
-    @classmethod
-    def identity(cls, r: int) -> "WeylElement":
-        return cls(tuple(range(1, r + 1)), (0,) * r)
-
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         """Composition w * w' with act(i, w * w') = act(act(i, w), w')."""
         if not isinstance(other, WeylElement):

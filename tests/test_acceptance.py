@@ -19,18 +19,13 @@ from affschur import (
     T2,
     TRHO,
     TRHO_INV,
-    chevalley_left,
-    chevalley_right,
-    compositions,
     decompose_left,
     diag_matrix,
     doublecoset_product,
     grade,
     hecke_embed,
-    identity_element,
     idempotent_11,
     idempotent_20,
-    loop_left,
     matrix_to_pair,
     monomial_image,
     multiply,
@@ -42,6 +37,16 @@ from affschur.cellular import GEN_X1, GEN_X2, GEN_X2_INV
 from affschur.cli import run as cli_run
 from affschur.linalg import SolveResult, solve_many
 
+from closed_forms import (
+    chevalley_left,
+    chevalley_right,
+    compositions,
+    generator,
+    loop_left,
+    part,
+    shifted,
+    unit,
+)
 from conftest import basis, mat
 
 
@@ -61,7 +66,7 @@ def with_row(rng, comp, n, lo=-4, hi=5):
     rows = []
     for idx, p in enumerate(comp.parts, start=1):
         rows.extend([idx] * p)
-    cols = tuple(rng.randint(lo, hi) for _ in range(comp.r))
+    cols = tuple(rng.randint(lo, hi) for _ in range(len(rows)))
     return pair_to_matrix(tuple(rows), cols, n)
 
 
@@ -94,20 +99,6 @@ def test_criterion_1_golden_identities(e_lam, e_mu, e_nu):
 GENERATOR_SIZES = [(2, 2), (2, 3), (3, 3)]
 
 
-def _left_generator(sign, comp, h, m):
-    base = diag_matrix(comp)
-    if sign == "up":
-        return base.shifted_by([(h, h + 1, m), (h + 1, h + 1, -m)])
-    return base.shifted_by([(h, h, -m), (h + 1, h, m)])
-
-
-def _right_generator(sign, comp, h, m):
-    base = diag_matrix(comp)
-    if sign == "up":
-        return base.shifted_by([(h, h + 1, m), (h, h, -m)])
-    return base.shifted_by([(h + 1, h + 1, -m), (h + 1, h, m)])
-
-
 def test_criterion_2_oracle_formula_equivalence():
     failures = []
     counts = {"chevalley_left": 0, "chevalley_right": 0, "loop_left": 0,
@@ -120,28 +111,26 @@ def test_criterion_2_oracle_formula_equivalence():
             m = rng.randint(1, 2)
             sign = rng.choice(["up", "down"])
             lam = a.row_vector()
-            need = lam.part(h + 1) if sign == "up" else lam.part(h)
+            need = part(lam, h + 1) if sign == "up" else part(lam, h)
             if need >= m and counts["chevalley_left"] < target(n, r):
-                gen = _left_generator(sign, lam, h, m)
+                gen = generator("left", sign, lam, h, m)
                 if chevalley_left(h, m, sign, a) != multiply_oracle(
                     matrix_to_pair(gen), matrix_to_pair(a), n
                 ):
                     failures.append(f"chevalley_left {n},{r},{h},{m},{sign},{a!r}")
                 counts["chevalley_left"] += 1
             mu = a.col_vector()
-            need = mu.part(h) if sign == "up" else mu.part(h + 1)
+            need = part(mu, h) if sign == "up" else part(mu, h + 1)
             if need >= m and counts["chevalley_right"] < target(n, r):
-                gen = _right_generator(sign, mu, h, m)
+                gen = generator("right", sign, mu, h, m)
                 if chevalley_right(h, m, sign, a) != multiply_oracle(
                     matrix_to_pair(a), matrix_to_pair(gen), n
                 ):
                     failures.append(f"chevalley_right {n},{r},{h},{m},{sign},{a!r}")
                 counts["chevalley_right"] += 1
-            if lam.part(h) >= 1 and counts["loop_left"] < target(n, r):
+            if part(lam, h) >= 1 and counts["loop_left"] < target(n, r):
                 loop_m = rng.choice([-2, -1, 1, 2])
-                gen = diag_matrix(lam).shifted_by(
-                    [(h, h, -1), (h, h + loop_m * n, 1)]
-                )
+                gen = shifted(diag_matrix(lam), [(h, h, -1), (h, h + loop_m * n, 1)])
                 if loop_left(h, loop_m, a) != multiply_oracle(
                     matrix_to_pair(gen), matrix_to_pair(a), n
                 ):
@@ -181,7 +170,7 @@ def test_criterion_3_associativity_and_unit():
             if multiply(multiply(ea, eb), ec) != multiply(ea, multiply(eb, ec)):
                 failures.append(f"associativity {n},{r},{a!r},{b!r},{c!r}")
             total += 1
-        one = identity_element(n, r)
+        one = unit(n, r)
         for _ in range(20):
             x = AlgebraElement.basis(random_basis(rng, n, r))
             if multiply(one, x) != x or multiply(x, one) != x:

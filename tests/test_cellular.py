@@ -36,7 +36,6 @@ from affschur import (
     laurent_to_corner,
     monomial_image,
     multiply,
-    tensor_involution,
     tensor_to_ideal,
 )
 from affschur import cellular, core
@@ -46,7 +45,6 @@ from affschur.cellular import (
     WEIGHT_20,
     WindowBlocks,
     _base_coords,
-    module_element,
     omega_candidates,
     omega_element,
     stem_system,
@@ -543,8 +541,8 @@ class TestTranslation:
                 for k in range(4):
                     left = multiply(mono, AlgebraElement.basis(LEFT_BASIS[k]))
                     right = multiply(AlgebraElement.basis(RIGHT_BASIS[k]), mono)
-                    assert module_element("left", k, a, b) == left, (k, a, b)
-                    assert module_element("right", k, a, b) == right, (k, a, b)
+                    assert omega_element(2, k, a, b) == left, (k, a, b)
+                    assert omega_element(k, 2, a, b) == right, (k, a, b)
                     rights.append(right)
                 for l in range(4):
                     for m in range(4):
@@ -574,10 +572,6 @@ class TestTranslation:
             for matrix in [*element.terms, *transposed.terms]:
                 assert core._MATRICES[(matrix.n, matrix.entries)] is matrix
                 assert matrix.transpose().transpose() is matrix
-
-    def test_rejects_unknown_side(self):
-        with pytest.raises(ValueError):
-            module_element("middle", 0, 0, 0)
 
 
 def _fits(element, window):
@@ -612,7 +606,7 @@ def _reference_module_candidates(window):
         for k in range(4)
         for b in range(-(window + 1) // 2 - 1, (window - 1) // 2 + 1)
         for a in range((window - 2 * b - 1) // 2 + 1)
-        for element in [module_element("left", k, a, b)]
+        for element in [omega_element(2, k, a, b)]
         if _fits(element, window)
     ]
 
@@ -635,9 +629,12 @@ class TestX2Families:
     FAMILIES = [
         ("monomial", lambda a, b: monomial_image(a, b)),
         *[
-            (f"{side}-{k}", lambda a, b, side=side, k=k: module_element(side, k, a, b))
-            for side in ("left", "right")
+            family
             for k in range(4)
+            for family in (
+                (f"left-{k}", lambda a, b, k=k: omega_element(2, k, a, b)),
+                (f"right-{k}", lambda a, b, k=k: omega_element(k, 2, a, b)),
+            )
         ],
         *[
             (f"omega-{l}{m}", lambda a, b, l=l, m=m: omega_element(l, m, a, b))
@@ -652,7 +649,7 @@ class TestX2Families:
         random.Random(5).shuffle(shuffled)
         filled = []
         for order in (bs, bs[::-1], shuffled):
-            monkeypatch.setattr(cellular, "_OMEGA_CACHE", {})
+            monkeypatch.setattr(cellular, "_STEMS", {})
             filled.append(
                 {
                     (name, a, b): family(a, b)
@@ -715,14 +712,6 @@ class TestX2Families:
                 if (l, m) == (2, 2)
             ]
             assert corner == _reference_corner_grid(window), window
-
-    def test_views_are_the_omega_cells(self):
-        for a in range(9):
-            for b in range(-8, 9):
-                assert monomial_image(a, b) is omega_element(2, 2, a, b)
-                for k in range(4):
-                    assert module_element("left", k, a, b) is omega_element(2, k, a, b)
-                    assert module_element("right", k, a, b) is omega_element(k, 2, a, b)
 
     def test_width_grows_by_two_per_x1_step(self):
         # the premise of the a-range stop in omega_candidates
@@ -835,9 +824,6 @@ class TestIntegrality:
         for a in range(7):
             for b in range(-6, 7):
                 assert _integral(monomial_image(a, b)), (a, b)
-                for k in range(4):
-                    assert _integral(module_element("left", k, a, b)), (k, a, b)
-                    assert _integral(module_element("right", k, a, b)), (k, a, b)
                 for l in range(4):
                     for m in range(4):
                         assert _integral(omega_element(l, m, a, b)), (l, m, a, b)
@@ -878,33 +864,16 @@ class TestTensorJson:
         t = tensor((1, 3, X2), (2, 2, ONE))
         assert CellTensor.from_json(t.to_json()) == t
 
+    def test_json_round_trip(self):
+        t = tensor((0, 3, X1 - 2 * X2I))
+        assert CellTensor.from_json(t.to_json()) == t
+
     @pytest.mark.parametrize("key", ["1_0,2", "0, 1", "0,+1", "00,1"])
     def test_rejects_sloppy_exponent_keys(self, key):
         data = tensor((1, 3, X2)).to_json()
         data["coords"][1][3] = {"poly": {key: "1"}}
         with pytest.raises(ValueError):
             CellTensor.from_json(data)
-
-
-class TestTensorInvolution:
-    def test_unit_cell_fixed(self):
-        t = tensor((2, 2, ONE))
-        assert tensor_involution(t) == t
-
-    def test_swaps_and_inverts(self):
-        t = tensor((1, 3, X2))
-        swapped = tensor_involution(t)
-        assert swapped.cell(3, 1) == X2I
-        assert swapped.cell(1, 3).is_zero()
-
-    def test_involution(self, rng):
-        for _ in range(20):
-            t = tensor(*random_tensor_cells(rng))
-            assert tensor_involution(tensor_involution(t)) == t
-
-    def test_json_round_trip(self):
-        t = tensor((0, 3, X1 - 2 * X2I))
-        assert CellTensor.from_json(t.to_json()) == t
 
 
 class TestIdealToTensor:
@@ -1137,7 +1106,12 @@ class TestMembership:
         """Factoring every block of a window reads its stems as classes
         only: it fills the stem memo and builds no omega element, not
         even a stem."""
-        monkeypatch.setattr(cellular, "_OMEGA_CACHE", {})
+        built = []
+        for name in ("omega_element", "_element"):
+            original = getattr(cellular, name)
+            monkeypatch.setattr(
+                cellular, name, lambda *args, f=original: built.append(args) or f(*args)
+            )
         monkeypatch.setattr(cellular, "_STEMS", {})
         blocks = WindowBlocks(24)
         for signature in SIGNATURE_BLOCKS:
@@ -1145,7 +1119,7 @@ class TestMembership:
                 blocks.factorization(signature).cols
             )
         assert cellular._STEMS
-        assert not cellular._OMEGA_CACHE
+        assert not built
 
     def test_blocks_hold_each_stem_once(self):
         """A block keeps one row list per stem, shared by all of the

@@ -9,7 +9,6 @@ from affschur import (
     AlgebraElement,
     Composition,
     PeriodicMatrix,
-    col_vector,
     diag_matrix,
     element_from_json,
     element_to_json,
@@ -18,13 +17,12 @@ from affschur import (
     multiply,
     multiply_oracle,
     pair_to_matrix,
-    row_vector,
-    unit_matrix,
 )
 from affschur.cellular import _element
 from affschur.core import parse_fraction
 from affschur.multiplication import StructureTable
 
+from closed_forms import entry, part, row
 from conftest import (
     algebra_elements,
     assert_canonical_exact,
@@ -37,14 +35,15 @@ from conftest import (
 class TestComposition:
     def test_valid(self):
         comp = Composition(2, (2, 0))
-        assert comp.r == 2
-        assert comp.part(1) == 2 and comp.part(2) == 0
+        assert comp.n == 2 and comp.parts == (2, 0)
 
     def test_periodic_parts(self):
+        # the closed forms' periodic read of a composition
         comp = Composition(2, (2, 0))
-        assert comp.part(3) == 2
-        assert comp.part(0) == 0
-        assert comp.part(-1) == 2
+        assert part(comp, 1) == 2 and part(comp, 2) == 0
+        assert part(comp, 3) == 2
+        assert part(comp, 0) == 0
+        assert part(comp, -1) == 2
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -71,15 +70,16 @@ class TestMatrixCanonicalization:
             mat(2, (1, 2, -1))
 
     def test_entry_lookup_is_periodic(self):
+        # the closed forms' periodic reads of a matrix
         a = mat(2, (1, 3, 2))
-        assert a.entry(1, 3) == 2
-        assert a.entry(3, 5) == 2
-        assert a.entry(-1, 1) == 2
-        assert a.entry(1, 4) == 0
+        assert entry(a, 1, 3) == 2
+        assert entry(a, 3, 5) == 2
+        assert entry(a, -1, 1) == 2
+        assert entry(a, 1, 4) == 0
 
     def test_row_and_col_entries_at_arbitrary_indices(self):
         a = mat(2, (1, 3, 2), (2, 1, 1))
-        assert a.row_entries(3) == {5: 2}
+        assert row(a, 3) == {5: 2}
 
     def test_direct_build_hashes_like_interned(self):
         interned = mat(2, (1, 3, 2), (2, 1, 1))
@@ -111,11 +111,6 @@ class TestTrustedInterning:
             col_sums[(j - 1) % n] += value
         assert got.row_vector() == direct.row_vector() == Composition(n, tuple(row_sums))
         assert got.col_vector() == direct.col_vector() == Composition(n, tuple(col_sums))
-        for i, j, _ in got.entries:
-            for s in (-n, 0, 2 * n):
-                for dj in (-1, 0, 1):
-                    position = (i + s, j + s + dj)
-                    assert got.entry(*position) == direct.entry(*position)
 
     @given(
         st.integers(min_value=1, max_value=3),
@@ -128,31 +123,15 @@ class TestTrustedInterning:
             max_size=5,
         ),
         st.integers(min_value=-9, max_value=9),
-        st.data(),
     )
     @settings(max_examples=80)
-    def test_every_route_gives_the_validated_matrix(self, n, triples, shift, data):
+    def test_every_route_gives_the_validated_matrix(self, n, triples, shift):
         a = PeriodicMatrix.from_entries(n, triples)
-        # unit shifts that add, and that remove a stored entry whole
-        deltas = data.draw(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=-3, max_value=6),
-                    st.integers(min_value=-6, max_value=6),
-                    st.integers(min_value=1, max_value=2),
-                ),
-                max_size=3,
-            )
-        )
-        if a.entries:
-            i, j, value = data.draw(st.sampled_from(a.entries))
-            deltas.append((i, j, -value))
         for got in (
             a,
             a.columns_moved(shift),
             a.transpose(),
-            a.shifted_by(deltas),
-            a.shifted_by(deltas).transpose().columns_moved(shift),
+            a.transpose().columns_moved(shift),
         ):
             self.assert_like_direct(got)
 
@@ -170,26 +149,26 @@ class TestTrustedInterning:
 class TestRowCol:
     def test_row_antidiagonal(self):
         # the weight-(1,1) reflection matrix
-        assert row_vector(mat(2, (1, 2, 1), (2, 1, 1))) == Composition(2, (1, 1))
+        assert mat(2, (1, 2, 1), (2, 1, 1)).row_vector() == Composition(2, (1, 1))
 
     def test_row_diag(self):
         for parts in [(2, 0), (1, 1), (0, 2)]:
             comp = Composition(2, parts)
-            assert row_vector(diag_matrix(comp)) == comp
-            assert col_vector(diag_matrix(comp)) == comp
+            assert diag_matrix(comp).row_vector() == comp
+            assert diag_matrix(comp).col_vector() == comp
 
     def test_row_concentrated(self):
-        assert row_vector(mat(2, (1, 3, 2))) == Composition(2, (2, 0))
+        assert mat(2, (1, 3, 2)).row_vector() == Composition(2, (2, 0))
 
     def test_col_concentrated(self):
-        assert col_vector(mat(2, (2, 1, 2))) == Composition(2, (2, 0))
+        assert mat(2, (2, 1, 2)).col_vector() == Composition(2, (2, 0))
 
     def test_col_reduces_mod_period(self):
-        assert col_vector(mat(2, (1, 1, 1), (1, 3, 1))) == Composition(2, (2, 0))
+        assert mat(2, (1, 1, 1), (1, 3, 1)).col_vector() == Composition(2, (2, 0))
 
     def test_col_rotation_matrix(self):
         # the image of the rotation generator has column weight (1,1)
-        assert col_vector(mat(2, (1, 2, 1), (2, 3, 1))) == Composition(2, (1, 1))
+        assert mat(2, (1, 2, 1), (2, 3, 1)).col_vector() == Composition(2, (1, 1))
 
 
 class TestUnitAndDiag:
@@ -197,18 +176,6 @@ class TestUnitAndDiag:
         assert diag_matrix(Composition(2, (2, 0))) == mat(2, (1, 1, 2))
         assert diag_matrix(Composition(2, (1, 1))) == mat(2, (1, 1, 1), (2, 2, 1))
         assert diag_matrix(Composition(2, (0, 2))) == mat(2, (2, 2, 2))
-
-    def test_unit_examples(self):
-        assert unit_matrix(2, 1, 2) == mat(2, (1, 2, 1))
-        assert unit_matrix(2, 2, 1) == mat(2, (2, 1, 1))
-
-    def test_unit_periodicity(self):
-        # (1, -1) is the canonical representative of the (3, 1) orbit
-        assert unit_matrix(2, 1, -1) == mat(2, (3, 1, 1))
-
-    def test_unit_row_range(self):
-        with pytest.raises(ValueError):
-            unit_matrix(2, 3, 1)
 
 
 class TestTranspose:
@@ -247,7 +214,7 @@ class TestTranspose:
         assert got == expected and got.r == expected.r
         # every stored entry reappears mirrored, and nothing else
         assert len(got.entries) == len(a.entries)
-        assert all(got.entry(j, i) == v for i, j, v in a.entries)
+        assert all(entry(got, j, i) == v for i, j, v in a.entries)
         assert got.transpose() is a
 
     def test_matrix_transpose_is_canonical_object(self):
@@ -259,8 +226,8 @@ class TestTranspose:
     @given(basis_matrices())
     @settings(max_examples=40)
     def test_swaps_row_and_col(self, a):
-        assert row_vector(a.transpose()) == col_vector(a)
-        assert col_vector(a.transpose()) == row_vector(a)
+        assert a.transpose().row_vector() == a.col_vector()
+        assert a.transpose().col_vector() == a.row_vector()
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -268,7 +235,7 @@ class TestTranspose:
         a = data.draw(basis_matrices(nr=(2, 2)))
         # build b with row(b) = col(a) so the product is nonzero
         rows = []
-        for idx, p in enumerate(col_vector(a).parts, start=1):
+        for idx, p in enumerate(a.col_vector().parts, start=1):
             rows.extend([idx] * p)
         cols = tuple(
             data.draw(st.integers(min_value=-4, max_value=5))
@@ -322,7 +289,7 @@ class TestGrade:
             )
         a = pair_to_matrix(rows, cols_a, n)
         rows_b = []
-        for idx, p in enumerate(col_vector(a).parts, start=1):
+        for idx, p in enumerate(a.col_vector().parts, start=1):
             rows_b.extend([idx] * p)
         if upper:
             cols_b = tuple(
@@ -365,8 +332,8 @@ class TestElementArithmetic:
 
     def test_scaling(self):
         x = basis(2, (1, 1, 2))
-        assert (3 * x).coefficient(mat(2, (1, 1, 2))) == 3
-        assert (x * Fraction(1, 2)).coefficient(mat(2, (1, 1, 2))) == Fraction(1, 2)
+        assert (3 * x).terms == {mat(2, (1, 1, 2)): 3}
+        assert (x * Fraction(1, 2)).terms == {mat(2, (1, 1, 2)): Fraction(1, 2)}
 
     @given(algebra_elements(), algebra_elements(), st.integers(-2, 2))
     @settings(max_examples=40)

@@ -14,7 +14,7 @@ from affschur import (
 
 from conftest import index_tuples, mat, weyl_elements
 
-IDENT = WeylElement.identity(2)
+IDENT = WeylElement((1, 2), (0, 0))
 SWAP = WeylElement((2, 1), (0, 0))
 
 
@@ -46,8 +46,8 @@ class TestAction:
 
     @given(weyl_elements())
     def test_inverse(self, w):
-        assert w * w.inverse() == WeylElement.identity(w.r)
-        assert w.inverse() * w == WeylElement.identity(w.r)
+        assert w * w.inverse() == WeylElement(tuple(range(1, w.r + 1)), (0,) * w.r)
+        assert w.inverse() * w == WeylElement(tuple(range(1, w.r + 1)), (0,) * w.r)
 
 
 class TestPairToMatrix:
@@ -118,7 +118,7 @@ class TestStabilizer:
         i = data.draw(index_tuples(r=r))
         stab = stabilizer(i, n)
         members = set(stab)
-        assert WeylElement.identity(r) in members
+        assert WeylElement(tuple(range(1, r + 1)), (0,) * r) in members
         for w1 in stab:
             assert w1.inverse() in members
             for w2 in stab:
