@@ -29,12 +29,13 @@ the cells (l, 2) the right module.  x2 is the shift by one period, which
 is central, so a member with b != 0 is its b = 0 member, its *stem*,
 with every column moved by 2b.  The only products the family needs are
 those of its stems, and they are taken in class space: each stem is kept
-once as (shape, k, value) triples (:func:`_stem_classes`), multiplied
-out through the structure table's classes (:func:`multiply_classes`),
-with no matrix built.  An element is built only when one is asked for: a
-member is its stem's triples moved by b, read from the class index, and
-is not kept; a contraction (a certificate, module coordinates) is summed
-in ``int`` as classes and each matrix of the result built once.
+once as {(shape, k): value} with its column extent
+(:func:`_stem_classes`), multiplied out through the structure table's
+classes (:func:`multiply_classes`), with no matrix built.  An element is
+built only when one is asked for: a member is its stem's classes moved by
+b, read from the class index, and is not kept; a contraction (a
+certificate, module coordinates) is summed in ``int`` as classes and each
+matrix of the result built once.
 
 All membership and inversion problems are truncated by a *window*: a
 bound W restricting the column support of every matrix involved to
@@ -70,7 +71,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .core import (
     AlgebraElement,
     Class,
-    ClassTerm,
     Composition,
     PeriodicMatrix,
     Scalar,
@@ -180,8 +180,9 @@ class UndecidedError(RuntimeError):
 # windowed systems
 
 
-def _column_support(x: AlgebraElement) -> list[int]:
-    return [j for matrix in x.terms for _, j, _ in matrix.entries]
+def _column_reach(x: AlgebraElement) -> int:
+    """The largest |column| of x's matrices (0 for zero): the least window x fits."""
+    return max((abs(j) for matrix in x.terms for _, j, _ in matrix.entries), default=0)
 
 
 _ZERO = AlgebraElement.zero(N, R)
@@ -191,36 +192,21 @@ _ZERO = AlgebraElement.zero(N, R)
 # the spanning family
 
 
-# (l, m, a) -> the stem, member (l, m, a, 0), as its terms' classes, and
-# its column extent (lo, hi)
-_STEMS: dict[tuple[int, int, int], tuple[tuple[ClassTerm, ...], tuple[int, int]]] = {}
+# (l, m, a) -> the stem, member (l, m, a, 0), as {class: value}, and its
+# column extent (lo, hi)
+_STEMS: dict[tuple[int, int, int], tuple[dict[Class, Scalar], tuple[int, int]]] = {}
 
 
-def _classes(matrix: PeriodicMatrix) -> tuple[ClassTerm]:
-    """The basis element of a matrix as (shape, k, value) triples."""
-    return ((*matrix.translation_class(), 1),)
+def _extent(classes: Mapping[Class, Scalar]) -> tuple[int, int] | None:
+    """The column extent (lo, hi) of the element {class: value}, None when it
+    is zero: class (shape, k) has the shape's columns moved by k periods."""
+    support = [j + N * k for shape, k in classes for j in shape[1::3]]
+    return (min(support), max(support)) if support else None
 
 
-def _product(
-    xs: Sequence[ClassTerm], ys: Sequence[ClassTerm]
-) -> tuple[ClassTerm, ...]:
-    """The product of two elements given as (shape, k, value) triples, as
-    the same triples (:func:`multiply_classes`)."""
-    return tuple(
-        (shape, k, value)
-        for (shape, k), value in multiply_classes(N, xs, ys).items()
-    )
-
-
-def _kept(key: tuple, terms: tuple[ClassTerm, ...]) -> tuple[ClassTerm, ...]:
-    """Keep a stem in ``_STEMS`` with its column extent, read once."""
-    support = [j + N * k for shape, k, _ in terms for j in shape[1::3]]
-    _STEMS[key] = (terms, (min(support), max(support)))
-    return terms
-
-
-def _stem_classes(l: int, m: int, a: int) -> tuple[ClassTerm, ...]:
-    """The stem (l, m, a, 0) as (shape, k, value) triples, kept once.
+def _stem_classes(l: int, m: int, a: int) -> dict[Class, Scalar]:
+    """The stem (l, m, a, 0) as {class: value}, kept once in ``_STEMS``
+    with its extent (:func:`_extent`).
 
     Index 2 of both bases is the corner unit, so the stem of cell (2, 2)
     is x1^a, filled by x1 steps from the unit (no exponent costs
@@ -236,18 +222,22 @@ def _stem_classes(l: int, m: int, a: int) -> tuple[ClassTerm, ...]:
     if a < 0:
         raise ValueError("x1-exponent must be nonnegative")
     if l == m == 2:
-        x1 = _classes(GEN_X1)
-        power = _classes(IDEM_20_MAT)
+        power = {IDEM_20_MAT.translation_class(): 1}
+        x1 = {GEN_X1.translation_class(): 1}
         for k in range(a + 1):
-            if (2, 2, k) not in _STEMS:
-                _kept((2, 2, k), _product(power, x1) if k else power)
-            power = _STEMS[(2, 2, k)][0]
+            found = _STEMS.get((2, 2, k))
+            if found is None:
+                terms = multiply_classes(N, power, x1) if k else power
+                found = _STEMS[(2, 2, k)] = (terms, _extent(terms))
+            power = found[0]
         return power
     if m == 2:
-        found = _product(_classes(RIGHT_BASIS[l]), _stem_classes(2, 2, a))
+        xs, ys = {RIGHT_BASIS[l].translation_class(): 1}, _stem_classes(2, 2, a)
     else:
-        found = _product(_stem_classes(l, 2, a), _classes(LEFT_BASIS[m]))
-    return _kept(key, found)
+        xs, ys = _stem_classes(l, 2, a), {LEFT_BASIS[m].translation_class(): 1}
+    terms = multiply_classes(N, xs, ys)
+    _STEMS[key] = (terms, _extent(terms))
+    return terms
 
 
 def _element(classes: dict[Class, Scalar]) -> AlgebraElement:
@@ -265,7 +255,8 @@ def omega_element(l: int, m: int, a: int, b: int) -> AlgebraElement:
     (shape, k) is the matrix of class (shape, k + b).  The stem is kept;
     the member is built on each call.
     """
-    return _element({(shape, k + b): value for shape, k, value in _stem_classes(l, m, a)})
+    stem = _stem_classes(l, m, a)
+    return _element({(shape, k + b): value for (shape, k), value in stem.items()})
 
 
 def monomial_image(a: int, b: int) -> AlgebraElement:
@@ -279,7 +270,7 @@ def _cell_stems(l: int, m: int, window: int) -> list[tuple[int, int, int]]:
     b_lo <= b <= b_hi are those that fit.
 
     A member's columns are those of its stem plus 2b, so the column
-    extent [lo, hi] of each stem, kept with it (:func:`_kept`), says
+    extent [lo, hi] of each stem, kept with it (:func:`_stem_classes`), says
     which b fit: those with -window <= lo + 2b and hi + 2b <= window.
     The width hi - lo grows with a (by 2 per step), so the a-range stops
     at the first a wider than 2 * window.
@@ -347,12 +338,12 @@ def _translate_shift(b: int) -> int:
 def _contract(coeffs: Mapping[Label, Scalar]) -> dict:
     """The sum of coeff * omega_element(label) over {label: coeff} as {class:
     nonzero value}, in ``int`` over the cleared coefficients (``_cleared``):
-    a stem term (shape, k, value) lands at (shape, k + _translate_shift(b))."""
+    a stem term (shape, k): value lands at (shape, k + _translate_shift(b))."""
     ints, den = _cleared(coeffs)
     acc: dict[tuple, int] = {}
     for (l, m, a, b), coeff in ints.items():
         shift = _translate_shift(b)
-        for shape, k, value in _stem_classes(l, m, a):
+        for (shape, k), value in _stem_classes(l, m, a).items():
             key = (shape, k + shift)
             acc[key] = acc.get(key, 0) + coeff * value
     return {key: v if den == 1 else _divided(v, den) for key, v in acc.items() if v}
@@ -392,12 +383,12 @@ def stem_system(
     for (l, m, a, _), shift in zip(labels, shifts):
         extent = reach.setdefault((l, m, a), [shift, shift])
         extent[0], extent[1] = min(extent[0], shift), max(extent[1], shift)
-    # stem -> its terms as (shape, k, value)
+    # stem -> its terms as {(shape, k): value}
     stem_terms = {stem: _stem_classes(*stem) for stem in reach}
     k_range: dict[tuple[int, ...], list[int]] = {}
     for stem, terms in stem_terms.items():
         low, high = reach[stem]
-        for shape, k, _ in terms:
+        for shape, k in terms:
             found = k_range.setdefault(shape, [k + low, k + high])
             found[0], found[1] = min(found[0], k + low), max(found[1], k + high)
     shape_rows: ShapeRows = {}
@@ -406,7 +397,7 @@ def stem_system(
         shape_rows[shape] = (nrows - k_lo, k_lo, k_hi)
         nrows += k_hi - k_lo + 1
     stem_rows = {
-        stem: [(shape_rows[shape][0] + k, coeff) for shape, k, coeff in terms]
+        stem: [(shape_rows[shape][0] + k, coeff) for (shape, k), coeff in terms.items()]
         for stem, terms in stem_terms.items()
     }
     placements = [
@@ -427,21 +418,19 @@ def laurent_to_corner(p: LaurentPoly2) -> AlgebraElement:
     )
 
 
-def corner_to_laurent(
-    x: AlgebraElement, max_window: int | None = None
-) -> LaurentPoly2:
+def corner_to_laurent(x: AlgebraElement) -> LaurentPoly2:
     """The unique Laurent polynomial mapping onto a corner element.
 
     The corner element p(x1, x2) * e is p times the left basis element
     of index 2, the corner unit e, so p is its index-2 coordinate in
     :func:`decompose_left`, read off the closed forms with no solve, so
-    no window is grown.  Support beyond the cap (the same cap as
-    :func:`ideal_membership`'s) raises :class:`UndecidedError`.
+    no window is grown.  Support beyond the cap (:func:`max_window_cap`,
+    as for :func:`ideal_membership`) raises :class:`UndecidedError`.
     """
     if not x.supported_on(WEIGHT_20, WEIGHT_20):
         raise ValueError("element does not lie in the corner algebra")
-    cap = max_window if max_window is not None else max_window_cap()
-    if max(map(abs, _column_support(x)), default=0) > cap:
+    cap = max_window_cap()
+    if _column_reach(x) > cap:
         raise UndecidedError(f"no polynomial preimage within window {cap}")
     return decompose_left(x).coords[2]
 
@@ -816,7 +805,7 @@ class WindowBlocks:
         for idx, x in enumerate(elements):
             if x.n != N or x.r != R:
                 raise ValueError("ideal elements live at n = r = 2")
-            if max(map(abs, _column_support(x)), default=0) > window:
+            if _column_reach(x) > window:
                 results.append(
                     MembershipResult(MembershipResult.UNDECIDED, None, window)
                 )
@@ -851,26 +840,25 @@ def batch_ideal_membership(
 
 
 def ideal_membership(
-    x: AlgebraElement,
-    window: int | None = None,
-    max_window: int | None = None,
+    x: AlgebraElement, window: int | None = None
 ) -> MembershipResult:
     """Windowed membership test for the two-sided ideal: the window
     ladder over :func:`batch_ideal_membership`.
 
     The ladder starts at the given window (at least 1), else at the
-    extent of the support, lowered to the cap, and doubles up to the cap,
-    trying each window the support fits.  A member verdict carries the
-    certificate tensor, already re-verified by contracting it back to
-    the element, and the window that decided it; the other verdicts,
-    undecided when the support exceeds the cap, carry the cap.
+    extent of the support, lowered to the cap (:func:`max_window_cap`), and
+    doubles up to the cap, trying each window the support fits.  A member
+    verdict carries the certificate tensor, already re-verified by
+    contracting it back to the element, and the window that decided it;
+    the other verdicts, undecided when the support exceeds the cap, carry
+    the cap.
     """
     if x.n != N or x.r != R:
         raise ValueError("ideal elements live at n = r = 2")
-    cap = max_window if max_window is not None else max_window_cap()
+    cap = max_window_cap()
     if window is not None and window < 1:
         raise ValueError("window must be positive")
-    needed = max(map(abs, _column_support(x)), default=0)
+    needed = _column_reach(x)
     if needed > cap:
         return MembershipResult(MembershipResult.UNDECIDED, None, cap)
     w = min(window if window is not None else max(needed, 1), cap)

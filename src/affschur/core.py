@@ -32,22 +32,23 @@ Conventions used throughout the package:
   rings build on it.  Public constructors check every term; internal
   arithmetic on checked elements builds through the trusted ``_like``.
 
-* Matrices are interned: every matrix that ``from_entries``,
-  ``columns_moved`` or ``transpose`` returns is the one canonical object
-  with its entries, built once and unvalidated, since those methods
-  produce canonical entries; a lookup by entries builds nothing.  A
-  matrix built directly, ``PeriodicMatrix(n, entries)``, is validated.
+* Matrices are interned: every matrix that ``from_entries`` or
+  ``transpose`` returns, or the class index below, is the one canonical
+  object with its entries, built once and unvalidated, since those
+  routes produce canonical entries; a lookup by entries builds nothing.
+  A matrix built directly, ``PeriodicMatrix(n, entries)``, is validated.
 
 * The shift by one period is central: moving every column of a matrix
   by k*n multiplies its basis element by the k-th power x2^k of that
   shift.  ``PeriodicMatrix.translation_class`` splits a matrix into the
   shape it shares with all its moves and the number of periods it is
-  moved by.  An index keyed by class (n, shape, k), filled only with
-  the classes that moves and transposes reach, makes a move by whole
-  periods one lookup; entries are built on a miss.  Transposing reverses
-  a move, so entries are transposed once per shape, by one class rule.
-  ``AlgebraElement.translated`` moves an element, every matrix through
-  ``columns_moved``.
+  moved by.  A translation class (shape, k) is the one form of a move
+  by periods: the class (shape, k + p) is the class (shape, k) moved by
+  p periods, and an element in class space is ``{(shape, k): value}``.
+  An index keyed by (n, shape, k), filled only with the classes that
+  are asked for, hands out the matrix of a class in one lookup; entries
+  are built on a miss.  Transposing reverses a move, so entries are
+  transposed once per shape, by one class rule.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ __all__ = [
 
 Scalar = int | Fraction
 Class = tuple[tuple[int, ...], int]  # (shape, k), a translation class
-ClassTerm = tuple[tuple[int, ...], int, Scalar]  # (shape, k, coefficient)
 
 _FRACTION_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -268,17 +268,6 @@ class PeriodicMatrix:
         if self._translation is None:
             object.__setattr__(self, "_translation", _class_of(self.n, self.entries))
         return self._translation
-
-    def columns_moved(self, shift: int) -> "PeriodicMatrix":
-        """The matrix with every column index moved by ``shift``: by
-        whole periods, the matrix of class (shape, k + periods)."""
-        periods, rest = divmod(shift, self.n)
-        if rest or not self.entries:
-            return _interned(
-                self.n, tuple((i, j + shift, a) for i, j, a in self.entries)
-            )
-        shape, k = self.translation_class()
-        return _of_class(self.n, shape, k + periods)
 
     def is_upper_triangular(self) -> bool:
         return all(i <= j for i, j, _ in self.entries)
@@ -543,22 +532,6 @@ class AlgebraElement(LinearCombination):
 
     def transpose(self) -> "AlgebraElement":
         return self._like({m.transpose(): c for m, c in self.terms.items()})
-
-    def translated(self, periods: int) -> "AlgebraElement":
-        """This element times the central x2^periods: every column moved
-        by periods * n, onto interned matrices.
-
-        Moving columns changes no coefficient, so the term dict is built
-        once and taken as it is.
-        """
-        if not periods:
-            return self
-        shift = periods * self.n
-        moved = object.__new__(type(self))
-        moved.n = self.n
-        moved.r = self.r
-        moved.terms = {m.columns_moved(shift): c for m, c in self.terms.items()}
-        return moved
 
     def supported_on(self, row: Composition | None, col: Composition | None) -> bool:
         """True when every term matches the given row/column weights."""

@@ -8,9 +8,9 @@ per translation class of pairs: the period shift is central, so moving
 the columns of either factor by whole periods moves the product by as
 many.  Concurrent duplicate fills are harmless because every fill
 computes the identical value.  ``multiply`` reads the table with
-matrices; ``multiply_classes`` reads the same table with translation
-classes (shape, k) and builds no matrix on a hit.  The structure
-constants are integers, so ``multiply`` sums in ``int``.
+matrices; ``multiply_classes`` reads the same table with elements in
+class space, ``{(shape, k): value}``, and builds no matrix on a hit.
+The structure constants are integers, so ``multiply`` sums in ``int``.
 
 ``doublecoset_product`` (stabilizer double cosets with index
 multiplicities) is an independent route to one basis product, which the
@@ -19,12 +19,11 @@ benchmark's algebra workload uses to spot-check the table.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     AlgebraElement,
     Class,
-    ClassTerm,
     PeriodicMatrix,
     Scalar,
     _cleared, _divided,
@@ -113,11 +112,12 @@ class StructureTable:
     action, so e_a e_b = (e_shape_a e_shape_b) x2^(s+t).  A class keeps
     ``(k0, product)``: the total offset k0 = s + t of the pair that filled
     it and the oracle's product there.  The product at any other offset
-    is that product moved by its difference to k0, one lookup in the
-    class index per term (:meth:`PeriodicMatrix.columns_moved`), so no
-    moved product is kept; :func:`multiply_classes` reads the stored
-    product as classes and moves only their k, so it builds no moved
-    product at all.  ``len`` counts classes, that is oracle runs.
+    is that product moved by its difference d to k0: each stored term of
+    class (shape, k) becomes the matrix of class (shape, k + d), one
+    lookup in the class index, so no moved product is kept;
+    :func:`multiply_classes` reads the stored product as classes and
+    moves only their k, so it builds no moved product at all.  ``len``
+    counts classes, that is oracle runs.
     """
 
     def __init__(self) -> None:
@@ -144,7 +144,18 @@ class StructureTable:
             self._classes[key] = (s + t, product)
             return product
         k0, product = found
-        return product.translated(s + t - k0)
+        shift = s + t - k0
+        if not shift:
+            return product
+        terms = {}
+        for matrix, coeff in product.terms.items():
+            shape, k = matrix.translation_class()
+            terms[_of_class(a.n, shape, k + shift)] = coeff
+        # moving columns changes no coefficient, so the term dict is built
+        # once and taken as it is
+        moved = object.__new__(AlgebraElement)
+        moved.n, moved.r, moved.terms = a.n, a.r, terms
+        return moved
 
 
 structure_table = StructureTable()
@@ -171,11 +182,11 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 def multiply_classes(
     n: int,
-    xs: Iterable[ClassTerm],
-    ys: Sequence[ClassTerm],
+    xs: Mapping[Class, Scalar],
+    ys: Mapping[Class, Scalar],
 ) -> dict[Class, Scalar]:
-    """The product of two elements of period n given as (shape, k, coeff)
-    triples, as {(shape, k): nonzero coeff}.
+    """The product of two elements of period n in class space,
+    {(shape, k): coeff}, in the same form, every coeff nonzero.
 
     The pair of classes (shape_a, s) and (shape_b, t) reads the structure
     table's class (n, shape_a, shape_b): its stored product, filled at
@@ -188,8 +199,8 @@ def multiply_classes(
     """
     table = structure_table
     acc: dict[Class, Scalar] = {}
-    for shape_a, s, ca in xs:
-        for shape_b, t, cb in ys:
+    for (shape_a, s), ca in xs.items():
+        for (shape_b, t), cb in ys.items():
             key = (n, shape_a, shape_b)
             found = table._classes.get(key)
             if found is None:

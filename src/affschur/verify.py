@@ -22,12 +22,15 @@ every check that needs it; the freeness check's module system is the
 three row-(2,0) blocks, whose coordinates it reads without certificates.
 Where x2, the central shift by one period, carries a statement from one
 element to its translates, a check makes it once per stem, base pair or
-class of pairs and argues the move next to the check: the transpose check
-compares translation classes (shape, k), not elements, and the freeness
-check proves its round trips by induction on the width (Newton's
-identity) over classes the stems already multiplied; neither builds a
-translate.  The transpose and corner-involution maps can be
-overridden, for negative controls (see :func:`verify_cell_chain`).
+class of pairs and argues the move next to the check.  Both checks work
+in class space, on elements {(shape, k): value}, the one form that the
+stems and :func:`~affschur.multiplication.multiply_classes` use, where a
+move by p periods adds p to every k: the transpose check compares
+translation classes, not elements, and the freeness check proves its
+round trips by induction on the width (Newton's identity) over classes
+the stems already multiplied; neither builds a translate.  The transpose
+and corner-involution maps can be overridden, for negative controls (see
+:func:`verify_cell_chain`).
 
 The cyclic garbage collector is paused while the battery runs, and put
 back as it was found, also when a check raises.  Pausing it loses
@@ -71,6 +74,7 @@ from .cellular import (
     WEIGHT_20,
     WindowBlocks,
     _contract,
+    _extent,
     _pair_coords,
     _window_labels,
     corner_involution,
@@ -176,8 +180,7 @@ class _Classes(LinearCombination):
         return cls({matrix.translation_class(): 1})
 
     def _product(self, other: "_Classes") -> "_Classes":
-        xs, ys = ([(*key, c) for key, c in x.terms.items()] for x in (self, other))
-        return self._like(multiply_classes(2, xs, ys))
+        return self._like(multiply_classes(2, self.terms, other.terms))
 
 
 def _x2(x: _Classes) -> _Classes:
@@ -340,8 +343,7 @@ def verify_cell_chain(
                     failures.append(
                         f"transpose of cell ({l},{m},{a},0) left the spanning set"
                     )
-                support = [j + 2 * k for shape, k in transposed for j in shape[1::3]]
-                extents[(l, m, a)] = (min(support), max(support)) if support else None
+                extents[(l, m, a)] = _extent(transposed)
             extent = extents[(l, m, a)]
             if extent and -window <= extent[0] - 2 * b and extent[1] - 2 * b <= window:
                 inside.append(label)

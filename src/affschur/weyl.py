@@ -166,19 +166,16 @@ def pair_to_matrix(
     >>> pair_to_matrix((1, 1), (3, 3), 2)
     Mat(n=2;(1,3):2)
     """
-    return PeriodicMatrix.from_entries(n, _pair_triples(i, j, n))
+    return PeriodicMatrix.from_entries(n, _pair_triples(i, j))
 
 
 def _pair_triples(
-    i: Sequence[int], j: Sequence[int], n: int
+    i: Sequence[int], j: Sequence[int]
 ) -> list[tuple[int, int, int]]:
+    """(i_s, j_s, 1) per position s; ``canonical_entries`` shifts the rows."""
     if len(i) != len(j):
         raise ValueError("tuple lengths differ")
-    triples = []
-    for a, b in zip(i, j):
-        s = (a - 1) // n
-        triples.append((a - s * n, b - s * n, 1))
-    return triples
+    return [(a, b, 1) for a, b in zip(i, j)]
 
 
 def matrix_to_pair(
@@ -200,6 +197,6 @@ def pair_orbit_equal(
 ) -> bool:
     """Whether two tuple pairs lie in the same diagonal orbit, that is,
     have the same matrix (compared by entries, building none)."""
-    return canonical_entries(n, _pair_triples(*pair1, n)) == canonical_entries(
-        n, _pair_triples(*pair2, n)
+    return canonical_entries(n, _pair_triples(*pair1)) == canonical_entries(
+        n, _pair_triples(*pair2)
     )

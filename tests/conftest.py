@@ -29,6 +29,16 @@ def basis(n, *entries):
     return AlgebraElement.basis(mat(n, *entries))
 
 
+def moved(x, k):
+    """A matrix, or every matrix of an element, with each column moved by
+    k periods: built from its entries through ``from_entries``, not read
+    from the class index, so it is an independent reference for moves by
+    translation class."""
+    if isinstance(x, PeriodicMatrix):
+        return mat(x.n, *((i, j + k * x.n, v) for i, j, v in x.entries))
+    return AlgebraElement(x.n, x.r, {moved(m, k): c for m, c in x.terms.items()})
+
+
 def tangle_block(monkeypatch, signature):
     """Build the block of this signature with its first and last columns,
     which must meet disjoint rows, replaced by their sum and their

@@ -52,7 +52,7 @@ from affschur.cellular import (
 from affschur.hecke import HeckeElement, T1, T2
 from affschur.sampling import random_element, random_poly2, random_tensor_cells
 
-from conftest import basis, mat
+from conftest import basis, mat, moved
 
 ONE = LaurentPoly2.one()
 X1 = LaurentPoly2.x1()
@@ -113,12 +113,13 @@ class TestCornerRing:
         with pytest.raises(ValueError):
             corner_to_laurent(e_nu)
 
-    def test_undecided_when_window_capped(self):
+    def test_undecided_when_window_capped(self, monkeypatch):
         x = basis(2, (1, 7, 2))  # needs window 7
+        monkeypatch.setenv("AFFSCHUR_MAX_WINDOW", "2")
         with pytest.raises(UndecidedError):
-            corner_to_laurent(x, max_window=2)
+            corner_to_laurent(x)
 
-    def test_polynomial_equals_the_solver_route(self):
+    def test_polynomial_equals_the_solver_route(self, monkeypatch):
         """The polynomial read off the left-module closed forms is the one
         the windowed solve over the monomial block gives, on random corner
         elements that fit the window, which is also the cap."""
@@ -150,12 +151,13 @@ class TestCornerRing:
                     )
                 )
             solved = WindowBlocks(window).coordinates(elements)
+            monkeypatch.setenv("AFFSCHUR_MAX_WINDOW", str(window))
             for x, coords in zip(elements, solved):
                 assert coords is not None, (window, x)
                 expected = LaurentPoly2(
                     {(a, b): value for (_, _, a, b), value in coords.items()}
                 )
-                assert corner_to_laurent(x, max_window=window) == expected, x
+                assert corner_to_laurent(x) == expected, x
                 compared += 1
         assert compared >= 200
 
@@ -574,10 +576,15 @@ class TestTranslation:
                 assert matrix.transpose().transpose() is matrix
 
 
+def _support(element):
+    """Every column of the element's matrices."""
+    return [j for matrix in element.terms for _, j, _ in matrix.entries]
+
+
 def _fits(element, window):
     """Whether the element is nonzero with its column support inside
     [-window, window]: the test each reference candidate passes."""
-    support = cellular._column_support(element)
+    support = _support(element)
     return bool(support) and all(-window <= j <= window for j in support)
 
 
@@ -668,7 +675,7 @@ class TestX2Families:
                     id(m) for m in element.terms
                 ], key
         for (name, a, b), element in first.items():
-            assert element == first[(name, a, 0)].translated(b), (name, a, b)
+            assert element == moved(first[(name, a, 0)], b), (name, a, b)
             for matrix in element.terms:
                 assert core._MATRICES[(matrix.n, matrix.entries)] is matrix
 
@@ -716,7 +723,7 @@ class TestX2Families:
     def test_width_grows_by_two_per_x1_step(self):
         # the premise of the a-range stop in omega_candidates
         def width(l, m, a):
-            support = cellular._column_support(omega_element(l, m, a, 0))
+            support = _support(omega_element(l, m, a, 0))
             return max(support) - min(support)
 
         for l in range(4):
@@ -728,10 +735,10 @@ class TestX2Families:
 
 class TestStems:
     def test_stems_are_the_classes_of_the_product_chain(self):
-        """Each stem's triples are the classes of the chain of element
-        products it replaces: x1 steps for cell (2, 2), right basis l
-        times x1^a for the cells (l, 2), and that times left basis m for
-        the rest.  A stem names each class once."""
+        """Each stem is the chain of element products it replaces, in class
+        space: x1 steps for cell (2, 2), right basis l times x1^a for the
+        cells (l, 2), and that times left basis m for the rest.  Its kept
+        extent is that product's column extent."""
         x1 = AlgebraElement.basis(GEN_X1)
         power = AlgebraElement.basis(cellular.IDEM_20_MAT)
         for a in range(31):
@@ -746,13 +753,13 @@ class TestStems:
                     else:
                         left = AlgebraElement.basis(LEFT_BASIS[m])
                         product = multiply(rights[l], left)
-                    stem = cellular._stem_classes(l, m, a)
-                    classes = {(shape, k): value for shape, k, value in stem}
-                    assert len(classes) == len(stem), (l, m, a)
-                    assert classes == {
+                    assert cellular._stem_classes(l, m, a) == {
                         matrix.translation_class(): c
                         for matrix, c in product.terms.items()
                     }, (l, m, a)
+                    support = _support(product)
+                    extent = (min(support), max(support))
+                    assert cellular._STEMS[(l, m, a)][1] == extent, (l, m, a)
             power = multiply(power, x1)
 
 
@@ -773,27 +780,27 @@ class TestFreenessShortcut:
         for i, j in self.PAIRS:
             (i0, j0), k = self.base(i, j)
             assert i0 in (1, 2)
-            assert pairelt(i0, j0).translated(k) == pairelt(i, j)
+            assert moved(pairelt(i0, j0), k) == pairelt(i, j)
 
     def test_left_coordinates_move_by_x2_power(self):
         for i, j in self.PAIRS:
             (i0, j0), k = self.base(i, j)
             base = decompose_left(pairelt(i0, j0))
-            moved = decompose_left(pairelt(i, j))
-            assert moved.coords == tuple(
+            shifted = decompose_left(pairelt(i, j))
+            assert shifted.coords == tuple(
                 c * LaurentPoly2.x2(k) for c in base.coords
             ), (i, j)
-            assert moved.to_element() == base.to_element().translated(k)
+            assert shifted.to_element() == moved(base.to_element(), k)
 
     def test_right_coordinates_move_by_inverse_x2_power(self):
         for i, j in self.PAIRS:
             (i0, j0), k = self.base(i, j)
             base = decompose_right(pairelt(i0, j0).transpose())
-            moved = decompose_right(pairelt(i, j).transpose())
-            assert moved.coords == tuple(
+            shifted = decompose_right(pairelt(i, j).transpose())
+            assert shifted.coords == tuple(
                 c * LaurentPoly2.x2(-k) for c in base.coords
             ), (i, j)
-            assert moved.to_element() == base.to_element().translated(-k)
+            assert shifted.to_element() == moved(base.to_element(), -k)
 
     def test_contraction_commutes_with_translation(self):
         # x2 is central: on either side, coordinates times x2^k contract to
@@ -802,14 +809,13 @@ class TestFreenessShortcut:
             for i, j in self.PAIRS:
                 vector = decompose_left(pairelt(i, j))
                 for k in (-3, 1, 4):
-                    moved = CellVector(
+                    shifted = CellVector(
                         side,
                         tuple(c * LaurentPoly2.x2(k) for c in vector.coords),
                     )
                     plain = CellVector(side, vector.coords)
-                    assert moved.to_element() == plain.to_element().translated(
-                        k
-                    ), (side, i, j, k)
+                    expected = moved(plain.to_element(), k)
+                    assert shifted.to_element() == expected, (side, i, j, k)
 
 
 def _integral(element):
@@ -876,46 +882,57 @@ class TestTensorJson:
             CellTensor.from_json(data)
 
 
+@pytest.fixture
+def cap(monkeypatch):
+    """Sets the window cap, AFFSCHUR_MAX_WINDOW, for the rest of the test."""
+    return lambda value: monkeypatch.setenv("AFFSCHUR_MAX_WINDOW", str(value))
+
+
 class TestIdealToTensor:
     """An ideal element's tensor coordinates are the certificate of
     ``ideal_membership``.  Its verdicts for a non-member and for support
     beyond the cap are tested in ``TestMembership``."""
 
-    def test_idempotent(self, e_lam):
-        t = ideal_membership(e_lam, window=6, max_window=6).tensor
+    def test_idempotent(self, e_lam, cap):
+        cap(6)
+        t = ideal_membership(e_lam, window=6).tensor
         assert t.cell(2, 2) == ONE
         assert sum(1 for row in t.coords for p in row if not p.is_zero()) == 1
 
-    def test_corner_product(self, e_nu):
+    def test_corner_product(self, e_nu, cap):
         x = hecke_embed(HeckeElement.group(T1)) + e_nu
-        t = ideal_membership(x, window=6, max_window=6).tensor
+        cap(6)
+        t = ideal_membership(x, window=6).tensor
         assert t.cell(0, 0) == ONE
 
-    def test_scaled_idempotent_matches_triple_product(self, e_lam, e_nu):
+    def test_scaled_idempotent_matches_triple_product(self, e_lam, e_nu, cap):
         t1 = hecke_embed(HeckeElement.group(T1))
         triple = multiply(
             multiply(basis(2, (1, 1, 1), (1, 2, 1)), t1 + e_nu),
             basis(2, (1, 1, 1), (2, 1, 1)),
         )
         assert triple == e_lam.scaled(4)
-        via_product = ideal_membership(triple, window=6, max_window=6).tensor
-        via_scaling = ideal_membership(e_lam.scaled(4), window=6, max_window=6).tensor
+        cap(6)
+        via_product = ideal_membership(triple, window=6).tensor
+        via_scaling = ideal_membership(e_lam.scaled(4), window=6).tensor
         assert via_product == via_scaling
         assert via_product.cell(2, 2) == ONE.scaled(4)
 
-    def test_round_trip_on_random_ideal_elements(self, rng, e_lam):
+    def test_round_trip_on_random_ideal_elements(self, rng, e_lam, cap):
+        cap(10)
         for _ in range(12):
             u = random_element(rng, 2, 2, terms=2, col_lo=-2, col_hi=3)
             v = random_element(rng, 2, 2, terms=2, col_lo=-2, col_hi=3)
             x = multiply(multiply(u, e_lam), v)
             if x.is_zero():
                 continue
-            t = ideal_membership(x, window=10, max_window=10).tensor
+            t = ideal_membership(x, window=10).tensor
             assert tensor_to_ideal(t) == x
 
-    def test_window_growth_finds_answer(self, e_mu):
+    def test_window_growth_finds_answer(self, e_mu, cap):
         # starting window too small, cap large enough: growth succeeds
-        t = ideal_membership(e_mu, window=1, max_window=8).tensor
+        cap(8)
+        t = ideal_membership(e_mu, window=1).tensor
         assert tensor_to_ideal(t) == e_mu
 
 
@@ -956,57 +973,67 @@ def _row_classes(shape_rows, nrows):
 
 
 class TestMembership:
-    def test_column_idempotent_member(self, e_mu):
-        result = ideal_membership(e_mu, window=6, max_window=6)
+    def test_column_idempotent_member(self, e_mu, cap):
+        cap(6)
+        result = ideal_membership(e_mu, window=6)
         assert result.is_member
         assert result.tensor.cell(3, 3) == ONE
 
-    def test_corner_unit_not_member(self, e_nu):
-        result = ideal_membership(e_nu, window=10, max_window=10)
+    def test_corner_unit_not_member(self, e_nu, cap):
+        cap(10)
+        result = ideal_membership(e_nu, window=10)
         assert result.status == MembershipResult.NOT_MEMBER
 
-    def test_conjugated_reflection_member(self, e_nu):
+    def test_conjugated_reflection_member(self, e_nu, cap):
         x = hecke_embed(HeckeElement.group(T2)) + e_nu
-        result = ideal_membership(x, window=8, max_window=8)
+        cap(8)
+        result = ideal_membership(x, window=8)
         assert result.is_member
 
-    def test_starved_window_undecided(self, e_mu):
-        result = ideal_membership(e_mu, window=1, max_window=1)
+    def test_starved_window_undecided(self, e_mu, cap):
+        cap(1)
+        result = ideal_membership(e_mu, window=1)
         assert result.status == MembershipResult.UNDECIDED
 
-    def test_member_reports_deciding_window(self, e_lam, e_mu, e_nu):
-        result = ideal_membership(e_lam, window=2, max_window=24)
+    def test_member_reports_deciding_window(self, e_lam, e_mu, e_nu, cap):
+        cap(24)
+        result = ideal_membership(e_lam, window=2)
         assert result.is_member
         assert result.window == 2
         # a member found only after the ladder doubled reports that window
-        grown = ideal_membership(e_mu, window=1, max_window=24)
+        grown = ideal_membership(e_mu, window=1)
         assert grown.is_member
         assert grown.window == 2
         # a non-member has tried every window up to the cap
-        assert ideal_membership(e_nu, window=2, max_window=8).window == 8
+        cap(8)
+        assert ideal_membership(e_nu, window=2).window == 8
 
-    def test_batch_matches_single(self, rng, e_lam, e_nu, e_mu):
+    def test_batch_matches_single(self, rng, e_lam, e_nu, e_mu, cap):
         elements = [e_mu, e_nu, e_lam + e_nu.scaled(2)]
         for _ in range(5):
             u = random_element(rng, 2, 2, terms=2, col_lo=-2, col_hi=3)
             elements.append(multiply(multiply(u, e_lam), u))
         batch = batch_ideal_membership(elements, 8)
+        cap(8)
         for x, got in zip(elements, batch):
-            single = ideal_membership(x, window=8, max_window=8)
+            single = ideal_membership(x, window=8)
             assert got.status == single.status
             if got.is_member:
                 assert tensor_to_ideal(got.tensor) == x
 
 
-    def test_refuted_block_stops_the_ladder_rung(self, solve_calls, e_lam, e_nu):
+    def test_refuted_block_stops_the_ladder_rung(self, solve_calls, e_lam, e_nu, cap):
         # e_nu (block (1,1)/(1,1)) refutes the element before its e_lam
         # block is reached, so each rung of the ladder 2, 4, 8 costs one solve
-        result = ideal_membership(e_nu + e_lam, window=2, max_window=8)
+        cap(8)
+        result = ideal_membership(e_nu + e_lam, window=2)
         assert result.status == MembershipResult.NOT_MEMBER
         assert result.window == 8
         assert len(solve_calls) == 3
 
-    def test_batch_with_refuted_element_sharing_blocks(self, solve_calls, e_lam, e_nu):
+    def test_batch_with_refuted_element_sharing_blocks(
+        self, solve_calls, e_lam, e_nu, cap
+    ):
         t1 = hecke_embed(HeckeElement.group(T1))
         elements = [e_nu + e_lam, t1 + e_nu + e_lam.scaled(2), e_lam]
         refuted, member, corner = batch_ideal_membership(elements, 8)
@@ -1014,10 +1041,11 @@ class TestMembership:
         assert [len(rhs_list) for *_, rhs_list in solve_calls] == [2, 2]
         assert refuted.status == MembershipResult.NOT_MEMBER
         assert refuted.tensor is None
+        cap(8)
         for x, result in ((elements[1], member), (elements[2], corner)):
             assert result.is_member and result.window == 8
             assert tensor_to_ideal(result.tensor) == x
-            assert ideal_membership(x, window=8, max_window=8) == result
+            assert ideal_membership(x, window=8) == result
 
     def test_window_blocks_factor_each_block_once(self, monkeypatch, e_lam, e_mu, e_nu):
         factored = []

@@ -19,7 +19,7 @@ from affschur import (
     pair_to_matrix,
 )
 from affschur.cellular import _element
-from affschur.core import parse_fraction
+from affschur.core import _of_class, parse_fraction
 from affschur.multiplication import StructureTable
 
 from closed_forms import entry, part, row
@@ -29,6 +29,7 @@ from conftest import (
     basis,
     basis_matrices,
     mat,
+    moved,
 )
 
 
@@ -89,8 +90,9 @@ class TestMatrixCanonicalization:
         assert {interned: "found"}[direct] == "found"
         assert not hasattr(direct, "__dict__")
         assert not hasattr(interned, "__dict__")
-        assert direct.columns_moved(0) is interned
-        assert direct.columns_moved(2) is interned.columns_moved(2)
+        shape, k = direct.translation_class()
+        assert _of_class(2, shape, k) is interned
+        assert _of_class(2, shape, k + 1) is moved(interned, 1)
         assert direct.transpose() is interned.transpose()
         assert direct.transpose().transpose() is interned
 
@@ -127,12 +129,12 @@ class TestTrustedInterning:
     @settings(max_examples=80)
     def test_every_route_gives_the_validated_matrix(self, n, triples, shift):
         a = PeriodicMatrix.from_entries(n, triples)
-        for got in (
-            a,
-            a.columns_moved(shift),
-            a.transpose(),
-            a.transpose().columns_moved(shift),
-        ):
+        routes = [a, a.transpose()]
+        if a.entries:  # the empty matrix has class ((), 0) and no move
+            for matrix in (a, a.transpose()):
+                shape, k = matrix.translation_class()
+                routes.append(_of_class(n, shape, k + shift))
+        for got in routes:
             self.assert_like_direct(got)
 
     def test_direct_build_validates(self):
@@ -354,13 +356,11 @@ class TestTranslationClass:
     @given(basis_matrices(), st.integers(-(10**6), 10**6))
     def test_moved_matrix_keeps_its_shape(self, a, s):
         shape, k = a.translation_class()
-        moved = a.columns_moved(s * a.n)
-        assert moved.translation_class() == (shape, k + s)
+        assert moved(a, s).translation_class() == (shape, k + s)
+        assert _of_class(a.n, shape, k + s) is moved(a, s)
         # the shape's smallest column lies in 1..n
         assert 1 <= min(shape[1::3]) <= a.n
-        assert mat(a.n, *zip(shape[::3], shape[1::3], shape[2::3])).columns_moved(
-            k * a.n
-        ) is a
+        assert moved(mat(a.n, *zip(shape[::3], shape[1::3], shape[2::3])), k) is a
 
     def test_examples(self):
         assert mat(2, (1, 5, 1), (2, 8, 1)).translation_class() == (
@@ -369,17 +369,6 @@ class TestTranslationClass:
         )
         assert mat(3, (2, 0, 2)).translation_class() == ((2, 3, 2), -1)
         assert PeriodicMatrix.from_entries(2, []).translation_class() == ((), 0)
-
-    @given(algebra_elements(), st.integers(-5, 5), st.integers(-5, 5))
-    @settings(max_examples=40)
-    def test_translated_moves_every_column(self, x, s, t):
-        assert x.translated(0) is x
-        moved = x.translated(s)
-        assert moved.terms == {
-            m.columns_moved(s * x.n): c for m, c in x.terms.items()
-        }
-        assert moved.translated(t) == x.translated(s + t)
-        assert_canonical_exact(moved)
 
 
 class TestTransposeOfATranslate:
@@ -392,14 +381,13 @@ class TestTransposeOfATranslate:
     @settings(max_examples=60)
     def test_matrices(self, a):
         for k in self.PERIODS:
-            moved = a.columns_moved(k * a.n)
-            assert moved.transpose() is a.transpose().columns_moved(-k * a.n)
+            assert moved(a, k).transpose() is moved(a.transpose(), -k)
 
     @given(algebra_elements())
     @settings(max_examples=40)
     def test_elements(self, x):
         for k in self.PERIODS:
-            assert x.translated(k).transpose() == x.transpose().translated(-k)
+            assert moved(x, k).transpose() == moved(x.transpose(), -k)
 
 
 @st.composite
@@ -427,18 +415,17 @@ class TestClassRoutes:
     @settings(max_examples=200)
     def test_move_and_transpose_match_the_entries(self, n, data, s, t):
         a = data.draw(basis_matrices(nr=(n, data.draw(st.integers(1, 3)))))
-        for shift in (s, t, s * n, t * n, -s * n):
-            moved = a.columns_moved(shift)
-            # columns_moved and transpose before the class index
-            assert moved is mat(n, *((i, j + shift, v) for i, j, v in a.entries))
-            assert moved.transpose() is mat(
-                n, *((j, i, v) for i, j, v in moved.entries)
-            )
+        shape, k = a.translation_class()
+        for periods in (s, t, -s):
+            got = _of_class(n, shape, k + periods)
+            # the move and the transpose before the class index
+            assert got is moved(a, periods)
+            assert got.transpose() is mat(n, *((j, i, v) for i, j, v in got.entries))
 
     def test_empty_matrix_moves_onto_itself(self):
         # the empty matrix has class ((), 0) and no column to move
         empty = mat(3)
-        assert empty.columns_moved(6) is empty and empty.transpose() is empty
+        assert moved(empty, 2) is empty and empty.transpose() is empty
         assert empty.translation_class() == ((), 0)
 
     @given(product_pairs_n2_to_4(), st.integers(-6, 6), st.integers(-6, 6))
@@ -447,7 +434,7 @@ class TestClassRoutes:
         a, b = pair
         table = StructureTable()
         table.product(a, b)
-        moved_a, moved_b = a.columns_moved(s * a.n), b.columns_moved(t * b.n)
+        moved_a, moved_b = moved(a, s), moved(b, t)
         product = table.product(moved_a, moved_b)
         assert product == multiply_oracle(
             matrix_to_pair(moved_a), matrix_to_pair(moved_b), a.n

@@ -65,7 +65,7 @@ def reference_contract(terms):
     acc = {}
     for coeff, (l, m, a, b) in terms:
         shift = cellular._translate_shift(b)
-        for shape, k, value in cellular._stem_classes(l, m, a):
+        for (shape, k), value in cellular._stem_classes(l, m, a).items():
             key = (shape, k + shift)
             acc[key] = acc.get(key, 0) + coeff * value
     return {key: value for key, value in acc.items() if value}

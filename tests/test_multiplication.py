@@ -21,6 +21,7 @@ from affschur import (
 
 from affschur import multiplication
 from affschur.multiplication import multiply_classes
+from affschur.sampling import random_element
 
 from closed_forms import (
     bounded,
@@ -32,7 +33,7 @@ from closed_forms import (
     shifted,
     unit,
 )
-from conftest import algebra_elements, basis, basis_matrices, mat
+from conftest import algebra_elements, basis, basis_matrices, mat, moved
 
 
 def with_row(rng, comp, n, lo=-4, hi=5):
@@ -326,8 +327,8 @@ class TestTranslationClasses:
     def test_moved_pair_matches_fresh_oracle(self, pair, s, t):
         a, b = pair
         structure_table.product(a, b)
-        moved_a = a.columns_moved(s * a.n)
-        moved_b = b.columns_moved(t * b.n)
+        moved_a = moved(a, s)
+        moved_b = moved(b, t)
         product = structure_table.product(moved_a, moved_b)
         assert product == multiply_oracle(
             matrix_to_pair(moved_a), matrix_to_pair(moved_b), a.n
@@ -343,8 +344,8 @@ class TestTranslationClasses:
         table = StructureTable()
         first = table.product(a, b)
         for s, t in [(1, 0), (0, -3), (5, 5), (-2, 2)]:
-            moved = table.product(a.columns_moved(2 * s), b.columns_moved(2 * t))
-            assert moved == first.translated(s + t)
+            product = table.product(moved(a, s), moved(b, t))
+            assert product == moved(first, s + t)
         assert len(table) == 1
 
     def test_period_is_part_of_the_class_key(self):
@@ -364,8 +365,8 @@ class TestTranslationClasses:
 
 
 def class_terms(x):
-    """An element as (shape, k, coeff) triples."""
-    return [(*matrix.translation_class(), c) for matrix, c in x.terms.items()]
+    """An element in class space, {(shape, k): coeff}."""
+    return {matrix.translation_class(): c for matrix, c in x.terms.items()}
 
 
 def moved_element_pairs(nr):
@@ -373,7 +374,7 @@ def moved_element_pairs(nr):
     terms' weights match in some pairs and not in others."""
     offsets = st.integers(min_value=-(10**4), max_value=10**4)
     element = st.builds(
-        lambda x, s: x.translated(s),
+        moved,
         algebra_elements(nr=nr, col_lo=-3, col_hi=4),
         offsets,
     )
@@ -398,13 +399,11 @@ class TestClassProduct:
         try:
             multiplication.structure_table = StructureTable()
             product = multiply(x, y)
-            expected = {
-                matrix.translation_class(): c for matrix, c in product.terms.items()
-            }
+            expected = class_terms(product)
             multiplication.structure_table = table = StructureTable()
             if warm:
                 # every class filled at another offset than the one read
-                multiply(x.translated(warm_offset), y)
+                multiply(moved(x, warm_offset), y)
             filled = len(table)
             got = multiply_classes(n, class_terms(x), class_terms(y))
             assert got == expected
@@ -434,6 +433,24 @@ class TestClassProduct:
             assert len(table) == 0
         finally:
             multiplication.structure_table = saved
+
+
+class TestPeriodShiftIsCentral:
+    """z_k, the sum of e(diag(lam)) moved by k periods over the weights lam,
+    is x2^k, the move by k periods, and is central: multiplying by it on
+    either side moves x as the entry-built reference does.  Every
+    translation class rests on this."""
+
+    @pytest.mark.parametrize("n, r", [(2, 2), (2, 3), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("k", [1, -2, 3])
+    def test_z_k_times_x_is_x_moved(self, monkeypatch, n, r, k):
+        # a table of its own, so the products come from the oracle here
+        monkeypatch.setattr(multiplication, "structure_table", StructureTable())
+        z = moved(unit(n, r), k)
+        rng = random.Random(1000 * n + 10 * r + k)
+        for _ in range(15):
+            x = random_element(rng, n, r, col_lo=-3, col_hi=4)
+            assert multiply(z, x) == moved(x, k) == multiply(x, z), x
 
 
 class TestInfiniteComposition:

@@ -494,11 +494,12 @@ class TestShortcutControls:
 
         def one_period_too_far(n, xs, ys):
             acc = {}
-            for x in xs:
-                for y in ys:
-                    got = product_classes(n, [x], [y])
-                    found = multiplication.structure_table._classes.get((n, x[0], y[0]))
-                    shift = 1 if found and found[0] != x[1] + y[1] else 0
+            for (shape_x, s), cx in xs.items():
+                for (shape_y, t), cy in ys.items():
+                    got = product_classes(n, {(shape_x, s): cx}, {(shape_y, t): cy})
+                    key = (n, shape_x, shape_y)
+                    found = multiplication.structure_table._classes.get(key)
+                    shift = 1 if found and found[0] != s + t else 0
                     for (shape, k), value in got.items():
                         acc[(shape, k + shift)] = acc.get((shape, k + shift), 0) + value
             return {key: value for key, value in acc.items() if value}
